@@ -230,6 +230,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             elif key in ("delta", "radius", "d_rel"):
                 setattr(cfg, key, float(val))
             elif key == "chirality":
+                if val.lower() not in _BOOLS:
+                    raise ValueError(f"{args.config}: chirality must be true or false, "
+                                     f"got {val!r}")
                 setattr(cfg, key, _BOOLS[val.lower()])
             else:
                 setattr(cfg, key, field_type(val))
@@ -273,10 +276,10 @@ def cmd_run(args: argparse.Namespace) -> int:
                 print(f"config error: {d}", file=sys.stderr)
             return 1
         trace = execute_run(cfg)
+        write_trace(trace, cfg.out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    write_trace(trace, cfg.out)
     print(f"wrote {len(trace.rounds)} rounds to {cfg.out}")
     return 0
 
@@ -369,12 +372,21 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     lo, _, hi = args.seeds.partition(":")
-    seeds = range(int(lo), int(hi or lo) + 1)
+    try:
+        seeds = range(int(lo), int(hi or lo) + 1)
+    except ValueError:
+        print(f"error: --seeds must be an integer range like 0:99, got {args.seeds!r}",
+              file=sys.stderr)
+        return 2
+    try:
+        base = _config_from_args(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     outcomes = {OK: 0, REJECT: 0, INCONCLUSIVE: 0}
     first_bad: tuple[int, str] | None = None
     for seed in seeds:
-        cfg = _config_from_args(args)
-        cfg.seed = seed
+        cfg = dataclasses.replace(base, seed=seed)
         diagnostics = validate_run_config(cfg)
         if diagnostics:
             for d in diagnostics:

@@ -8,8 +8,10 @@ tolerance used by checkers throughout the package.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
 POSITION_TOLERANCE = 1e-9
 
@@ -110,11 +112,26 @@ def to_local(frame: LocalFrame, p: Point) -> Point:
     across the local x-axis iff the frame is reflecting.  The frame origin
     always maps to (0, 0).
     """
-    q = rotate(sub(p, frame.origin), -frame.rotation)
-    q = scale(q, 1.0 / frame.scale)
-    if frame.reflecting:
-        q = Point(q.x, -q.y)
-    return q
+    return _to_local_all(frame, ((p.x, p.y),))[0]
+
+
+def _to_local_all(frame: LocalFrame, coords: Iterable[tuple[float, float]]) -> list[Point]:
+    """to_local over many global (x, y) pairs, with the frame's trigonometry
+    computed once.
+
+    One fused expression per point: `0.0 +` is the rotation's `about` term,
+    which turns -0.0 into 0.0, and only the final Point is checked for
+    finiteness; an overflow in any intermediate stays non-finite there.
+    """
+    ox, oy = frame.origin.x, frame.origin.y
+    c, s = math.cos(-frame.rotation), math.sin(-frame.rotation)
+    k = 1.0 / frame.scale
+    ky = -k if frame.reflecting else k
+    out = []
+    for x, y in coords:
+        dx, dy = x - ox, y - oy
+        out.append(Point((0.0 + c * dx - s * dy) * k, (0.0 + s * dx + c * dy) * ky))
+    return out
 
 
 def from_local(frame: LocalFrame, p: Point) -> Point:
@@ -251,6 +268,28 @@ class Snapshot:
         return tuple(loc for loc in self.observed if not points_close(loc.point, ORIGIN))
 
 
+# Every observer of a round Looks at the same Configuration object, so its
+# grouping is kept in one slot compared by identity: computed once per
+# round, and no grouping outlives the next configuration looked at.
+_last_grouping: tuple[Configuration, tuple[dict, dict]] | None = None
+
+_LOCATION_ORDER = attrgetter("point.x", "point.y")
+
+
+def _grouping(config: Configuration) -> tuple[dict, dict]:
+    """Robots by location in first-seen order, and each location's sorted
+    light multiset."""
+    global _last_grouping
+    last = _last_grouping  # read once, so a concurrent Look cannot swap it
+    if last is None or last[0] is not config:
+        groups: dict[tuple[float, float], list[tuple[int, LightTuple]]] = {}
+        for rid, p, lt in config.entries:
+            groups.setdefault((p.x, p.y), []).append((rid, lt))
+        multisets = {key: tuple(sorted(lt.values for _, lt in ms)) for key, ms in groups.items()}
+        last = _last_grouping = (config, (groups, multisets))
+    return last[1]
+
+
 def snapshot(
     model: ModelKind,
     config: Configuration,
@@ -262,30 +301,25 @@ def snapshot(
     to_local, lights filtered per the model's visibility rule."""
     if not 0 <= observer < config.n:
         raise ValueError(f"unknown observer id {observer}")
-    own_light = config.light(observer)
+    groups, multisets = _grouping(config)
 
-    groups: dict[tuple[float, float], list[tuple[int, LightTuple]]] = {}
-    for rid, p, lt in config.entries:
-        groups.setdefault((p.x, p.y), []).append((rid, lt))
+    lights = multisets.values()
+    if model is ModelKind.FCOM:
+        p = config.position(observer)
+        here = (p.x, p.y)
+        mine = tuple(sorted(lt.values for rid, lt in groups[here] if rid != observer))
+        lights = {**multisets, here: mine}.values()
+    elif model is not ModelKind.LUMI:
+        lights = [None] * len(groups)
+    counts = [len(ms) for ms in groups.values()]
+    if multiplicity is Multiplicity.NONE:
+        counts = [1] * len(groups)
+    elif multiplicity is Multiplicity.WEAK:
+        counts = [min(count, 2) for count in counts]
+    observed = list(map(ObservedLocation, _to_local_all(frame, groups), counts, lights))
+    observed.sort(key=_LOCATION_ORDER)
 
-    sees_others = model in (ModelKind.FCOM, ModelKind.LUMI)
-    observed = []
-    for key, members in groups.items():
-        p = Point(key[0], key[1])
-        lights: tuple[tuple[int, ...], ...] | None = None
-        if sees_others:
-            vals = [lt.values for rid, lt in members
-                    if not (model is ModelKind.FCOM and rid == observer)]
-            lights = tuple(sorted(vals))
-        count = len(members)
-        if multiplicity is Multiplicity.NONE:
-            count = 1
-        elif multiplicity is Multiplicity.WEAK:
-            count = min(count, 2)
-        observed.append(ObservedLocation(to_local(frame, p), count, lights))
-    observed.sort(key=lambda loc: (loc.point.x, loc.point.y))
-
-    own = own_light.values if model in (ModelKind.FSTA, ModelKind.LUMI) else None
+    own = config.light(observer).values if model in (ModelKind.FSTA, ModelKind.LUMI) else None
     return Snapshot(tuple(observed), own, multiplicity is not Multiplicity.NONE)
 
 

@@ -139,3 +139,37 @@ def test_plot_empty_trace(tmp_path, capsys):
                    "--rounds", "0", "--seed", "0", "--out", str(out)) == 0
     assert run_cli("plot", "--trace", str(out)) == 0
     assert "rounds: 0" in capsys.readouterr().out
+
+
+def test_run_out_into_missing_directory_is_an_error_not_a_traceback(tmp_path, capsys):
+    out = tmp_path / "missing" / "t.trace"
+    code = run_cli(
+        "run", "--algo", "sro", "--scheduler", "rsynch", "--n", "2",
+        "--rounds", "5", "--out", str(out),
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing" in err
+    assert not out.exists()
+
+
+def test_sweep_bad_seed_range_is_an_error_not_a_traceback(capsys):
+    code = run_cli(
+        "sweep", "--algo", "sro", "--scheduler", "rsynch", "--n", "2",
+        "--rounds", "5", "--seeds", "a:b", "--check", "sro",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'a:b'" in err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_bad_chirality_in_config_file_is_an_error_not_a_traceback(tmp_path, capsys, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("algo=sro\nscheduler=rsynch\nn=2\nrounds=5\nchirality=maybe\n")
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "t.trace")]
+    if command == "sweep":
+        argv += ["--seeds", "0:1", "--check", "sro"]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'maybe'" in err

@@ -1,9 +1,11 @@
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lcmswarm.algorithms import alg_tricolor
 from lcmswarm.core import (
     ChiralityError,
     Configuration,
@@ -15,10 +17,16 @@ from lcmswarm.core import (
     circular_order,
     from_local,
     make_configuration,
+    ObservedLocation,
     order_locations,
+    rotate,
+    scale,
     snapshot,
+    Snapshot,
+    sub,
     to_local,
 )
+from lcmswarm.engine import run
 
 
 def matrix_oracle(frame: LocalFrame, p: Point) -> tuple[float, float]:
@@ -250,3 +258,181 @@ def test_circular_order_needs_chirality():
 def test_circular_order_over_locations_not_robots():
     cfg = _config([(0, 0), (0, 0), (1, 0)], [RED, RED, RED], PAL)
     assert circular_order(cfg).m == 2
+
+
+# --- Look shared across the observers of a round ---------------------------
+#
+# The two functions below are the original per-observer Look, kept verbatim
+# as the oracle: snapshot now groups each configuration once and fuses the
+# frame transform, and must still give bit-for-bit the same snapshots.
+
+
+def seed_to_local(frame: LocalFrame, p: Point) -> Point:
+    q = rotate(sub(p, frame.origin), -frame.rotation)
+    q = scale(q, 1.0 / frame.scale)
+    if frame.reflecting:
+        q = Point(q.x, -q.y)
+    return q
+
+
+def seed_snapshot(
+    model: ModelKind,
+    config: Configuration,
+    observer: int,
+    frame: LocalFrame,
+    multiplicity: Multiplicity = Multiplicity.STRONG,
+) -> Snapshot:
+    if not 0 <= observer < config.n:
+        raise ValueError(f"unknown observer id {observer}")
+    own_light = config.light(observer)
+
+    groups: dict[tuple[float, float], list[tuple[int, LightTuple]]] = {}
+    for rid, p, lt in config.entries:
+        groups.setdefault((p.x, p.y), []).append((rid, lt))
+
+    sees_others = model in (ModelKind.FCOM, ModelKind.LUMI)
+    observed = []
+    for key, members in groups.items():
+        p = Point(key[0], key[1])
+        lights: tuple[tuple[int, ...], ...] | None = None
+        if sees_others:
+            vals = [lt.values for rid, lt in members
+                    if not (model is ModelKind.FCOM and rid == observer)]
+            lights = tuple(sorted(vals))
+        count = len(members)
+        if multiplicity is Multiplicity.NONE:
+            count = 1
+        elif multiplicity is Multiplicity.WEAK:
+            count = min(count, 2)
+        observed.append(ObservedLocation(seed_to_local(frame, p), count, lights))
+    observed.sort(key=lambda loc: (loc.point.x, loc.point.y))
+
+    own = own_light.values if model in (ModelKind.FSTA, ModelKind.LUMI) else None
+    return Snapshot(tuple(observed), own, multiplicity is not Multiplicity.NONE)
+
+
+def bits(snap: Snapshot) -> tuple:
+    """A snapshot with every float as its 8 bytes, so -0.0 differs from 0.0."""
+    return (
+        tuple(
+            (struct.pack("dd", loc.point.x, loc.point.y), loc.count, loc.lights)
+            for loc in snap.observed
+        ),
+        snap.own_light,
+        snap.multiplicity_visible,
+    )
+
+
+LOOK_PALETTE = (2, 3)
+# A small pool, so robots share locations; signed zeros and wide magnitudes.
+COORDS = (0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, -3.75, 1e300, 123.456, -7e-9)
+FRAME_SPECS = [
+    (0.0, 1.0, False),
+    (math.pi / 2, 1.0, False),
+    (math.pi, 1.0, False),
+    (-2.4, 1.0, False),
+    (0.0, 0.01, False),
+    (0.0, 7.5, False),
+    (0.0, 1.0, True),
+    (1.1, 0.3, True),
+    (-math.pi / 4, 1e-3, True),
+]
+
+
+def random_configuration(rng: random.Random) -> Configuration:
+    n = rng.randint(1, 7)
+    positions = [Point(rng.choice(COORDS), rng.choice(COORDS)) for _ in range(n)]
+    if rng.random() < 0.5:
+        positions = [Point(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(n)]
+        for i in rng.sample(range(n), rng.randint(0, n - 1)):
+            positions[i] = positions[rng.randrange(n)]  # co-locate
+    lights = [
+        LightTuple((rng.randrange(2), rng.randrange(3)), LOOK_PALETTE) for _ in range(n)
+    ]
+    return make_configuration(positions, lights, LOOK_PALETTE)
+
+
+def look_outcome(look, model, config, observer, frame, multiplicity):
+    try:
+        return bits(look(model, config, observer, frame, multiplicity))
+    except ValueError:
+        return "ValueError"
+
+
+def test_snapshot_bitwise_equals_per_observer_oracle():
+    rng = random.Random(2203)
+    compared = 0
+    for _ in range(60):
+        config = random_configuration(rng)
+        for observer in range(config.n):
+            for rotation, k, reflecting in FRAME_SPECS:
+                frame = LocalFrame(config.position(observer), rotation, k, reflecting)
+                for model in ModelKind:
+                    for multiplicity in Multiplicity:
+                        want = look_outcome(seed_snapshot, model, config, observer, frame,
+                                            multiplicity)
+                        got = look_outcome(snapshot, model, config, observer, frame,
+                                           multiplicity)
+                        assert got == want, (config, observer, frame, model, multiplicity)
+                        compared += 1
+    assert compared > 10_000
+
+
+@pytest.mark.parametrize("rotation", [0.0, math.pi / 4, math.pi])
+@pytest.mark.parametrize("reflecting", [False, True])
+def test_to_local_bitwise_equals_oracle(rotation, reflecting):
+    rng = random.Random(5)
+    for _ in range(300):
+        origin = Point(rng.choice(COORDS), rng.choice(COORDS))
+        p = Point(rng.choice(COORDS + (rng.uniform(-1, 1),)), rng.choice(COORDS))
+        frame = LocalFrame(origin, rotation, rng.choice((0.01, 1.0, 3.0)), reflecting)
+        got, want = to_local(frame, p), seed_to_local(frame, p)
+        assert struct.pack("dd", got.x, got.y) == struct.pack("dd", want.x, want.y)
+
+
+@pytest.mark.parametrize(
+    "position, origin, rotation, k",
+    [
+        ((1e307, 0.0), (0.0, 0.0), 0.0, 0.01),           # overflows when scaled
+        ((1.5e308, 0.0), (-1.5e308, 0.0), 0.0, 1.0),     # overflows when translated
+        ((1.7e308, 1.7e308), (0.0, 0.0), math.pi / 4, 1.0),  # overflows when rotated
+    ],
+)
+def test_look_overflow_still_raises(position, origin, rotation, k):
+    config = make_configuration([Point(*origin), Point(*position)])
+    frame = LocalFrame(Point(*origin), rotation, k)
+    for look in (seed_snapshot, snapshot):
+        with pytest.raises(ValueError):
+            look(ModelKind.OBLOT, config, 0, frame)
+
+
+def test_look_of_large_but_finite_coordinates_matches_oracle():
+    # 1e300 scaled by 1/0.01 is 1e302: finite, so both Looks succeed.
+    config = make_configuration([Point(0.0, 0.0), Point(1e300, -0.0)])
+    frame = LocalFrame(Point(0.0, 0.0), 0.0, 0.01)
+    assert bits(snapshot(ModelKind.OBLOT, config, 0, frame)) == bits(
+        seed_snapshot(ModelKind.OBLOT, config, 0, frame)
+    )
+
+
+def test_shared_look_never_serves_a_stale_grouping():
+    a = _config([(0, 0), (0, 0), (1, 0), (-2, 3)], [RED, GREEN, BLUE, RED], PAL)
+    b = _config([(0, 0), (0, 0), (1, 0), (-2, 3)], [RED, GREEN, GREEN, RED], PAL)  # one light
+    a_again = _config([(0, 0), (0, 0), (1, 0), (-2, 3)], [RED, GREEN, BLUE, RED], PAL)
+    c = _config([(0, 0), (5, 5), (1, 0), (-2, 3)], [RED, GREEN, BLUE, RED], PAL)
+    assert a == a_again and a is not a_again
+    for model in (ModelKind.FCOM, ModelKind.LUMI):
+        for config in (a, b, a, c, a_again, a, b):
+            for observer in range(config.n):
+                frame = LocalFrame(config.position(observer), 0.7, 2.0)
+                got = snapshot(model, config, observer, frame)
+                assert bits(got) == bits(seed_snapshot(model, config, observer, frame))
+
+
+def test_run_leaves_no_grouping_on_its_configurations():
+    rng = random.Random(3)
+    positions = [Point(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(6)]
+    trace = run(make_configuration(positions, palette=(3,)), "fsynch", alg_tricolor(),
+                rounds=10, seed=1)
+    for config in trace.configs():
+        assert vars(config).keys() == {"entries"}
