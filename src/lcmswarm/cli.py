@@ -141,6 +141,8 @@ def validate_run_config(cfg: RunConfig) -> list[str]:
             problems.append("chirality: cyclic-cycles requires chirality")
         if cfg.d_rel is not None and not 0.0 < cfg.d_rel < 1.0:
             problems.append("d-rel: must be a radius fraction in (0, 1)")
+        if cfg.positions:
+            problems.append("positions: cyclic-cycles places its own robots (use --radius)")
     if cfg.algo.startswith("sim-") and not cfg.inner:
         problems.append(f"inner: {cfg.algo} needs an inner algorithm")
     if cfg.algo == "sim-lumi-by-fcom":
@@ -200,7 +202,8 @@ def execute_run(cfg: RunConfig) -> Trace:
     return trace
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str) -> dict[str, tuple[int, str]]:
+    """key -> (line number, value) of a key=value file; the last line wins."""
     values = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -210,29 +213,40 @@ def _load_config_file(path: str) -> dict:
             if "=" not in body:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, val = (s.strip() for s in body.split("=", 1))
-            values[key.replace("-", "_")] = val
+            values[key.replace("-", "_")] = (lineno, val)
     return values
 
 
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_NUMBERS = {
+    "n": (int, "an integer"),
+    "rounds": (int, "an integer"),
+    "seed": (int, "an integer"),
+    "delta": (float, "a number"),
+    "radius": (float, "a number"),
+    "d_rel": (float, "a number"),
+}
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if args.config:
-        for key, val in _load_config_file(args.config).items():
+        for key, (lineno, val) in _load_config_file(args.config).items():
+            where = f"{args.config}:{lineno}"
             if not hasattr(cfg, key):
-                raise ValueError(f"{args.config}: unknown config key {key!r}")
+                raise ValueError(f"{where}: unknown config key {key!r}")
             current = getattr(cfg, key)
             field_type = type(current) if current is not None else str
-            if key in ("n", "rounds", "seed"):
-                setattr(cfg, key, int(val))
-            elif key in ("delta", "radius", "d_rel"):
-                setattr(cfg, key, float(val))
+            if key in _NUMBERS:
+                parse, kind = _NUMBERS[key]
+                try:
+                    value = parse(val)
+                except ValueError:
+                    raise ValueError(f"{where}: {key} must be {kind}, got {val!r}") from None
+                setattr(cfg, key, value)
             elif key == "chirality":
                 if val.lower() not in _BOOLS:
-                    raise ValueError(f"{args.config}: chirality must be true or false, "
-                                     f"got {val!r}")
+                    raise ValueError(f"{where}: chirality must be true or false, got {val!r}")
                 setattr(cfg, key, _BOOLS[val.lower()])
             else:
                 setattr(cfg, key, field_type(val))
@@ -375,7 +389,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         seeds = range(int(lo), int(hi or lo) + 1)
     except ValueError:
-        print(f"error: --seeds must be an integer range like 0:99, got {args.seeds!r}",
+        seeds = range(0)
+    if not seeds:
+        print(f"error: --seeds must be a nonempty integer range like 0:99, got {args.seeds!r}",
               file=sys.stderr)
         return 2
     try:

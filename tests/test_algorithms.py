@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 
 import pytest
 
@@ -11,6 +12,9 @@ from lcmswarm.algorithms import (
     CYC_SUC_B,
     STATUS_CENTER,
     STATUS_FINAL,
+    _CYC_READINGS,
+    _DECODE_TOL,
+    CycView,
     FlagScheme,
     MalformedPatternError,
     alg_cyclic_cycles,
@@ -18,6 +22,8 @@ from lcmswarm.algorithms import (
     alg_sro,
     alg_stay,
     alg_tricolor,
+    _cyc_reader,
+    _points_key,
     classify_step_config,
     cyc_initial_config,
     decode_cyc_pattern,
@@ -27,16 +33,19 @@ from lcmswarm.algorithms import (
     is_same,
 )
 from lcmswarm.core import (
+    ORIGIN,
     LightTuple,
     LocalFrame,
     ModelKind,
+    ObservedLocation,
     Point,
+    Snapshot,
     distance,
     make_configuration,
     points_close,
     snapshot,
 )
-from lcmswarm.engine import FrameSpec, run
+from lcmswarm.engine import FrameSpec, StepResult, run
 from lcmswarm.scheduler import SSYNCH, SchedulePrefix, check_fair, generate
 
 
@@ -86,6 +95,94 @@ def cyc_lights(**overrides):
     vals = {"status": STATUS_CENTER, "b": 0, "c": 0, "suc_b": 0}
     vals.update(overrides)
     return LightTuple((vals["status"], vals["b"], vals["c"], vals["suc_b"]), CYC_PALETTE)
+
+
+def oracle_cyc_step(n, d_rel=None):
+    """The cyclic-circles step before its geometry reading was cached,
+    copied verbatim: it decodes every snapshot from scratch."""
+    d_fn = d_rel or (lambda _i: 0.5)
+
+    def final_point(view: CycView, idx: int) -> Point:
+        frac = d_fn(idx)
+        if not 0.0 < frac < 1.0:
+            raise ValueError(f"d({idx}) = {frac} must be a radius fraction in (0, 1)")
+        ux = (view.vacancy.x - view.center.x) / view.radius
+        uy = (view.vacancy.y - view.center.y) / view.radius
+        return Point(view.center.x + frac * view.radius * ux, view.center.y + frac * view.radius * uy)
+
+    def step(snap: Snapshot) -> StepResult:
+        if any(loc.count != 1 for loc in snap.observed):
+            raise MalformedPatternError("cyclic circles expects one robot per location")
+        pts = [loc.point for loc in snap.observed]
+        view = decode_cyc_pattern(pts, n)
+        lights: dict[tuple[float, float], tuple[int, ...]] = {}
+        for loc in snap.observed:
+            if loc.lights:
+                lights[(loc.point.x, loc.point.y)] = loc.lights[0]
+
+        def light_of(p: Point) -> tuple[int, ...]:
+            return lights[(p.x, p.y)]
+
+        pos_tol = _DECODE_TOL * view.radius
+        ring_lights = [light_of(p) if not points_close(p, ORIGIN, pos_tol) else None
+                       for p in view.ring]
+        i_am_mover = points_close(view.mover, ORIGIN, pos_tol)
+
+        if i_am_mover:
+            statuses = [lt[CYC_STATUS] for lt in ring_lights]
+            bits = [lt[CYC_B] for lt in ring_lights]
+            idx = sum(b << k for k, b in enumerate(bits))
+            target = final_point(view, idx)
+            at_target = points_close(ORIGIN, target, pos_tol)
+            at_center = points_close(ORIGIN, view.center, pos_tol)
+            if all(s == STATUS_CENTER for s in statuses) and not at_target:
+                return StepResult(light={CYC_STATUS: STATUS_FINAL}, destination=target)
+            if all(s == STATUS_FINAL for s in statuses) and not at_center:
+                return StepResult(
+                    light={
+                        CYC_STATUS: STATUS_CENTER,
+                        CYC_B: 0,
+                        CYC_CARRY: 1,  # carry into the least significant bit
+                        CYC_SUC_B: ring_lights[0][CYC_B],
+                    },
+                    destination=view.center,
+                )
+            return StepResult()
+
+        my_slot = next(k for k, lt in enumerate(ring_lights) if lt is None)
+        i = my_slot + 1  # counter chain position, 1-based
+        mover_light = light_of(view.mover)
+        pred_light = mover_light if i == 1 else ring_lights[my_slot - 1]
+        suc_light = mover_light if i == n - 1 else ring_lights[my_slot + 1]
+
+        # This robot's own b bit is readable from its predecessor's copy.
+        bits = [pred_light[CYC_SUC_B] if k == my_slot else lt[CYC_B]
+                for k, lt in enumerate(ring_lights)]
+        idx = sum(b << k for k, b in enumerate(bits))
+        target = final_point(view, idx)
+        mover_at_target = points_close(view.mover, target, pos_tol)
+        mover_at_center = points_close(view.mover, view.center, pos_tol)
+
+        if mover_at_target and mover_light[CYC_STATUS] == STATUS_FINAL:
+            return StepResult(light={CYC_STATUS: STATUS_FINAL})
+        before_center = all(
+            lt[CYC_STATUS] == STATUS_CENTER for lt in ring_lights[: my_slot] if lt
+        ) and mover_light[CYC_STATUS] == STATUS_CENTER
+        after_final = all(
+            lt[CYC_STATUS] == STATUS_FINAL for lt in ring_lights[my_slot + 1 :] if lt
+        )
+        if mover_at_center and before_center and after_final:
+            return StepResult(
+                light={
+                    CYC_B: pred_light[CYC_CARRY] ^ pred_light[CYC_SUC_B],
+                    CYC_CARRY: pred_light[CYC_CARRY] & pred_light[CYC_SUC_B],
+                    CYC_SUC_B: suc_light[CYC_B],
+                    CYC_STATUS: STATUS_CENTER,
+                }
+            )
+        return StepResult()
+
+    return step
 
 
 class TestCyclicCycles:
@@ -195,6 +292,101 @@ class TestDecode:
     def test_wrong_count_is_malformed(self):
         with pytest.raises(MalformedPatternError):
             decode_cyc_pattern([Point(0, 0)], 3)
+
+
+def result_bits(res):
+    """A StepResult with its floats as bit patterns, so -0.0 != 0.0."""
+    dest = res.destination
+    return sorted(res.light.items()), struct.pack("dd", dest.x, dest.y), res.events
+
+
+def cyc_snapshot(points):
+    """An FCOM snapshot of one robot at each point, the observer at the first."""
+    observed = [ObservedLocation(p, 1, () if k == 0 else ((0, 0, 0, 0),)) for k, p in enumerate(points)]
+    return Snapshot(tuple(observed), None, True)
+
+
+class TestCycReadingCache:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_cached_step_bitwise_equals_oracle(self, n):
+        # Every robot's snapshot of every configuration of ssynch runs, with
+        # identity frames and with seeded rotated and scaled frames (chirality
+        # kept), under the default and a count-dependent mover distance.
+        rng = random.Random(f"cyc-frames-{n}")
+
+        def varying(count):
+            return 0.2 + 0.6 * count / 2 ** (n - 1)
+
+        checked = 0
+        for seed, (d_rel, rotated) in enumerate(
+            [(None, False), (None, True), (varying, False), (varying, True)]
+        ):
+            frames = {
+                rid: FrameSpec(rng.uniform(-math.pi, math.pi), rng.uniform(0.25, 4.0))
+                if rotated else FrameSpec()
+                for rid in range(n)
+            }
+            algo = alg_cyclic_cycles(n, d_rel)
+            oracle = oracle_cyc_step(n, d_rel)
+            trace = run(cyc_initial_config(n), SSYNCH, algo, rounds=150, seed=seed, frames=frames)
+            for config in trace.configs():
+                for rid in range(n):
+                    spec = frames[rid]
+                    frame = LocalFrame(config.position(rid), spec.rotation, spec.scale)
+                    snap = snapshot(ModelKind.FCOM, config, rid, frame)
+                    assert result_bits(algo.step(snap)) == result_bits(oracle(snap))
+                    checked += 1
+        assert checked == 4 * 151 * n
+
+    def test_key_tells_negative_zero_apart(self):
+        cfg = cyc_initial_config(4)
+        pts = [p for _, p, _ in cfg.entries]
+        assert pts[0] == Point(0.0, 0.0)
+        plus = cyc_snapshot(pts)
+        minus = cyc_snapshot([Point(-0.0, 0.0)] + pts[1:])
+        assert plus.observed[0].point == minus.observed[0].point
+        assert _points_key(plus.observed) != _points_key(minus.observed)
+
+        read = _cyc_reader(4)
+        got_plus = read(_points_key(plus.observed))
+        got_minus = read(_points_key(minus.observed))
+        assert read.cache_info().currsize == 2
+        assert math.copysign(1.0, got_plus.view.mover.x) == 1.0
+        assert math.copysign(1.0, got_minus.view.mover.x) == -1.0
+        for first, second in ((plus, minus), (minus, plus)):
+            algo, oracle = alg_cyclic_cycles(4), oracle_cyc_step(4)
+            for snap in (first, second):
+                assert result_bits(algo.step(snap)) == result_bits(oracle(snap))
+
+    @pytest.mark.parametrize("points,n", [
+        ([Point(0, 0)], 3),
+        ([Point(0, 0), Point(1, 0), Point(0, 3), Point(7, 2)], 4),
+    ], ids=["wrong-count", "scatter"])
+    def test_malformed_geometry_raises_every_time_and_is_not_kept(self, points, n):
+        snap = cyc_snapshot(points)
+        with pytest.raises(MalformedPatternError) as want:
+            decode_cyc_pattern(points, n)
+        algo = alg_cyclic_cycles(n)
+        read = _cyc_reader(n)
+        for _ in range(3):
+            with pytest.raises(MalformedPatternError) as got:
+                algo.step(snap)
+            assert str(got.value) == str(want.value)
+            with pytest.raises(MalformedPatternError) as got:
+                read(_points_key(snap.observed))
+            assert str(got.value) == str(want.value)
+        assert read.cache_info().currsize == 0
+
+    def test_cache_stays_within_its_bound(self):
+        read = _cyc_reader(3)
+        assert read.cache_parameters()["maxsize"] == _CYC_READINGS
+        base = [p for _, p, _ in cyc_initial_config(3).entries]
+        for k in range(_CYC_READINGS + 100):
+            shifted = [Point(p.x + k * 1e-3, p.y) for p in base]
+            read(_points_key(cyc_snapshot(shifted).observed))
+            assert read.cache_info().currsize <= _CYC_READINGS
+        info = read.cache_info()
+        assert (info.misses, info.currsize) == (_CYC_READINGS + 100, _CYC_READINGS)
 
 
 class TestClassify:

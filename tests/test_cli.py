@@ -173,3 +173,45 @@ def test_bad_chirality_in_config_file_is_an_error_not_a_traceback(tmp_path, caps
     assert run_cli(*argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'maybe'" in err
+
+
+def test_sweep_empty_seed_range_is_an_error(capsys):
+    code = run_cli(
+        "sweep", "--algo", "sro", "--scheduler", "rsynch", "--n", "2",
+        "--rounds", "5", "--seeds", "5:3", "--check", "sro",
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --seeds") and "'5:3'" in captured.err
+    assert "pass" not in captured.out
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("line,key,kind", [
+    ("n=abc", "n", "an integer"),
+    ("seed=1.5", "seed", "an integer"),
+    ("delta=fast", "delta", "a number"),
+    ("radius=", "radius", "a number"),
+    ("d-rel=half", "d_rel", "a number"),
+])
+def test_bad_number_in_config_file_names_file_line_and_key(tmp_path, capsys, command, line, key, kind):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# sro run\nalgo=sro\n\nscheduler=rsynch  # comment\n{line}\nrounds=5\n")
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "t.trace")]
+    if command == "sweep":
+        argv += ["--seeds", "0:1", "--check", "sro"]
+    assert run_cli(*argv) == 1
+    value = line.split("=", 1)[1]
+    assert capsys.readouterr().err == f"error: {cfg}:5: {key} must be {kind}, got {value!r}\n"
+
+
+def test_cyclic_cycles_positions_are_reported_not_ignored(tmp_path, capsys):
+    out = tmp_path / "t.trace"
+    code = run_cli(
+        "run", "--algo", "cyclic-cycles", "--n", "3", "--rounds", "5",
+        "--positions", "0,0 1,0 0,1", "--out", str(out),
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "positions: cyclic-cycles places its own robots (use --radius)" in err
+    assert not out.exists()
