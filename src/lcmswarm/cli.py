@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 from .algorithms import (
@@ -115,6 +116,10 @@ def _parse_blocks(text: str, n: int) -> SchedulerKind:
     return kind
 
 
+def _simulates_cyclic_circles(cfg: RunConfig) -> bool:
+    return cfg.algo.startswith("sim-") and cfg.inner == "cyclic-cycles"
+
+
 def validate_run_config(cfg: RunConfig) -> list[str]:
     """Cross-field validity; returns field-level diagnostics."""
     problems = []
@@ -135,14 +140,17 @@ def validate_run_config(cfg: RunConfig) -> list[str]:
         if not cfg.chirality:
             problems.append("chirality: sro requires chirality")
     if cfg.algo == "cyclic-cycles":
-        if cfg.n is None or cfg.n < 3:
-            problems.append("n: cyclic-cycles needs n >= 3")
         if not cfg.chirality:
             problems.append("chirality: cyclic-cycles requires chirality")
         if cfg.d_rel is not None and not 0.0 < cfg.d_rel < 1.0:
             problems.append("d-rel: must be a radius fraction in (0, 1)")
         if cfg.positions:
             problems.append("positions: cyclic-cycles places its own robots (use --radius)")
+    if cfg.algo == "cyclic-cycles" or _simulates_cyclic_circles(cfg):
+        if cfg.n is None or cfg.n < 3:
+            problems.append("n: cyclic-cycles needs n >= 3")
+        if not (cfg.radius > 0.0 and math.isfinite(cfg.radius)):
+            problems.append("radius: must be a positive finite number")
     if cfg.algo.startswith("sim-") and not cfg.inner:
         problems.append(f"inner: {cfg.algo} needs an inner algorithm")
     if cfg.algo == "sim-lumi-by-fcom":
@@ -158,9 +166,11 @@ def validate_run_config(cfg: RunConfig) -> list[str]:
 
 
 def initial_configuration(cfg: RunConfig, algo: Algorithm):
-    if cfg.algo == "cyclic-cycles":
-        return cyc_initial_config(cfg.n, cfg.radius)
-    if cfg.positions:
+    # Cyclic circles starts from its own pattern; a simulator running it
+    # starts there too unless --positions says otherwise.
+    if cfg.algo == "cyclic-cycles" or (_simulates_cyclic_circles(cfg) and not cfg.positions):
+        positions = [p for _, p, _ in cyc_initial_config(cfg.n, cfg.radius).entries]
+    elif cfg.positions:
         positions = _parse_positions(cfg.positions)
     else:
         n = cfg.n if cfg.n is not None else (algo.robot_count or 2)

@@ -11,7 +11,6 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
 
 POSITION_TOLERANCE = 1e-9
 
@@ -50,6 +49,21 @@ class Point:
 
 
 ORIGIN = Point(0.0, 0.0)
+
+_new = object.__new__
+_isfinite = math.isfinite
+_set_x, _set_y = Point.x.__set__, Point.y.__set__
+
+
+def _point(x: float, y: float) -> Point:
+    """Point(x, y) through its slots, skipping the dataclass __init__; the
+    same object and the same finiteness check."""
+    if not (_isfinite(x) and _isfinite(y)):
+        raise ValueError(f"non-finite coordinates: ({x}, {y})")
+    p = _new(Point)
+    _set_x(p, x)
+    _set_y(p, y)
+    return p
 
 
 def add(p: Point, q: Point) -> Point:
@@ -112,33 +126,42 @@ def to_local(frame: LocalFrame, p: Point) -> Point:
     across the local x-axis iff the frame is reflecting.  The frame origin
     always maps to (0, 0).
     """
-    return _to_local_all(frame, ((p.x, p.y),))[0]
+    x, y, _ = _local_coords(frame, ((p.x, p.y),))[0]
+    return _point(x, y)
 
 
-def _to_local_all(frame: LocalFrame, coords: Iterable[tuple[float, float]]) -> list[Point]:
-    """to_local over many global (x, y) pairs, with the frame's trigonometry
-    computed once.
+def _local_coords(
+    frame: LocalFrame, coords: Iterable[tuple[float, float]]
+) -> list[tuple[float, float, int]]:
+    """to_local over many global (x, y) pairs, as (x, y, index) triples, with
+    the frame's trigonometry computed once.
 
     One fused expression per point: `0.0 +` is the rotation's `about` term,
-    which turns -0.0 into 0.0, and only the final Point is checked for
-    finiteness; an overflow in any intermediate stays non-finite there.
+    which turns -0.0 into 0.0.  Nothing is checked here; an overflow in any
+    intermediate stays non-finite until the caller builds the Point.
     """
     ox, oy = frame.origin.x, frame.origin.y
     c, s = math.cos(-frame.rotation), math.sin(-frame.rotation)
     k = 1.0 / frame.scale
     ky = -k if frame.reflecting else k
-    out = []
-    for x, y in coords:
-        dx, dy = x - ox, y - oy
-        out.append(Point((0.0 + c * dx - s * dy) * k, (0.0 + s * dx + c * dy) * ky))
-    return out
+    return [
+        ((0.0 + c * (x - ox) - s * (y - oy)) * k, (0.0 + s * (x - ox) + c * (y - oy)) * ky, i)
+        for i, (x, y) in enumerate(coords)
+    ]
 
 
 def from_local(frame: LocalFrame, p: Point) -> Point:
-    """Inverse of to_local: map a frame-local point back to global coordinates."""
-    q = Point(p.x, -p.y) if frame.reflecting else p
-    q = rotate(scale(q, frame.scale), frame.rotation)
-    return add(q, frame.origin)
+    """Inverse of to_local: map a frame-local point back to global coordinates.
+
+    One fused expression, bit for bit the composition reflect, scale, rotate
+    about the origin (`0.0 +`), translate; an overflow in any step stays
+    non-finite and raises at the final Point.
+    """
+    k = frame.scale
+    x = p.x * k
+    y = (-p.y if frame.reflecting else p.y) * k
+    c, s = math.cos(frame.rotation), math.sin(frame.rotation)
+    return _point(0.0 + c * x - s * y + frame.origin.x, 0.0 + s * x + c * y + frame.origin.y)
 
 
 @dataclass(frozen=True)
@@ -226,7 +249,7 @@ def make_configuration(
     return Configuration(tuple((i, p, lt) for i, (p, lt) in enumerate(zip(positions, lights))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObservedLocation:
     """One occupied location as seen by an observer, in its local frame.
 
@@ -268,26 +291,63 @@ class Snapshot:
         return tuple(loc for loc in self.observed if not points_close(loc.point, ORIGIN))
 
 
+_set_point = ObservedLocation.point.__set__
+_set_count = ObservedLocation.count.__set__
+_set_lights = ObservedLocation.lights.__set__
+
+
+def _location(point: Point, count: int, lights) -> ObservedLocation:
+    """ObservedLocation(point, count, lights) through its slots, skipping the
+    dataclass __init__."""
+    loc = _new(ObservedLocation)
+    _set_point(loc, point)
+    _set_count(loc, count)
+    _set_lights(loc, lights)
+    return loc
+
+
+@dataclass(frozen=True, slots=True)
+class _Grouping:
+    """What every observer of one configuration shares: the occupied
+    locations in first-seen order, the robots at each, and per location the
+    light multiset and the count under each multiplicity mode."""
+
+    config: Configuration
+    keys: list[tuple[float, float]]
+    groups: dict[tuple[float, float], list[tuple[int, LightTuple]]]
+    lights: list[tuple[tuple[int, ...], ...]]
+    dark: list[None]
+    counts: dict[Multiplicity, list[int]]
+
+
 # Every observer of a round Looks at the same Configuration object, so its
 # grouping is kept in one slot compared by identity: computed once per
 # round, and no grouping outlives the next configuration looked at.
-_last_grouping: tuple[Configuration, tuple[dict, dict]] | None = None
-
-_LOCATION_ORDER = attrgetter("point.x", "point.y")
+_last_grouping: _Grouping | None = None
 
 
-def _grouping(config: Configuration) -> tuple[dict, dict]:
-    """Robots by location in first-seen order, and each location's sorted
-    light multiset."""
+def _grouping(config: Configuration) -> _Grouping:
     global _last_grouping
     last = _last_grouping  # read once, so a concurrent Look cannot swap it
-    if last is None or last[0] is not config:
+    if last is None or last.config is not config:
         groups: dict[tuple[float, float], list[tuple[int, LightTuple]]] = {}
         for rid, p, lt in config.entries:
             groups.setdefault((p.x, p.y), []).append((rid, lt))
-        multisets = {key: tuple(sorted(lt.values for _, lt in ms)) for key, ms in groups.items()}
-        last = _last_grouping = (config, (groups, multisets))
-    return last[1]
+        members = groups.values()
+        strong = [len(ms) for ms in members]
+        last = _last_grouping = _Grouping(
+            config,
+            list(groups),
+            groups,
+            [tuple(sorted(lt.values for _, lt in ms)) for ms in members],
+            [None] * len(groups),
+            {
+                Multiplicity.STRONG: strong,
+                Multiplicity.WEAK: [min(count, 2) for count in strong],
+                Multiplicity.NONE: [1] * len(groups),
+            },
+        )
+    return last
 
 
 def snapshot(
@@ -301,23 +361,25 @@ def snapshot(
     to_local, lights filtered per the model's visibility rule."""
     if not 0 <= observer < config.n:
         raise ValueError(f"unknown observer id {observer}")
-    groups, multisets = _grouping(config)
+    g = _grouping(config)
 
-    lights = multisets.values()
-    if model is ModelKind.FCOM:
+    if model is ModelKind.LUMI:
+        lights = g.lights
+    elif model is ModelKind.FCOM:
         p = config.position(observer)
         here = (p.x, p.y)
-        mine = tuple(sorted(lt.values for rid, lt in groups[here] if rid != observer))
-        lights = {**multisets, here: mine}.values()
-    elif model is not ModelKind.LUMI:
-        lights = [None] * len(groups)
-    counts = [len(ms) for ms in groups.values()]
-    if multiplicity is Multiplicity.NONE:
-        counts = [1] * len(groups)
-    elif multiplicity is Multiplicity.WEAK:
-        counts = [min(count, 2) for count in counts]
-    observed = list(map(ObservedLocation, _to_local_all(frame, groups), counts, lights))
-    observed.sort(key=_LOCATION_ORDER)
+        lights = list(g.lights)
+        lights[g.keys.index(here)] = tuple(
+            sorted(lt.values for rid, lt in g.groups[here] if rid != observer)
+        )
+    else:
+        lights = g.dark
+    counts = g.counts[multiplicity]
+    # Sorting (x, y, first-seen index) gives the stable sort by (x, y),
+    # 0.0 == -0.0 ties included, without comparing objects.
+    local = _local_coords(frame, g.keys)
+    local.sort()
+    observed = [_location(_point(x, y), counts[i], lights[i]) for x, y, i in local]
 
     own = config.light(observer).values if model in (ModelKind.FSTA, ModelKind.LUMI) else None
     return Snapshot(tuple(observed), own, multiplicity is not Multiplicity.NONE)

@@ -171,25 +171,22 @@ def run_round(
         if not 0 <= rid < config.n:
             raise ValueError(f"activation of unknown robot {rid}")
 
-    # Look + Compute against the same pre-round configuration.
-    results: dict[int, StepResult] = {}
+    # Look + Compute against the same pre-round configuration; each robot's
+    # frame is built once and kept for its Move.
+    results: dict[int, tuple[LocalFrame, StepResult]] = {}
     for rid in sorted(eset):
-        pos = config.position(rid)
         spec = frames[rid]
-        frame = LocalFrame(pos, spec.rotation, spec.scale, spec.reflecting)
-        snap = snapshot(model, config, rid, frame, multiplicity)
-        result = algo.step(snap)
+        frame = LocalFrame(config.position(rid), spec.rotation, spec.scale, spec.reflecting)
+        result = algo.step(snapshot(model, config, rid, frame, multiplicity))
         _check_result(result, algo.palette, algo.name)
-        results[rid] = result
+        results[rid] = frame, result
 
     # Move + light commit, simultaneously.
     entries = []
     events: dict[int, tuple[str, ...]] = {}
     for rid, pos, light in config.entries:
         if rid in results:
-            result = results[rid]
-            spec = frames[rid]
-            frame = LocalFrame(pos, spec.rotation, spec.scale, spec.reflecting)
+            frame, result = results[rid]
             dest = from_local(frame, result.destination)
             new_pos = pos if points_close(dest, pos, 0.0) else apply_move(pos, dest, rigidity, rng)
             new_light = light.replace(dict(result.light)) if result.light else light
@@ -346,12 +343,13 @@ def write_trace(trace: Trace, path: str) -> None:
 
 
 def read_trace(path: str) -> Trace:
+    """Parse a trace file; a malformed one raises ValueError naming its line."""
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    lines = [ln for ln in lines if ln.strip()]
+        lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, start=1) if ln.strip()]
     if not lines:
         raise ValueError(f"{path}:1: empty trace file")
-    fields = dict(tok.split("=", 1) for tok in lines[0].split() if "=" in tok)
+    head_no, head_line = lines[0]
+    fields = dict(tok.split("=", 1) for tok in head_line.split() if "=" in tok)
     try:
         model = ModelKind(fields["model"])
         n = int(fields["n"])
@@ -359,49 +357,57 @@ def read_trace(path: str) -> Trace:
         delta = None if fields["delta"] == "rigid" else float(fields["delta"])
         palette = tuple(int(t) for t in fields["palette"].split(";") if t)
     except (KeyError, ValueError) as exc:
-        raise ValueError(f"{path}:1: bad trace header: {exc}") from exc
+        raise ValueError(f"{path}:{head_no}: bad trace header: {exc}") from exc
     header = TraceHeader(
         model, fields.get("kind", "explicit"), n, seed, delta, palette,
         fields.get("algo", ""), fields.get("inner", ""),
     )
 
-    blocks: list[tuple[int, frozenset[int], list[str]]] = []
+    blocks: list[tuple[int, frozenset[int], list[tuple[int, str]]]] = []
     i = 1
     while i < len(lines):
-        line = lines[i]
+        lineno, line = lines[i]
         if not line.startswith("round="):
-            raise ValueError(f"{path}:{i + 1}: expected a round line, got {line!r}")
+            raise ValueError(f"{path}:{lineno}: expected a round line, got {line!r}")
         head, _, act = line.partition(" act=")
-        k = int(head.split("=", 1)[1])
-        eset = frozenset(int(t) for t in act.split())
+        try:
+            k = int(head.split("=", 1)[1])
+            eset = frozenset(int(t) for t in act.split())
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad round line: {exc}") from exc
+        if k != len(blocks):
+            raise ValueError(f"{path}:{lineno}: expected round {len(blocks)}, got round={k}")
         body = lines[i + 1 : i + 1 + n]
         if len(body) < n:
-            raise ValueError(f"{path}:{i + 1}: truncated round {k}")
-        blocks.append((k, eset, body))
+            raise ValueError(f"{path}:{lineno}: truncated round {k}")
+        blocks.append((lineno, eset, body))
         i += 1 + n
 
-    def parse_block(body: list[str], lineno: int) -> tuple[Configuration, dict]:
+    def parse_block(round_line: int, body: list[tuple[int, str]]) -> tuple[Configuration, dict]:
         entries = []
         events: dict[int, tuple[str, ...]] = {}
-        for off, row in enumerate(body):
+        for lineno, row in body:
             toks = dict(tok.split("=", 1) for tok in row.split() if "=" in tok)
             try:
                 rid = int(toks["id"])
                 x, y = (float(t) for t in toks["pos"].split(","))
                 vals = tuple(int(t) for t in toks["light"].split(";") if t)
+                entries.append((rid, Point(x, y), LightTuple(vals, palette)))
             except (KeyError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno + off}: bad robot line: {exc}") from exc
-            entries.append((rid, Point(x, y), LightTuple(vals, palette)))
+                raise ValueError(f"{path}:{lineno}: bad robot line: {exc}") from exc
             if "ev" in toks:
                 events[rid] = tuple(toks["ev"].split(","))
         entries.sort(key=lambda e: e[0])
-        return Configuration(tuple(entries)), events
+        try:
+            return Configuration(tuple(entries)), events
+        except ValueError as exc:
+            raise ValueError(f"{path}:{round_line}: {exc}") from exc
 
-    if not blocks or blocks[0][0] != 0:
+    if not blocks:
         raise ValueError(f"{path}: trace must start with round=0")
-    initial, _ = parse_block(blocks[0][2], 2)
+    initial, _ = parse_block(blocks[0][0], blocks[0][2])
     rounds = []
-    for k, eset, body in blocks[1:]:
-        config, events = parse_block(body, 0)
+    for round_line, eset, body in blocks[1:]:
+        config, events = parse_block(round_line, body)
         rounds.append(TraceRound(eset, config, events))
     return Trace(header, initial, tuple(rounds))

@@ -1,5 +1,6 @@
 import pytest
 
+from lcmswarm.algorithms import cyc_initial_config
 from lcmswarm.cli import main
 from lcmswarm.engine import read_trace
 from lcmswarm.scheduler import SSYNCH, generate, write_schedule
@@ -215,3 +216,57 @@ def test_cyclic_cycles_positions_are_reported_not_ignored(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "positions: cyclic-cycles places its own robots (use --radius)" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("algo, scheduler, monitor", [
+    ("sim-rs-by-s", "ssynch", "p-props"),
+    ("sim-lumi-by-fcom", "rsynch", "step-lemmas"),
+])
+def test_simulator_over_cyclic_cycles_starts_on_the_circle(tmp_path, algo, scheduler, monitor):
+    out = tmp_path / "t.trace"
+    assert run_cli(
+        "run", "--algo", algo, "--inner", "cyclic-cycles", "--n", "3", "--radius", "2",
+        "--scheduler", scheduler, "--rounds", "200", "--out", str(out),
+    ) == 0
+    trace = read_trace(str(out))
+    circle = cyc_initial_config(3, 2.0)
+    assert [p for _, p, _ in trace.initial.entries] == [p for _, p, _ in circle.entries]
+    assert any("inner-exec" in ev for r in trace.rounds for ev in r.events.values())
+    assert run_cli("check", "--monitor", monitor, "--trace", str(out)) == 0
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("radius", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("algo, check", [
+    (["cyclic-cycles"], "cyc"),
+    (["sim-rs-by-s", "--inner", "cyclic-cycles"], "induced"),
+])
+def test_cyclic_cycles_radius_must_be_positive_and_finite(
+    tmp_path, capsys, command, radius, algo, check
+):
+    out = tmp_path / "t.trace"
+    argv = [command, "--algo", *algo, "--n", "3", "--rounds", "5", f"--radius={radius}",
+            "--out", str(out)]
+    if command == "sweep":
+        argv += ["--seeds", "0:1", "--check", check]
+    assert run_cli(*argv) == 1
+    assert "config error: radius: must be a positive finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("round=2 act=x", "bad round line: invalid literal for int()"),
+    ("round=q", "bad round line: invalid literal for int()"),
+    ("round=7 act=0 1", "expected round 2, got round=7"),
+])
+def test_check_bad_round_line_names_its_line(tmp_path, capsys, bad, message):
+    out = tmp_path / "t.trace"
+    assert run_cli("run", "--algo", "sro", "--scheduler", "fsynch", "--rounds", "3",
+                   "--out", str(out)) == 0
+    lines = out.read_text().splitlines()
+    assert lines[7] == "round=2 act=0 1"
+    lines[7] = bad
+    out.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("check", "--problem", "sro", "--trace", str(out)) == 2
+    assert capsys.readouterr().err.startswith(f"parse error: {out}:8: {message}")

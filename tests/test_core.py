@@ -14,6 +14,7 @@ from lcmswarm.core import (
     ModelKind,
     Multiplicity,
     Point,
+    add,
     circular_order,
     from_local,
     make_configuration,
@@ -436,3 +437,73 @@ def test_run_leaves_no_grouping_on_its_configurations():
                 rounds=10, seed=1)
     for config in trace.configs():
         assert vars(config).keys() == {"entries"}
+
+
+def test_snapshot_tie_break_when_distinct_locations_land_on_one_local_point():
+    # A frame of scale 1e300 maps x = -1e-30, 1e-30 and 2e-30 to -0.0, 0.0
+    # and 0.0: three distinct global locations, one local point, told apart
+    # by their lights and counts.  Ties keep the configuration's order.
+    xs = (2e-30, -1e-30, 1e-30)
+    for order in ((0, 1, 2), (2, 1, 0), (1, 0, 2), (1, 2, 0)):
+        positions = [Point(0.0, -7.0)] + [Point(xs[i], 5.0) for i in order]
+        positions.append(positions[1])  # co-located, so counts differ too
+        lights = [LightTuple((i % 2, i % 3), LOOK_PALETTE) for i in range(len(positions))]
+        config = make_configuration(positions, lights, LOOK_PALETTE)
+        for rotation, reflecting in ((0.0, False), (0.0, True), (math.pi, False)):
+            frame = LocalFrame(config.position(0), rotation, 1e300, reflecting)
+            for model in ModelKind:
+                for multiplicity in Multiplicity:
+                    got = snapshot(model, config, 0, frame, multiplicity)
+                    want = seed_snapshot(model, config, 0, frame, multiplicity)
+                    assert bits(got) == bits(want), (order, rotation, reflecting)
+                    ties = [loc.point for loc in got.observed if loc.point.y != 0.0]
+                    assert len(ties) == 3 and len(set(ties)) == 1
+                    if rotation == 0.0:
+                        assert len({struct.pack("d", p.x) for p in ties}) == 2  # 0.0 and -0.0
+
+
+def seed_from_local(frame: LocalFrame, p: Point) -> Point:
+    """The Move transform before it was fused into one expression."""
+    q = Point(p.x, -p.y) if frame.reflecting else p
+    q = rotate(scale(q, frame.scale), frame.rotation)
+    return add(q, frame.origin)
+
+
+@pytest.mark.parametrize("reflecting", [False, True])
+def test_from_local_bitwise_equals_oracle(reflecting):
+    rng = random.Random(11)
+    rotations = (0.0, -0.0, math.pi, -math.pi, math.pi / 2, 2.4)
+    scales = (1.0, 1e-3, 1e-300, 0.37, 1e3, 1e300)
+    compared = 0
+    for _ in range(2000):
+        origin = Point(rng.choice(COORDS + (rng.uniform(-50, 50),)), rng.choice(COORDS))
+        rotation = rng.choice(rotations + (rng.uniform(-4, 4),))
+        k = rng.choice(scales + (rng.uniform(0.01, 100),))
+        frame = LocalFrame(origin, rotation, k, reflecting)
+        p = Point(rng.choice(COORDS + (rng.uniform(-2, 2),)), rng.choice(COORDS))
+        try:
+            want = seed_from_local(frame, p)
+        except ValueError:
+            with pytest.raises(ValueError):
+                from_local(frame, p)
+            continue
+        got = from_local(frame, p)
+        assert struct.pack("dd", got.x, got.y) == struct.pack("dd", want.x, want.y)
+        compared += 1
+    assert compared > 1000
+
+
+@pytest.mark.parametrize(
+    "p, origin, rotation, k",
+    [
+        ((1e10, 0.0), (0.0, 0.0), 0.0, 1e300),           # overflows when scaled
+        ((1.5e308, 0.0), (1.5e308, 0.0), 0.0, 1.0),      # overflows when translated
+        ((1.7e308, 1.7e308), (0.0, 0.0), math.pi / 4, 1.0),  # overflows when rotated
+        ((0.0, 1e10), (0.0, 0.0), math.pi / 2, 1e300),   # overflow meets a zero sine
+    ],
+)
+def test_from_local_overflow_still_raises(p, origin, rotation, k):
+    frame = LocalFrame(Point(*origin), rotation, k)
+    for move in (seed_from_local, from_local):
+        with pytest.raises(ValueError, match="non-finite coordinates"):
+            move(frame, Point(*p))

@@ -1,13 +1,24 @@
+import hashlib
 import math
+import os
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcmswarm.algorithms import alg_sro, alg_stay
+from lcmswarm.algorithms import (
+    alg_cyclic_cycles,
+    alg_move_east,
+    alg_sro,
+    alg_stay,
+    alg_tricolor,
+    cyc_initial_config,
+)
 from lcmswarm.core import (
     LightTuple,
     ModelKind,
+    Multiplicity,
     Point,
     distance,
     make_configuration,
@@ -27,6 +38,7 @@ from lcmswarm.engine import (
     write_trace,
 )
 from lcmswarm.scheduler import SchedulePrefix
+from lcmswarm.simulators import sim_rs_by_s
 
 
 def identity_frames(n):
@@ -314,3 +326,141 @@ class TestTraceFiles:
         path.write_text("model=BOGUS kind=fsynch n=1 seed=0 delta=rigid palette=\n")
         with pytest.raises(ValueError, match="header"):
             read_trace(str(path))
+
+    def _written(self, tmp_path, rounds=3):
+        cfg = make_configuration([Point(0, 0), Point(1, 1)])
+        path = tmp_path / "t.trace"
+        write_trace(run(cfg, "fsynch", alg_sro(), rounds=rounds, seed=0), str(path))
+        return path, path.read_text().splitlines()
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("round=2 act=x", "bad round line: invalid literal"),
+            ("round=q", "bad round line: invalid literal"),
+            ("round=7 act=0 1", "expected round 2, got round=7"),
+            ("round=1 act=0 1", "expected round 2, got round=1"),
+        ],
+    )
+    def test_bad_round_line_names_its_line(self, tmp_path, bad, message):
+        path, lines = self._written(tmp_path)
+        assert lines[7] == "round=2 act=0 1"  # header, then 3 lines a round
+        lines[7] = bad
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:8: {message}"):
+            read_trace(str(path))
+
+    def test_trace_not_starting_at_round_zero_names_its_line(self, tmp_path):
+        path, lines = self._written(tmp_path)
+        lines[1] = "round=1 act="
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=":2: expected round 0, got round=1"):
+            read_trace(str(path))
+
+    def test_bad_robot_line_in_a_later_round_names_its_own_line(self, tmp_path):
+        path, lines = self._written(tmp_path)
+        lines[9] = lines[9].replace("pos=", "pos=oops")  # robot 1 of round 2
+        path.write_text("\n\n".join(lines) + "\n")  # blank lines still count
+        with pytest.raises(ValueError, match=":19: bad robot line"):
+            read_trace(str(path))
+
+    def test_non_finite_position_names_its_line(self, tmp_path):
+        path, lines = self._written(tmp_path)
+        lines[5] = "id=0 pos=inf,0.0 light="
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=":6: bad robot line: non-finite"):
+            read_trace(str(path))
+
+    def test_duplicate_robot_id_names_its_round(self, tmp_path):
+        path, lines = self._written(tmp_path)
+        lines[6] = lines[6].replace("id=1", "id=0")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=":5: robot ids must be exactly"):
+            read_trace(str(path))
+
+
+# --- Golden grid: traces pinned byte for byte ---------------------------------
+#
+# The benchmark's golden traces use identity frames, strong multiplicity and
+# rigid moves only.  This grid pins write_trace output over the paths they
+# miss: rotated, scaled and reflecting frames, non-rigid moves and all three
+# multiplicity modes.  A run that raises is pinned by its error message.
+
+GRID_SEEDS = (0, 1, 2)
+GRID_DELTA = 0.3
+
+
+def _grid_frames(kind, n):
+    if kind == "identity":
+        return None
+    if kind == "rotated":
+        rotations = (math.pi, -1.3, 0.4, 2.2, -0.2, 1.7)
+        return {i: FrameSpec(rotations[i % 6], 0.25 + 0.8 * i) for i in range(n)}
+    return {i: FrameSpec(0.4 - 0.7 * i, 1.5 / (i + 1), i % 2 == 0) for i in range(n)}
+
+
+def _grid_positions(rng, n):
+    positions = [Point(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(n)]
+    positions[-1] = positions[0]  # co-located, so multiplicity shows
+    return positions
+
+
+def _grid_case(name, seed):
+    """(algorithm, initial configuration, rounds) of one grid cell."""
+    rng = random.Random(f"grid:{name}:{seed}")
+    if name == "cyclic-cycles":
+        return alg_cyclic_cycles(5), cyc_initial_config(5, 2.0), 120
+    if name == "sro":
+        return alg_sro(), make_configuration(_grid_positions(rng, 3)[:2]), 25
+    algo = {
+        "tricolor": alg_tricolor,
+        "move-east": alg_move_east,
+        "sim-rs-by-s": lambda: sim_rs_by_s(alg_tricolor()),
+    }[name]()
+    n = 3 if name == "sim-rs-by-s" else 6
+    rounds = 60 if name == "sim-rs-by-s" else 25
+    return algo, make_configuration(_grid_positions(rng, n), palette=algo.palette), rounds
+
+
+def golden_grid_digest(name, workdir):
+    """SHA-256 over the trace files of every grid cell of one algorithm."""
+    digest = hashlib.sha256()
+    path = os.path.join(workdir, "grid.trace")
+    for seed in GRID_SEEDS:
+        algo, config, rounds = _grid_case(name, seed)
+        for frames in ("identity", "rotated", "reflecting"):
+            if frames == "reflecting" and algo.needs_chirality:
+                continue
+            for delta in (None, GRID_DELTA):
+                for multiplicity in Multiplicity:
+                    cell = f"{seed} {frames} {delta} {multiplicity.value}\n"
+                    digest.update(cell.encode())
+                    try:
+                        trace = run(
+                            config, "ssynch", algo, rounds=rounds, seed=seed,
+                            rigidity=Rigidity(delta), multiplicity=multiplicity,
+                            frames=_grid_frames(frames, config.n),
+                            chirality=frames != "reflecting",
+                        )
+                    except ValueError as exc:
+                        digest.update(f"error: {type(exc).__name__}: {exc}\n".encode())
+                        continue
+                    write_trace(trace, path)
+                    with open(path, "rb") as fh:
+                        digest.update(fh.read())
+    return digest.hexdigest()
+
+
+# Recorded before Look and Move were rewritten for speed.
+GOLDEN_GRID = {
+    "tricolor": "3eca6cc7664f437e8b0202348a9712f8bc36dbce113ed7cb70810ddff86679e2",
+    "move-east": "3b4dc20ee4bac4903b24ff28905af6e9defe71c6179780854addbc7494e9772f",
+    "cyclic-cycles": "aa8a5d1df91431491cc251aa4480f1e50b59cbacd106b71b580c9c1937e0319e",
+    "sro": "475d64f5089814d5a3b1a32ff87c8f81024c5d25d26db14361d79014251ae325",
+    "sim-rs-by-s": "e4abf64af07cd021132d9c56f52c44f886c170381a2e96e2f1ca2d22396dbd2a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_GRID))
+def test_golden_grid_traces_are_unchanged(name, tmp_path):
+    assert golden_grid_digest(name, str(tmp_path)) == GOLDEN_GRID[name]
