@@ -61,7 +61,9 @@ def alg_sro() -> Algorithm:
         m = midpoint(ORIGIN, others[0].point)
         return StepResult(destination=rotate(ORIGIN, CLOCKWISE_QUARTER, about=m))
 
-    return Algorithm("sro", (), step, ModelKind.OBLOT, needs_chirality=True, robot_count=2)
+    return Algorithm(
+        "sro", (), step, ModelKind.OBLOT, needs_chirality=True, robot_count=2, rigid=True
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -339,32 +341,8 @@ def alg_cyclic_cycles(
 
 
 # ---------------------------------------------------------------------------
-# Step-configuration classification and the flag-modification scheme.
+# Step-configuration predicates and the flag-modification scheme.
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StepConfigClass:
-    kind: str  # "same" | "except1" | "mixed"
-    alpha: int | None = None
-    gamma: int | None = None
-    deviant: int | None = None
-
-
-def classify_step_config(steps: Sequence[int]) -> StepConfigClass:
-    """Classify a tuple of step labels: all equal, all-but-one equal, or mixed."""
-    if not steps:
-        raise ValueError("no robots to classify")
-    counts: dict[int, int] = {}
-    for s in steps:
-        counts[s] = counts.get(s, 0) + 1
-    if len(counts) == 1:
-        return StepConfigClass("same", alpha=steps[0])
-    if len(counts) == 2:
-        (a, ca), (g, cg) = sorted(counts.items(), key=lambda kv: -kv[1])
-        if cg == 1:
-            return StepConfigClass("except1", alpha=a, gamma=g, deviant=steps.index(g))
-    return StepConfigClass("mixed")
-
 
 def is_same(steps: Sequence[int], alpha: int) -> bool:
     return all(s == alpha for s in steps)
@@ -399,10 +377,6 @@ class FlagScheme:
         if all(s in (self.alpha, self.beta) for s in others_steps):
             return self.beta, None
         return None, None
-
-
-def flag_scheme(alpha: int, beta: int) -> FlagScheme:
-    return FlagScheme(alpha, beta)
 
 
 def flag_scheme_algorithm(alpha: int = 0, beta: int = 1, labels: int = 3) -> Algorithm:

@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import math
 import sys
+from typing import Callable, NamedTuple
 
 from .algorithms import (
     alg_cyclic_cycles,
@@ -22,11 +23,9 @@ from .algorithms import (
     flag_scheme_algorithm,
 )
 from .core import Point, make_configuration
-from .engine import Algorithm, Rigidity, Trace, read_trace, run, write_trace
+from .engine import Algorithm, ConstraintError, Rigidity, Trace, read_trace, run, write_trace
 from .problems import INCONCLUSIVE, OK, REJECT, check_cge, check_cyc, check_rdv, check_sro
 from .scheduler import (
-    ENERGY_RESTRICTED,
-    FSYNCH,
     KIND_NAMES,
     ROUND_ROBIN,
     RSYNCH,
@@ -121,7 +120,8 @@ def _simulates_cyclic_circles(cfg: RunConfig) -> bool:
 
 
 def validate_run_config(cfg: RunConfig) -> list[str]:
-    """Cross-field validity; returns field-level diagnostics."""
+    """Field-level diagnostics of command-line input.  The constraints an
+    algorithm declares are checked by engine.run on the run actually made."""
     problems = []
     if cfg.algo not in ALGO_NAMES:
         problems.append(f"algo: unknown algorithm {cfg.algo!r}")
@@ -130,36 +130,16 @@ def validate_run_config(cfg: RunConfig) -> list[str]:
         problems.append(f"scheduler: unknown kind {cfg.scheduler!r}")
     if cfg.rounds is not None and cfg.rounds < 0:
         problems.append("rounds: must be nonnegative")
-    if cfg.algo == "sro":
-        if cfg.positions and len(_parse_positions(cfg.positions)) != 2:
-            problems.append("positions: sro runs with exactly 2 robots")
-        if cfg.n not in (None, 2):
-            problems.append("n: sro runs with exactly 2 robots")
-        if cfg.delta is not None:
-            problems.append("delta: sro requires rigid movement")
-        if not cfg.chirality:
-            problems.append("chirality: sro requires chirality")
     if cfg.algo == "cyclic-cycles":
-        if not cfg.chirality:
-            problems.append("chirality: cyclic-cycles requires chirality")
         if cfg.d_rel is not None and not 0.0 < cfg.d_rel < 1.0:
             problems.append("d-rel: must be a radius fraction in (0, 1)")
         if cfg.positions:
             problems.append("positions: cyclic-cycles places its own robots (use --radius)")
     if cfg.algo == "cyclic-cycles" or _simulates_cyclic_circles(cfg):
-        if cfg.n is None or cfg.n < 3:
-            problems.append("n: cyclic-cycles needs n >= 3")
         if not (cfg.radius > 0.0 and math.isfinite(cfg.radius)):
             problems.append("radius: must be a positive finite number")
     if cfg.algo.startswith("sim-") and not cfg.inner:
         problems.append(f"inner: {cfg.algo} needs an inner algorithm")
-    if cfg.algo == "sim-lumi-by-fcom":
-        if not cfg.chirality:
-            problems.append("chirality: sim-lumi-by-fcom requires chirality")
-        if cfg.scheduler not in (RSYNCH, FSYNCH):
-            problems.append("scheduler: sim-lumi-by-fcom hosts rsynch or fsynch schedules")
-    if cfg.algo == "sim-rs-by-s" and cfg.scheduler == ENERGY_RESTRICTED:
-        problems.append("scheduler: sim-rs-by-s hosts cannot skip rounds")
     if cfg.scheduler == ROUND_ROBIN and not cfg.blocks:
         problems.append("blocks: round-robin needs --blocks")
     return problems
@@ -181,35 +161,39 @@ def initial_configuration(cfg: RunConfig, algo: Algorithm):
     return make_configuration(positions, palette=algo.palette)
 
 
-def execute_run(cfg: RunConfig) -> Trace:
+def prepare_run(cfg: RunConfig) -> Callable[[int], Trace]:
+    """Build the algorithm, initial configuration and schedule of a run
+    configuration once; the returned function runs them with a given seed."""
     algo = build_algorithm(cfg.algo, n=cfg.n, inner=cfg.inner, d_rel=cfg.d_rel)
     config0 = initial_configuration(cfg, algo)
     if cfg.n is not None and config0.n != cfg.n:
         raise ValueError(f"n={cfg.n} but {config0.n} positions were given")
+    rigidity = Rigidity(cfg.delta)
+    if algo.rigid and not rigidity.rigid:
+        raise ConstraintError(f"{algo.name} requires rigid movement")
     rounds = cfg.rounds
     if cfg.schedule_file:
-        prefix, _ = read_schedule(cfg.schedule_file)
-        schedule = prefix
+        schedule, _ = read_schedule(cfg.schedule_file)
         if rounds is None:
-            rounds = len(prefix)
+            rounds = len(schedule)
     elif cfg.scheduler == ROUND_ROBIN:
         schedule = _parse_blocks(cfg.blocks, config0.n)
     else:
         schedule = SchedulerKind(cfg.scheduler)
-    trace = run(
-        config0,
-        schedule,
-        algo,
-        rigidity=Rigidity(cfg.delta),
-        rounds=50 if rounds is None else rounds,
-        seed=cfg.seed,
-        chirality=cfg.chirality,
-    )
-    if cfg.inner:
-        trace = dataclasses.replace(
-            trace, header=dataclasses.replace(trace.header, inner=cfg.inner)
+    rounds = 50 if rounds is None else rounds
+
+    def execute(seed: int) -> Trace:
+        trace = run(
+            config0, schedule, algo,
+            rigidity=rigidity, rounds=rounds, seed=seed, chirality=cfg.chirality,
         )
-    return trace
+        if cfg.inner:
+            trace = dataclasses.replace(
+                trace, header=dataclasses.replace(trace.header, inner=cfg.inner)
+            )
+        return trace
+
+    return execute
 
 
 def _load_config_file(path: str) -> dict[str, tuple[int, str]]:
@@ -260,13 +244,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
                 setattr(cfg, key, _BOOLS[val.lower()])
             else:
                 setattr(cfg, key, field_type(val))
-    for key in (
-        "algo", "inner", "scheduler", "blocks", "schedule_file", "n", "rounds",
-        "seed", "delta", "positions", "radius", "d_rel", "out",
-    ):
-        val = getattr(args, key, None)
+    for field in dataclasses.fields(cfg):
+        val = getattr(args, field.name, None)
         if val is not None:
-            setattr(cfg, key, val)
+            setattr(cfg, field.name, val)
     if args.no_chirality:
         cfg.chirality = False
     return cfg
@@ -299,9 +280,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             for d in diagnostics:
                 print(f"config error: {d}", file=sys.stderr)
             return 1
-        trace = execute_run(cfg)
+        trace = prepare_run(cfg)(cfg.seed)
         write_trace(trace, cfg.out)
-    except (ValueError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {len(trace.rounds)} rounds to {cfg.out}")
@@ -327,51 +308,76 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 1
 
 
-_CHECKERS = {
-    "rdv": check_rdv,
-    "sro": check_sro,
-    "cge": check_cge,
-}
-
-_MONITOR_FAMILY = {"p-props": "sim-rs-by-s", "step-lemmas": "sim-lumi-by-fcom"}
-
-
-def _run_problem_check(
-    trace: Trace, problem: str, tol: float, d_rel: float | None = None
-) -> tuple[str, str]:
-    if problem == "cyc":
-        d_fn = (lambda _i: d_rel) if d_rel is not None else None
-        verdict = check_cyc(trace, trace.initial.n, d_rel=d_fn, tol=tol)
-    else:
-        verdict = _CHECKERS[problem](trace, tol=tol)
+def _verdict(verdict) -> tuple[str, str]:
     if verdict.status == OK:
-        return OK, f"{problem}: ok"
+        return OK, "ok"
     if verdict.status == REJECT:
-        return REJECT, f"{problem}: reject at round {verdict.round}: {verdict.reason}"
-    return INCONCLUSIVE, f"{problem}: inconclusive: {verdict.reason}"
+        return REJECT, f"reject at round {verdict.round}: {verdict.reason}"
+    return INCONCLUSIVE, f"inconclusive: {verdict.reason}"
 
 
-def _run_monitor_check(trace: Trace, monitor: str) -> tuple[str, str]:
-    family = _MONITOR_FAMILY[monitor]
-    if trace.header.algo != family:
-        raise ValueError(f"monitor {monitor} applies to {family} traces, not {trace.header.algo!r}")
+def _problem(checker):
+    return lambda trace, tol, d_rel: _verdict(checker(trace, tol=tol))
+
+
+def _check_cyc(trace: Trace, tol: float, d_rel: float | None) -> tuple[str, str]:
+    d_fn = (lambda _i: d_rel) if d_rel is not None else None
+    return _verdict(check_cyc(trace, trace.initial.n, d_rel=d_fn, tol=tol))
+
+
+def _check_monitors(trace: Trace, tol: float, d_rel: float | None) -> tuple[str, str]:
     violations = monitor_properties(trace)
     if violations:
-        return REJECT, f"{monitor}: {len(violations)} violations; first: {violations[0]}"
-    return OK, f"{monitor}: ok"
+        return REJECT, f"{len(violations)} violations; first: {violations[0]}"
+    return OK, "ok"
 
 
-def _run_induced_check(trace: Trace) -> tuple[str, str]:
+def _check_induced(trace: Trace, tol: float, d_rel: float | None) -> tuple[str, str]:
     induced = extract_induced_schedule(trace)
     target = RSYNCH if trace.header.algo == "sim-rs-by-s" else SSYNCH
     report = validate(induced, target)
     if not report.ok:
-        return REJECT, f"induced: invalid {target} at induced round {report.round}: {report.rule}"
+        return REJECT, f"invalid {target} at induced round {report.round}: {report.rule}"
     fairness = check_fair(induced, default_fairness_window(trace.initial.n))
     if not fairness.ok:
         robot, gap, rnd = fairness.violations[0]
-        return REJECT, f"induced: robot {robot} starved for {gap} induced rounds (at {rnd})"
-    return OK, f"induced: valid fair {target} schedule of {len(induced)} rounds"
+        return REJECT, f"robot {robot} starved for {gap} induced rounds (at {rnd})"
+    return OK, f"valid fair {target} schedule of {len(induced)} rounds"
+
+
+class Check(NamedTuple):
+    """Algorithms whose traces a checker reads (none: any) and its function."""
+
+    families: tuple[str, ...]
+    run: Callable[[Trace, float, float | None], tuple[str, str]]
+
+
+# Problem checkers read any trace; monitors read meta-simulator traces.
+CHECKS = {
+    "rdv": Check((), _problem(check_rdv)),
+    "sro": Check((), _problem(check_sro)),
+    "cyc": Check((), _check_cyc),
+    "cge": Check((), _problem(check_cge)),
+    "p-props": Check(("sim-rs-by-s",), _check_monitors),
+    "step-lemmas": Check(("sim-lumi-by-fcom",), _check_monitors),
+    "induced": Check(("sim-rs-by-s", "sim-lumi-by-fcom"), _check_induced),
+}
+
+
+def _refuse_other_families(name: str, algo: str) -> None:
+    families = CHECKS[name].families
+    if families and algo not in families:
+        raise ValueError(f"monitor {name} applies to {' or '.join(families)} traces, not {algo!r}")
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -380,17 +386,14 @@ def cmd_check(args: argparse.Namespace) -> int:
     except (ValueError, OSError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
+    name = args.problem or args.monitor
     try:
-        if args.problem:
-            status, message = _run_problem_check(trace, args.problem, args.tol, args.d_rel)
-        elif args.monitor == "induced":
-            status, message = _run_induced_check(trace)
-        else:
-            status, message = _run_monitor_check(trace, args.monitor)
+        _refuse_other_families(name, trace.header.algo)
+        status, detail = CHECKS[name].run(trace, args.tol, args.d_rel)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(message)
+    print(f"{name}: {detail}")
     return {OK: 0, REJECT: 1, INCONCLUSIVE: 2}[status]
 
 
@@ -405,27 +408,29 @@ def cmd_sweep(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     try:
-        base = _config_from_args(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    outcomes = {OK: 0, REJECT: 0, INCONCLUSIVE: 0}
-    first_bad: tuple[int, str] | None = None
-    for seed in seeds:
-        cfg = dataclasses.replace(base, seed=seed)
+        cfg = _config_from_args(args)
         diagnostics = validate_run_config(cfg)
         if diagnostics:
             for d in diagnostics:
                 print(f"config error: {d}", file=sys.stderr)
             return 1
+        _refuse_other_families(args.check, cfg.algo)
+        execute = prepare_run(cfg)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    check = CHECKS[args.check]
+    outcomes = {OK: 0, REJECT: 0, INCONCLUSIVE: 0}
+    first_bad: tuple[int, str] | None = None
+    for seed in seeds:
+        # A refused run is a configuration error, not this seed's failure.
         try:
-            trace = execute_run(cfg)
-            if args.check in _MONITOR_FAMILY:
-                status, message = _run_monitor_check(trace, args.check)
-            elif args.check == "induced":
-                status, message = _run_induced_check(trace)
-            else:
-                status, message = _run_problem_check(trace, args.check, args.tol, cfg.d_rel)
+            trace = execute(seed)
+            status, detail = check.run(trace, args.tol, cfg.d_rel)
+            message = f"{args.check}: {detail}"
+        except ConstraintError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         except (ValueError, RuntimeError) as exc:
             status, message = REJECT, f"error: {exc}"
         outcomes[status] += 1
@@ -523,10 +528,10 @@ def main(argv: list[str] | None = None) -> int:
 
     p_chk = subs.add_parser("check", help="run a problem checker or monitor on a trace")
     group = p_chk.add_mutually_exclusive_group(required=True)
-    group.add_argument("--problem", choices=("rdv", "sro", "cyc", "cge"))
-    group.add_argument("--monitor", choices=("p-props", "step-lemmas", "induced"))
+    group.add_argument("--problem", choices=[k for k, c in CHECKS.items() if not c.families])
+    group.add_argument("--monitor", choices=[k for k, c in CHECKS.items() if c.families])
     p_chk.add_argument("--trace", required=True)
-    p_chk.add_argument("--tol", type=float, default=1e-9)
+    p_chk.add_argument("--tol", type=_tolerance, default=1e-9)
     p_chk.add_argument("--d-rel", dest="d_rel", type=float,
                        help="mover distance fraction the trace was produced with")
     p_chk.set_defaults(func=cmd_check)
@@ -534,12 +539,8 @@ def main(argv: list[str] | None = None) -> int:
     p_swp = subs.add_parser("sweep", help="run many seeds and aggregate checker verdicts")
     _add_run_arguments(p_swp)
     p_swp.add_argument("--seeds", required=True, help="inclusive seed range, e.g. 0:99")
-    p_swp.add_argument(
-        "--check",
-        required=True,
-        choices=("rdv", "sro", "cyc", "cge", "p-props", "step-lemmas", "induced"),
-    )
-    p_swp.add_argument("--tol", type=float, default=1e-9)
+    p_swp.add_argument("--check", required=True, choices=tuple(CHECKS))
+    p_swp.add_argument("--tol", type=_tolerance, default=1e-9)
     p_swp.set_defaults(func=cmd_sweep)
 
     p_plt = subs.add_parser("plot", help="render robot trajectories from a trace")

@@ -23,11 +23,15 @@ from .core import (
     points_close,
     snapshot,
 )
-from .scheduler import SchedulePrefix, SchedulerKind, generate
+from .scheduler import SchedulePrefix, SchedulerKind, generate, validate
 
 
 class PaletteError(ValueError):
     """An algorithm emitted a light value outside its declared palette."""
+
+
+class ConstraintError(ValueError):
+    """A run's inputs break a precondition of `run` or of the algorithm."""
 
 
 @dataclass(frozen=True)
@@ -52,7 +56,9 @@ class Algorithm:
 
     Step functions receive only a Snapshot; they never see robot ids, round
     numbers, or anything else, which enforces anonymity and uniformity by
-    construction.
+    construction.  The remaining fields are run constraints, which `run`
+    checks before round 1; only `rigid` is left to the command line, since
+    pinned traces run sro under non-rigid movement.
     """
 
     name: str
@@ -62,6 +68,8 @@ class Algorithm:
     needs_chirality: bool = False
     robot_count: int | None = None  # exact swarm size required, if any
     min_robots: int = 1
+    rigid: bool = False  # its guarantees need rigid movement
+    host: str | None = None  # scheduler family its activation sets must belong to
 
 
 @dataclass(frozen=True)
@@ -94,9 +102,6 @@ class Rigidity:
     @property
     def rigid(self) -> bool:
         return self.delta is None
-
-    def describe(self) -> str:
-        return "rigid" if self.rigid else repr(self.delta)
 
 
 def apply_move(src: Point, dest: Point, rigidity: Rigidity, rng: random.Random) -> Point:
@@ -215,39 +220,49 @@ def run(
 
     `schedule` may be an explicit prefix or a scheduler kind, in which case a
     prefix is generated from the seed.  The same seed also drives the
-    non-rigid movement adversary.
+    non-rigid movement adversary.  Broken preconditions and algorithm
+    constraints raise ConstraintError; `host` is checked on the sets run.
     """
     n = config0.n
+    if rounds is not None and rounds < 0:
+        raise ConstraintError("rounds must be nonnegative")
     if isinstance(schedule, (SchedulerKind, str)):
         kind = SchedulerKind(schedule) if isinstance(schedule, str) else schedule
         if rounds is None:
-            raise ValueError("rounds is required when generating a schedule")
+            raise ConstraintError("rounds is required when generating a schedule")
         prefix = generate(kind, n, rounds, seed) if rounds else SchedulePrefix((), n)
         kind_name = kind.name
     else:
         prefix = schedule
         kind_name = "explicit"
         if prefix.n != n:
-            raise ValueError(f"schedule is for n={prefix.n}, configuration has n={n}")
+            raise ConstraintError(f"schedule is for n={prefix.n}, configuration has n={n}")
         if rounds is None:
             rounds = len(prefix)
         elif rounds > len(prefix):
-            raise ValueError("schedule prefix shorter than requested rounds")
+            raise ConstraintError("schedule prefix shorter than requested rounds")
+        elif rounds < len(prefix):
+            prefix = SchedulePrefix(prefix.sets[:rounds], n)
 
     model = model or algo.model
     if algo.robot_count is not None and n != algo.robot_count:
-        raise ValueError(f"{algo.name} requires exactly {algo.robot_count} robots")
+        raise ConstraintError(f"{algo.name} requires exactly {algo.robot_count} robots")
     if n < algo.min_robots:
-        raise ValueError(f"{algo.name} requires at least {algo.min_robots} robots")
+        raise ConstraintError(f"{algo.name} requires at least {algo.min_robots} robots")
     if algo.needs_chirality and not chirality:
-        raise ValueError(f"{algo.name} requires chirality")
+        raise ConstraintError(f"{algo.name} requires chirality")
+    if algo.host is not None:
+        report = validate(prefix, algo.host)
+        if not report.ok:
+            raise ConstraintError(f"{algo.name} runs only under {algo.host} schedules: "
+                                  f"round {report.round} breaks rule {report.rule}")
     frames = frames or {}
     frames = {rid: frames.get(rid, IDENTITY_FRAME) for rid in range(n)}
     if chirality and any(spec.reflecting for spec in frames.values()):
-        raise ValueError("chirality requires every frame to preserve orientation")
+        raise ConstraintError("chirality requires every frame to preserve orientation")
     for _, _, lt in config0.entries:
         if lt.palette != algo.palette:
-            raise ValueError("initial lights do not match the algorithm's palette")
+            raise ConstraintError("initial lights do not match the algorithm's palette")
 
     rng = random.Random(seed)
     header = TraceHeader(model, kind_name, n, seed, rigidity.delta, algo.palette, algo.name)
@@ -377,6 +392,9 @@ def read_trace(path: str) -> Trace:
             raise ValueError(f"{path}:{lineno}: bad round line: {exc}") from exc
         if k != len(blocks):
             raise ValueError(f"{path}:{lineno}: expected round {len(blocks)}, got round={k}")
+        if eset and (min(eset) < 0 or max(eset) >= n):
+            bad = min(eset) if min(eset) < 0 else max(eset)
+            raise ValueError(f"{path}:{lineno}: activation of unknown robot {bad} (n={n})")
         body = lines[i + 1 : i + 1 + n]
         if len(body) < n:
             raise ValueError(f"{path}:{lineno}: truncated round {k}")

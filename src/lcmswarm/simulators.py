@@ -36,10 +36,7 @@ from .core import (
     points_close,
 )
 from .engine import Algorithm, Rigidity, StepResult, Trace, run
-from .scheduler import SchedulePrefix
-
-# An induced schedule is just a schedule prefix extracted from a trace.
-InducedSchedule = SchedulePrefix
+from .scheduler import RSYNCH, SSYNCH, SchedulePrefix
 
 
 class SimulationFault(RuntimeError):
@@ -135,7 +132,8 @@ def rs_by_s_color_count(inner_colors: int) -> int:
 
 def sim_rs_by_s(inner: Algorithm) -> Algorithm:
     """Wrap an inner protocol for execution by full-light robots under any
-    fair semi-synchronous host schedule."""
+    fair semi-synchronous host schedule; the wrapper keeps the inner
+    protocol's robot-count, chirality and rigidity constraints."""
     layout = RsBySLayout(inner.palette)
     k, STEP, EXEC, CHARGED = layout.k, layout.step, layout.executed, layout.charged
 
@@ -217,7 +215,10 @@ def sim_rs_by_s(inner: Algorithm) -> Algorithm:
         step,
         ModelKind.LUMI,
         needs_chirality=inner.needs_chirality,
-        min_robots=max(1, inner.min_robots),
+        robot_count=inner.robot_count,
+        min_robots=inner.min_robots,
+        rigid=inner.rigid,
+        host=SSYNCH,
     )
 
 
@@ -305,7 +306,8 @@ def _exec_mask(flags) -> int:
 
 def sim_lumi_by_fcom(inner: Algorithm, n: int) -> Algorithm:
     """Wrap an inner full-light protocol for execution by external-light
-    robots under a restricted-repetition host schedule; needs chirality."""
+    robots under a restricted-repetition host schedule; needs chirality and
+    keeps the inner protocol's robot-count and rigidity constraints."""
     layout = LumiByFcomLayout(inner.palette, n)
     k, ell = layout.k, layout.ell
     COUNTS, STEP, EXEC = layout.counts, layout.step, layout.executed
@@ -421,7 +423,10 @@ def sim_lumi_by_fcom(inner: Algorithm, n: int) -> Algorithm:
         step,
         ModelKind.FCOM,
         needs_chirality=True,
-        min_robots=2,
+        robot_count=inner.robot_count,
+        min_robots=max(2, inner.min_robots),
+        rigid=inner.rigid,
+        host=RSYNCH,
     )
 
 
@@ -429,7 +434,7 @@ def sim_lumi_by_fcom(inner: Algorithm, n: int) -> Algorithm:
 # Induced schedules, fidelity replay, monitors.
 # ---------------------------------------------------------------------------
 
-def extract_induced_schedule(trace: Trace) -> InducedSchedule:
+def extract_induced_schedule(trace: Trace) -> SchedulePrefix:
     """Collect, per round with at least one inner execution, the set of robots
     that executed the inner algorithm."""
     if not trace.header.algo.startswith("sim-"):

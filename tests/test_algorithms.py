@@ -24,10 +24,8 @@ from lcmswarm.algorithms import (
     alg_tricolor,
     _cyc_reader,
     _points_key,
-    classify_step_config,
     cyc_initial_config,
     decode_cyc_pattern,
-    flag_scheme,
     flag_scheme_algorithm,
     is_except1,
     is_same,
@@ -390,12 +388,6 @@ class TestCycReadingCache:
 
 
 class TestClassify:
-    def test_spec_examples(self):
-        assert classify_step_config([2, 2, 2]).kind == "same"
-        got = classify_step_config([2, 2, 1])
-        assert (got.kind, got.alpha, got.gamma, got.deviant) == ("except1", 2, 1, 2)
-        assert classify_step_config([1, 2, 3]).kind == "mixed"
-
     def test_predicates(self):
         assert is_same([4, 4], 4)
         assert not is_same([4, 3], 4)
@@ -420,7 +412,7 @@ def scheme_state(config):
 
 class TestFlagScheme:
     def test_react_rules(self):
-        scheme = flag_scheme(ALPHA, BETA)
+        scheme = FlagScheme(ALPHA, BETA)
         assert scheme.react([ALPHA, ALPHA], [False, True]) == (ALPHA, True)
         assert scheme.react([ALPHA, ALPHA], [True, True]) == (BETA, True)
         assert scheme.react([BETA, BETA], [False, False]) == (BETA, None)

@@ -258,6 +258,7 @@ def test_cyclic_cycles_radius_must_be_positive_and_finite(
     ("round=2 act=x", "bad round line: invalid literal for int()"),
     ("round=q", "bad round line: invalid literal for int()"),
     ("round=7 act=0 1", "expected round 2, got round=7"),
+    ("round=2 act=0 9", "activation of unknown robot 9 (n=2)"),
 ])
 def test_check_bad_round_line_names_its_line(tmp_path, capsys, bad, message):
     out = tmp_path / "t.trace"
@@ -270,3 +271,96 @@ def test_check_bad_round_line_names_its_line(tmp_path, capsys, bad, message):
     capsys.readouterr()
     assert run_cli("check", "--problem", "sro", "--trace", str(out)) == 2
     assert capsys.readouterr().err.startswith(f"parse error: {out}:8: {message}")
+
+
+SCHEDULES = {
+    "valid.sched": "n=3 kind=rsynch\n0\n1 2\n0\n1\n2\n0 1\n",
+    "overlap.sched": "n=3 kind=rsynch\n0 1\n1 2\n0\n",
+    "empty.sched": "n=3 kind=ssynch\n0 1 2\n\n0\n1\n",
+}
+LUMI = ["--algo", "sim-lumi-by-fcom", "--inner", "stay", "--n", "3"]
+CYC_SWEEP = ["--algo", "sim-rs-by-s", "--inner", "cyclic-cycles", "--n", "3", "--no-chirality"]
+
+
+def row(name, argv, code, message):
+    return pytest.param(argv, code, message, id=name)
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    # Host rules apply to the schedule actually run, schedule files included.
+    row("lumi-valid-rsynch-file", ["run", *LUMI, "--schedule-file", "valid.sched"], 0,
+        "wrote 6 rounds"),
+    row("lumi-overlapping-file",
+        ["run", *LUMI, "--schedule-file", "overlap.sched", "--scheduler", "rsynch"], 1,
+        "sim-lumi-by-fcom runs only under rsynch schedules: round 2 breaks rule overlap-consecutive"),
+    row("rs-file-with-empty-round",
+        ["run", "--algo", "sim-rs-by-s", "--inner", "stay", "--n", "3",
+         "--schedule-file", "empty.sched"], 1,
+        "sim-rs-by-s runs only under ssynch schedules: round 2 breaks rule empty-set"),
+    row("lumi-round-robin", ["run", *LUMI, "--scheduler", "round-robin", "--blocks", "0|1 2"], 0,
+        "wrote 50 rounds"),
+    row("lumi-ssynch-host", ["run", *LUMI, "--scheduler", "ssynch"], 1,
+        "sim-lumi-by-fcom runs only under rsynch"),
+    # The wrappers keep their inner algorithm's constraints.
+    row("rs-sro-non-rigid",
+        ["run", "--algo", "sim-rs-by-s", "--inner", "sro", "--n", "2", "--delta", "0.5"], 1,
+        "error: sim-rs-by-s requires rigid movement"),
+    row("rs-sro-three-robots", ["run", "--algo", "sim-rs-by-s", "--inner", "sro", "--n", "3"], 1,
+        "error: sim-rs-by-s requires exactly 2 robots"),
+    # The rules the command line no longer states itself.
+    row("sro-no-chirality", ["run", "--algo", "sro", "--no-chirality"], 1,
+        "error: sro requires chirality"),
+    row("sro-delta", ["run", "--algo", "sro", "--delta", "0.5"], 1,
+        "error: sro requires rigid movement"),
+    row("sro-three-positions", ["run", "--algo", "sro", "--positions", "0,0 1,0 2,0"], 1,
+        "error: sro requires exactly 2 robots"),
+    row("cyc-no-chirality", ["run", "--algo", "cyclic-cycles", "--n", "3", "--no-chirality"], 1,
+        "error: cyclic-cycles requires chirality"),
+    row("cyc-two-robots", ["run", "--algo", "cyclic-cycles", "--n", "2"], 1,
+        "error: cyclic circles needs at least 3 robots"),
+    row("cyc-no-n", ["run", "--algo", "cyclic-cycles"], 1, "error: cyclic-cycles needs --n"),
+    row("lumi-no-chirality", ["run", *LUMI, "--no-chirality"], 1,
+        "error: sim-lumi-by-fcom requires chirality"),
+    # A sweep that cannot run is one error, not a failure per seed.
+    row("sweep-rs-no-chirality", ["sweep", *CYC_SWEEP, "--seeds", "0:2", "--check", "induced"], 1,
+        "error: sim-rs-by-s requires chirality"),
+    row("sweep-lumi-no-n",
+        ["sweep", "--algo", "sim-lumi-by-fcom", "--inner", "stay", "--scheduler", "rsynch",
+         "--seeds", "0:2", "--check", "induced"], 1,
+        "error: sim-lumi-by-fcom needs --n"),
+    row("sweep-monitor-of-another-family",
+        ["sweep", "--algo", "sro", "--seeds", "0:2", "--check", "p-props"], 1,
+        "error: monitor p-props applies to sim-rs-by-s traces, not 'sro'"),
+    row("sweep-sro-delta",
+        ["sweep", "--algo", "sro", "--delta", "0.5", "--seeds", "0:2", "--check", "sro"], 1,
+        "error: sro requires rigid movement"),
+])
+def test_run_constraints_are_checked_on_the_run_made(tmp_path, capsys, argv, code, message):
+    for name, body in SCHEDULES.items():
+        (tmp_path / name).write_text(body)
+    argv = [str(tmp_path / a) if a in SCHEDULES else a for a in argv]
+    out = tmp_path / "t.trace"
+    assert run_cli(*argv, "--out", str(out)) == code  # raises on a traceback
+    captured = capsys.readouterr()
+    assert message in captured.out + captured.err
+    assert out.exists() == (code == 0)
+    if argv[0] == "sweep":
+        assert "pass" not in captured.out
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9", "abc"])
+@pytest.mark.parametrize("command", ["check", "sweep"])
+def test_tolerance_must_be_a_finite_nonnegative_number(tmp_path, capsys, command, tol):
+    out = tmp_path / "t.trace"
+    assert run_cli("run", "--algo", "sro", "--scheduler", "rsynch", "--out", str(out)) == 0
+    capsys.readouterr()
+    if command == "check":
+        argv = ["check", "--problem", "sro", "--trace", str(out)]
+    else:
+        argv = ["sweep", "--algo", "sro", "--seeds", "0:1", "--check", "sro"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, f"--tol={tol}")
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--tol: must be a finite number >= 0" in captured.err
+    assert "sro" not in captured.out

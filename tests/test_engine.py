@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -26,6 +27,7 @@ from lcmswarm.core import (
 )
 from lcmswarm.engine import (
     Algorithm,
+    ConstraintError,
     FrameSpec,
     PaletteError,
     Rigidity,
@@ -37,8 +39,8 @@ from lcmswarm.engine import (
     run_round,
     write_trace,
 )
-from lcmswarm.scheduler import SchedulePrefix
-from lcmswarm.simulators import sim_rs_by_s
+from lcmswarm.scheduler import ENERGY_RESTRICTED, SchedulePrefix, generate
+from lcmswarm.simulators import sim_lumi_by_fcom, sim_rs_by_s
 
 
 def identity_frames(n):
@@ -249,6 +251,77 @@ class TestRun:
                 )
 
 
+THREE = [Point(0, 0), Point(50, 7), Point(100, 0)]
+
+
+def _sets(*sets):
+    return SchedulePrefix(tuple(frozenset(s) for s in sets), 3)
+
+
+def _raising_step(snap):
+    raise AssertionError("a refused run executed a step")
+
+
+class TestConstraints:
+    def test_constraints_are_one_error_type(self):
+        cfg = make_configuration([Point(0, 0), Point(1, 1)])
+        with pytest.raises(ConstraintError, match="exactly 2"):
+            run(make_configuration(THREE), "fsynch", alg_sro(), rounds=1)
+        with pytest.raises(ConstraintError, match="requires chirality"):
+            run(cfg, "fsynch", alg_sro(), rounds=1, chirality=False)
+        with pytest.raises(ConstraintError, match="shorter"):
+            run(cfg, SchedulePrefix((), 2), alg_sro(), rounds=1)
+        with pytest.raises(ConstraintError, match="nonnegative"):
+            run(cfg, SchedulePrefix((), 2), alg_sro(), rounds=-1)
+        assert issubclass(ConstraintError, ValueError)
+
+    def test_rigid_is_declared_by_sro(self):
+        assert alg_sro().rigid and not alg_stay().rigid and not alg_cyclic_cycles(3).rigid
+
+    @pytest.mark.parametrize(
+        "wrap", [sim_rs_by_s, lambda inner: sim_lumi_by_fcom(inner, 3)], ids=["rs", "lumi"]
+    )
+    def test_wrappers_keep_the_inner_constraints(self, wrap):
+        stub = Algorithm("stub", (), _raising_step, ModelKind.OBLOT, min_robots=3)
+        assert wrap(stub).min_robots == 3 and not wrap(stub).rigid
+        sro = dataclasses.replace(wrap(alg_sro()), step=_raising_step)
+        assert sro.robot_count == 2 and sro.needs_chirality and sro.rigid
+        with pytest.raises(ConstraintError, match=f"{sro.name} requires exactly 2 robots"):
+            run(make_configuration(THREE, palette=sro.palette), "fsynch", sro, rounds=5)
+        cyc = dataclasses.replace(wrap(alg_cyclic_cycles(3)), step=_raising_step)
+        with pytest.raises(ConstraintError, match=f"{cyc.name} requires chirality"):
+            run(make_configuration(THREE, palette=cyc.palette), "fsynch", cyc, rounds=5,
+                chirality=False)
+
+    def test_host_is_checked_on_generated_prefixes(self):
+        lumi = sim_lumi_by_fcom(alg_stay(), 3)
+        cfg = make_configuration(THREE, palette=lumi.palette)
+        for kind in ("rsynch", "fsynch"):
+            run(cfg, kind, lumi, rounds=30, seed=1)
+        with pytest.raises(ConstraintError, match="runs only under rsynch schedules: round"):
+            run(cfg, "ssynch", lumi, rounds=30, seed=1)
+
+        rs = sim_rs_by_s(alg_stay())
+        cfg = make_configuration(THREE, palette=rs.palette)
+        seed = next(s for s in range(100) if frozenset() in generate(ENERGY_RESTRICTED, 3, 30, s).sets)
+        with pytest.raises(ConstraintError, match="runs only under ssynch schedules: .*empty-set"):
+            run(cfg, ENERGY_RESTRICTED, rs, rounds=30, seed=seed)
+
+    def test_host_is_checked_on_the_explicit_sets_run(self):
+        lumi = sim_lumi_by_fcom(alg_stay(), 3)
+        cfg = make_configuration(THREE, palette=lumi.palette)
+        overlapping = _sets({0, 1}, {1, 2}, {0})
+        with pytest.raises(ConstraintError, match="round 2 breaks rule overlap-consecutive"):
+            run(cfg, overlapping, lumi)
+        assert len(run(cfg, overlapping, lumi, rounds=1).rounds) == 1  # round 2 is never run
+
+        rs = sim_rs_by_s(alg_stay())
+        cfg = make_configuration(THREE, palette=rs.palette)
+        with pytest.raises(ConstraintError, match="round 2 breaks rule empty-set"):
+            run(cfg, _sets({0, 1, 2}, (), {0}), rs)
+        run(make_configuration(THREE), _sets({0}, ()), alg_stay())  # no host: any sets
+
+
 class TestReplay:
     def _trace(self, delta=None, seed=11):
         cfg = make_configuration([Point(0, 0), Point(1, 1)])
@@ -340,6 +413,8 @@ class TestTraceFiles:
             ("round=q", "bad round line: invalid literal"),
             ("round=7 act=0 1", "expected round 2, got round=7"),
             ("round=1 act=0 1", "expected round 2, got round=1"),
+            ("round=2 act=0 9", "activation of unknown robot 9 \\(n=2\\)"),
+            ("round=2 act=-1 1", "activation of unknown robot -1 \\(n=2\\)"),
         ],
     )
     def test_bad_round_line_names_its_line(self, tmp_path, bad, message):
