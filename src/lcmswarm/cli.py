@@ -154,7 +154,7 @@ def initial_configuration(cfg: RunConfig, algo: Algorithm):
         positions = _parse_positions(cfg.positions)
     else:
         n = cfg.n if cfg.n is not None else (algo.robot_count or 2)
-        if cfg.algo == "sro":
+        if cfg.algo == "sro" and n == 2:
             positions = [Point(0.0, 0.0), Point(1.0, 1.0)]
         else:
             positions = [Point(50.0 * i, 0.0) for i in range(n)]

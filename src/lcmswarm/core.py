@@ -228,13 +228,6 @@ class Configuration:
     def light(self, rid: int) -> LightTuple:
         return self.entries[rid][2]
 
-    def occupied_locations(self) -> tuple[Point, ...]:
-        """Distinct occupied locations (size m <= n)."""
-        seen: dict[tuple[float, float], Point] = {}
-        for _, p, _ in self.entries:
-            seen.setdefault((p.x, p.y), p)
-        return tuple(seen.values())
-
 
 def make_configuration(
     positions: list[Point] | tuple[Point, ...],

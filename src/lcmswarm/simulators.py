@@ -21,6 +21,7 @@ and monitor_properties work off those annotations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import (
     ORIGIN,
@@ -84,16 +85,26 @@ def _project_inner_snapshot(
 RS_STEP_1, RS_STEP_2, RS_STEP_3, RS_STEP_4, RS_STEP_5, RS_STEP_M = range(6)
 CH_C, CH_E, CH_M = range(3)
 
-# Step configurations a healthy run may exhibit.
-RS_STEP_SETS = tuple(
-    frozenset(s)
-    for s in (
-        {RS_STEP_1}, {RS_STEP_2}, {RS_STEP_3}, {RS_STEP_4}, {RS_STEP_5}, {RS_STEP_M},
-        {RS_STEP_1, RS_STEP_2}, {RS_STEP_2, RS_STEP_3}, {RS_STEP_3, RS_STEP_1},
-        {RS_STEP_2, RS_STEP_4}, {RS_STEP_4, RS_STEP_5}, {RS_STEP_2, RS_STEP_5},
-        {RS_STEP_2, RS_STEP_M},
-    )
-)
+# The step graph: a robot that sees one of these pairs of steps on display
+# moves to the step given.  The pair {2, m} is settled by the executed flags.
+RS_CATCH_UP = {
+    frozenset({RS_STEP_1, RS_STEP_2}): RS_STEP_2,
+    frozenset({RS_STEP_2, RS_STEP_3}): RS_STEP_3,
+    frozenset({RS_STEP_2, RS_STEP_4}): RS_STEP_4,
+    frozenset({RS_STEP_4, RS_STEP_5}): RS_STEP_5,
+    frozenset({RS_STEP_5, RS_STEP_2}): RS_STEP_2,
+    frozenset({RS_STEP_3, RS_STEP_1}): RS_STEP_1,
+}
+RS_MEGA_PAIR = frozenset({RS_STEP_2, RS_STEP_M})
+
+
+def _step_sets(steps: range, catch_up: dict, mega_pair: frozenset) -> frozenset:
+    """Step configurations a healthy run may exhibit: every single step, the
+    pairs of the catch-up table, and the mega-cycle pair."""
+    return frozenset([frozenset({s}) for s in steps] + list(catch_up) + [mega_pair])
+
+
+RS_STEP_SETS = _step_sets(range(6), RS_CATCH_UP, RS_MEGA_PAIR)
 
 
 @dataclass(frozen=True)
@@ -191,21 +202,12 @@ def sim_rs_by_s(inner: Algorithm) -> Algorithm:
                 return StepResult()
             return StepResult(light={STEP: RS_STEP_2})
 
-        if steps <= {RS_STEP_1, RS_STEP_2}:
-            return StepResult(light={STEP: RS_STEP_2})
-        if steps <= {RS_STEP_2, RS_STEP_3}:
-            return StepResult(light={STEP: RS_STEP_3})
-        if steps <= {RS_STEP_2, RS_STEP_4}:
-            return StepResult(light={STEP: RS_STEP_4})
-        if steps <= {RS_STEP_4, RS_STEP_5}:
-            return StepResult(light={STEP: RS_STEP_5})
-        if steps <= {RS_STEP_5, RS_STEP_2}:
-            return StepResult(light={STEP: RS_STEP_2})
-        if steps <= {RS_STEP_3, RS_STEP_1}:
-            return StepResult(light={STEP: RS_STEP_1})
-        if steps <= {RS_STEP_2, RS_STEP_M} and all(t[EXEC] == 1 for t in all_lights):
+        # Every single step returned above, so steps holds two or more.
+        if steps in RS_CATCH_UP:
+            return StepResult(light={STEP: RS_CATCH_UP[steps]})
+        if steps == RS_MEGA_PAIR and all(t[EXEC] == 1 for t in all_lights):
             return StepResult(light={STEP: RS_STEP_M})
-        if steps <= {RS_STEP_M, RS_STEP_2} and all(t[EXEC] == 0 for t in all_lights):
+        if steps == RS_MEGA_PAIR and all(t[EXEC] == 0 for t in all_lights):
             return StepResult(light={STEP: RS_STEP_2})
         return StepResult()
 
@@ -230,14 +232,13 @@ FC_STEP_1, FC_STEP_2, FC_STEP_3, FC_STEP_M = range(4)
 # suc.executed is a set over {False, True}, encoded as a bitmask.
 EXEC_SET_EMPTY, EXEC_SET_FALSE, EXEC_SET_TRUE, EXEC_SET_BOTH = range(4)
 
-FC_STEP_SETS = tuple(
-    frozenset(s)
-    for s in (
-        {FC_STEP_1}, {FC_STEP_2}, {FC_STEP_3}, {FC_STEP_M},
-        {FC_STEP_1, FC_STEP_2}, {FC_STEP_2, FC_STEP_3}, {FC_STEP_3, FC_STEP_1},
-        {FC_STEP_2, FC_STEP_M}, {FC_STEP_M, FC_STEP_2},
-    )
-)
+FC_CATCH_UP = {
+    frozenset({FC_STEP_1, FC_STEP_2}): FC_STEP_2,
+    frozenset({FC_STEP_2, FC_STEP_3}): FC_STEP_3,
+    frozenset({FC_STEP_3, FC_STEP_1}): FC_STEP_1,
+}
+FC_MEGA_PAIR = frozenset({FC_STEP_2, FC_STEP_M})
+FC_STEP_SETS = _step_sets(range(4), FC_CATCH_UP, FC_MEGA_PAIR)
 
 
 @dataclass(frozen=True)
@@ -248,47 +249,59 @@ class LumiByFcomLayout:
     successor location (multisets, counts 0..n), then step, executed, the
     suc.executed set, and the two checked flags.  Multiset counters rather
     than plain color sets keep own-color reconstruction a singleton even when
-    co-located robots share a color.
+    co-located robots share a color.  Each index is computed once.
     """
 
     inner: tuple[int, ...]
     n: int
 
-    @property
+    @cached_property
     def k(self) -> int:
         return len(self.inner)
 
-    @property
+    @cached_property
     def ell(self) -> int:
         return palette_size(self.inner)
 
-    @property
+    @cached_property
     def counts(self) -> int:  # first successor-color counter
         return self.k
 
-    @property
+    @cached_property
     def step(self) -> int:
         return self.k + self.ell
 
-    @property
+    @cached_property
     def executed(self) -> int:
         return self.step + 1
 
-    @property
+    @cached_property
     def suc_executed(self) -> int:
         return self.step + 2
 
-    @property
+    @cached_property
     def checked(self) -> int:
         return self.step + 3
 
-    @property
+    @cached_property
     def suc_checked(self) -> int:
         return self.step + 4
 
-    @property
+    @cached_property
     def palette(self) -> tuple[int, ...]:
         return self.inner + (self.n + 1,) * self.ell + (4, 2, 4, 2, 2)
+
+    @cached_property
+    def checking_reset(self) -> dict[int, int]:
+        """Step 3's flag reset: the successor copy and both checked flags."""
+        out = {self.counts + c: 0 for c in range(self.ell)}
+        out.update({self.suc_executed: EXEC_SET_FALSE, self.suc_checked: 0, self.checked: 0})
+        return out
+
+    @cached_property
+    def executed_reset(self) -> dict[int, int]:
+        """Step m's flag reset: the executed flag and its successor copy."""
+        return {self.executed: 0, self.suc_executed: EXEC_SET_FALSE}
 
 
 def lumi_by_fcom_color_count(inner_colors: int, n: int) -> int:
@@ -304,6 +317,21 @@ def _exec_mask(flags) -> int:
     return mask
 
 
+def _shows(t: tuple[int, ...], reset: dict[int, int]) -> bool:
+    """Whether a light already holds every value of a flag reset."""
+    return all(t[var] == value for var, value in reset.items())
+
+
+def _successor_copy(lights, layout: LumiByFcomLayout) -> tuple[list[int], int]:
+    """What a robot copies from the lights at its successor location: the
+    count of each inner color (capped at n) and the executed-flag set."""
+    counts = [0] * layout.ell
+    for t in lights:
+        counts[flat_color(t[:layout.k], layout.inner)] += 1
+    n = layout.n
+    return [min(c, n) for c in counts], _exec_mask(bool(t[layout.executed]) for t in lights)
+
+
 def sim_lumi_by_fcom(inner: Algorithm, n: int) -> Algorithm:
     """Wrap an inner full-light protocol for execution by external-light
     robots under a restricted-repetition host schedule; needs chirality and
@@ -312,6 +340,7 @@ def sim_lumi_by_fcom(inner: Algorithm, n: int) -> Algorithm:
     k, ell = layout.k, layout.ell
     COUNTS, STEP, EXEC = layout.counts, layout.step, layout.executed
     SUC_EXEC, CHECKED, SUC_CHECKED = layout.suc_executed, layout.checked, layout.suc_checked
+    CHECKING_RESET, EXECUTED_RESET = layout.checking_reset, layout.executed_reset
     inner_palette = inner.palette
 
     def step(snap: Snapshot) -> StepResult:
@@ -339,27 +368,10 @@ def sim_lumi_by_fcom(inner: Algorithm, n: int) -> Algorithm:
         def all_robots_executed() -> bool:
             return all(t[EXEC] == 1 for t in others) and own_executed()
 
-        def reset_checking() -> dict[int, int]:
-            out = {COUNTS + c: 0 for c in range(ell)}
-            out[SUC_EXEC] = EXEC_SET_FALSE
-            out[SUC_CHECKED] = 0
-            out[CHECKED] = 0
-            return out
-
-        def checked_flags_reset(t: tuple[int, ...]) -> bool:
-            return (
-                all(t[COUNTS + c] == 0 for c in range(ell))
-                and t[SUC_EXEC] == EXEC_SET_FALSE
-                and t[SUC_CHECKED] == 0
-                and t[CHECKED] == 0
-            )
-
         if others_steps == {FC_STEP_1}:  # copy colors and flags of the successor
-            light: dict[int, int] = {COUNTS + c: 0 for c in range(ell)}
-            for t in at_suc.lights:
-                var = COUNTS + flat_color(t[:k], inner_palette)
-                light[var] = min(light[var] + 1, n)
-            light[SUC_EXEC] = _exec_mask(bool(t[EXEC]) for t in at_suc.lights)
+            counts, mask = _successor_copy(at_suc.lights, layout)
+            light = {COUNTS + c: count for c, count in enumerate(counts)}
+            light[SUC_EXEC] = mask
             if all(t[CHECKED] == 1 for t in at_suc.lights):
                 light[SUC_CHECKED] = 1
             light[CHECKED] = 1
@@ -392,28 +404,23 @@ def sim_lumi_by_fcom(inner: Algorithm, n: int) -> Algorithm:
             return StepResult(light=light, destination=res.destination, events=events)
 
         if others_steps == {FC_STEP_3}:  # reset checking flags
-            light = reset_checking()
-            done = all(checked_flags_reset(t) for t in others)
+            light = dict(CHECKING_RESET)
+            done = all(_shows(t, CHECKING_RESET) for t in others)
             light[STEP] = FC_STEP_1 if done else FC_STEP_3
             return StepResult(light=light)
 
         if others_steps == {FC_STEP_M}:  # reset executed flags
-            light = {EXEC: 0, SUC_EXEC: EXEC_SET_FALSE}
-            done = all(
-                t[EXEC] == 0 and t[SUC_EXEC] == EXEC_SET_FALSE for t in others
-            )
+            light = dict(EXECUTED_RESET)
+            done = all(_shows(t, EXECUTED_RESET) for t in others)
             light[STEP] = FC_STEP_2 if done else FC_STEP_M
             return StepResult(light=light)
 
-        if others_steps <= {FC_STEP_1, FC_STEP_2}:
-            return StepResult(light={STEP: FC_STEP_2})
-        if others_steps <= {FC_STEP_2, FC_STEP_3}:
-            return StepResult(light={STEP: FC_STEP_3})
-        if others_steps <= {FC_STEP_2, FC_STEP_M} and all_robots_executed():
+        # Every single step returned above, so others_steps holds two or more.
+        if others_steps in FC_CATCH_UP:
+            return StepResult(light={STEP: FC_CATCH_UP[others_steps]})
+        if others_steps == FC_MEGA_PAIR and all_robots_executed():
             return StepResult(light={STEP: FC_STEP_M})
-        if others_steps <= {FC_STEP_3, FC_STEP_1}:
-            return StepResult(light={STEP: FC_STEP_1})
-        if others_steps <= {FC_STEP_M, FC_STEP_2} and all(t[EXEC] == 0 for t in others):
+        if others_steps == FC_MEGA_PAIR and all(t[EXEC] == 0 for t in others):
             return StepResult(light={STEP: FC_STEP_2})
         return StepResult()
 
@@ -434,17 +441,20 @@ def sim_lumi_by_fcom(inner: Algorithm, n: int) -> Algorithm:
 # Induced schedules, fidelity replay, monitors.
 # ---------------------------------------------------------------------------
 
+def _inner_executions(trace: Trace) -> list[frozenset[int]]:
+    """Per round, the robots whose events record an inner execution."""
+    return [
+        frozenset(rid for rid, evs in r.events.items() if "inner-exec" in evs)
+        for r in trace.rounds
+    ]
+
+
 def extract_induced_schedule(trace: Trace) -> SchedulePrefix:
     """Collect, per round with at least one inner execution, the set of robots
     that executed the inner algorithm."""
     if not trace.header.algo.startswith("sim-"):
         raise ValueError("trace lacks meta-simulator annotations")
-    sets = []
-    for r in trace.rounds:
-        s = frozenset(rid for rid, evs in r.events.items() if "inner-exec" in evs)
-        if s:
-            sets.append(s)
-    return SchedulePrefix(tuple(sets), trace.initial.n)
+    return SchedulePrefix(tuple(s for s in _inner_executions(trace) if s), trace.initial.n)
 
 
 def inner_initial_config(trace: Trace, inner: Algorithm) -> Configuration:
@@ -478,8 +488,7 @@ def verify_inner_fidelity(trace: Trace, inner: Algorithm, tol: float = 1e-9) -> 
         rigidity=Rigidity(),
         seed=trace.header.seed,
     )
-    event_rounds = [i for i, r in enumerate(trace.rounds)
-                    if any("inner-exec" in evs for evs in r.events.values())]
+    event_rounds = [i for i, execs in enumerate(_inner_executions(trace)) if execs]
     for j, round_idx in enumerate(event_rounds):
         sim_config = trace.rounds[round_idx].config
         ref_config = direct.rounds[j].config
@@ -495,18 +504,16 @@ def verify_inner_fidelity(trace: Trace, inner: Algorithm, tol: float = 1e-9) -> 
     return violations
 
 
-def _mega_cycle_violations(
-    trace: Trace, exec_flags: list[list[int]], events_by_round: list[frozenset[int]]
-) -> list[str]:
+def _mega_cycle_violations(trace: Trace, executed: int) -> list[str]:
     """Check that between mega-cycle boundaries every robot executes the inner
-    algorithm exactly once.  A cycle closes when every executed flag is up and
-    reopens once they have all been cleared."""
+    algorithm exactly once.  A cycle closes when every executed flag (light
+    variable `executed`) is up and reopens once they have all been cleared."""
     n = trace.initial.n
     violations = []
     counts = {r: 0 for r in range(n)}
     draining = False
-    for i, execs in enumerate(events_by_round):
-        flags = exec_flags[i + 1]  # post-round flags
+    for i, (execs, rec) in enumerate(zip(_inner_executions(trace), trace.rounds)):
+        flags = [rec.config.light(r).values[executed] for r in range(n)]  # post-round
         if draining and execs:
             violations.append(f"round {i + 1}: inner execution between mega-cycles")
         for rid in execs:
@@ -534,12 +541,7 @@ def _monitor_rs_by_s(trace: Trace, layout: RsBySLayout) -> list[str]:
         t = config.light(rid).values
         return t[STEP], t[EXEC], t[CHARGED]
 
-    events_by_round = [
-        frozenset(rid for rid, evs in r.events.items() if "inner-exec" in evs)
-        for r in trace.rounds
-    ]
-    exec_flags = [[c.light(r).values[EXEC] for r in range(n)] for c in configs]
-
+    events_by_round = _inner_executions(trace)
     last_singleton = None
     last_exec_set: frozenset[int] = frozenset()
     for i, config in enumerate(configs):
@@ -599,7 +601,7 @@ def _monitor_rs_by_s(trace: Trace, layout: RsBySLayout) -> list[str]:
                 violations.append(f"round {i}: step-m charged robots must be a nonempty proper subset")
         last_singleton = step_val
 
-    violations.extend(_mega_cycle_violations(trace, exec_flags, events_by_round))
+    violations.extend(_mega_cycle_violations(trace, EXEC))
     return violations
 
 
@@ -612,24 +614,12 @@ def _monitor_lumi_by_fcom(trace: Trace, layout: LumiByFcomLayout) -> list[str]:
     n = trace.initial.n
     violations: list[str] = []
 
-    def actual_suc_state(config: Configuration, rid: int):
-        """Ground-truth successor-location color counts and executed flags."""
+    def actual_suc_state(config: Configuration, rid: int) -> tuple[list[int], int]:
+        """The copy a robot should display of its successor location."""
         ring = order_locations([p for _, p, _ in config.entries])
-        own = config.position(rid)
-        suc_loc = ring.locations[ring.suc(ring.index_of(own))]
-        counts = [0] * ell
-        mask = 0
-        for other, p, lt in config.entries:
-            if points_close(p, suc_loc):
-                counts[flat_color(lt.values[:k], inner_palette)] += 1
-                mask |= EXEC_SET_TRUE if lt.values[EXEC] else EXEC_SET_FALSE
-        return [min(c, layout.n) for c in counts], mask
-
-    events_by_round = [
-        frozenset(rid for rid, evs in r.events.items() if "inner-exec" in evs)
-        for r in trace.rounds
-    ]
-    exec_flags = [[c.light(r).values[EXEC] for r in range(n)] for c in configs]
+        suc_loc = ring.locations[ring.suc(ring.index_of(config.position(rid)))]
+        lights = [lt.values for _, p, lt in config.entries if points_close(p, suc_loc)]
+        return _successor_copy(lights, layout)
 
     # Own-color reconstruction: every event value must match the executing
     # robot's actual inner color before the round.
@@ -644,14 +634,6 @@ def _monitor_lumi_by_fcom(trace: Trace, layout: LumiByFcomLayout) -> list[str]:
                         violations.append(
                             f"round {i + 1}: robot {rid} reconstructed color {claimed}, actual {actual}"
                         )
-
-    def checking_reset(t: tuple[int, ...]) -> bool:
-        return (
-            all(t[COUNTS + c] == 0 for c in range(ell))
-            and t[SUC_EXEC] == EXEC_SET_FALSE
-            and t[CHECKED] == 0
-            and t[SUC_CHECKED] == 0
-        )
 
     for i, config in enumerate(configs):
         steps = frozenset(config.light(r).values[STEP] for r in range(n))
@@ -690,7 +672,7 @@ def _monitor_lumi_by_fcom(trace: Trace, layout: LumiByFcomLayout) -> list[str]:
                         f"round {i}: robot {rid} closed the mega-cycle with {stale} unexecuted"
                     )
             elif s_old == FC_STEP_M and s_new == FC_STEP_2:
-                if t[EXEC] != 0 or t[SUC_EXEC] != EXEC_SET_FALSE:
+                if not _shows(t, layout.executed_reset):
                     violations.append(f"round {i}: robot {rid} left flag reset without resetting")
                 stale = [
                     q for q in range(n)
@@ -703,14 +685,14 @@ def _monitor_lumi_by_fcom(trace: Trace, layout: LumiByFcomLayout) -> list[str]:
             elif s_old == FC_STEP_3 and s_new == FC_STEP_1:
                 stale = [
                     q for q in range(n)
-                    if q != rid and not checking_reset(pre.light(q).values)
+                    if q != rid and not _shows(pre.light(q).values, layout.checking_reset)
                 ]
                 if stale:
                     violations.append(
                         f"round {i}: robot {rid} left flag clearing while {stale} were stale"
                     )
 
-    violations.extend(_mega_cycle_violations(trace, exec_flags, events_by_round))
+    violations.extend(_mega_cycle_violations(trace, EXEC))
     return violations
 
 

@@ -314,6 +314,8 @@ def row(name, argv, code, message):
         "error: sro requires rigid movement"),
     row("sro-three-positions", ["run", "--algo", "sro", "--positions", "0,0 1,0 2,0"], 1,
         "error: sro requires exactly 2 robots"),
+    row("sro-three-robots", ["run", "--algo", "sro", "--n", "3"], 1,
+        "error: sro requires exactly 2 robots"),
     row("cyc-no-chirality", ["run", "--algo", "cyclic-cycles", "--n", "3", "--no-chirality"], 1,
         "error: cyclic-cycles requires chirality"),
     row("cyc-two-robots", ["run", "--algo", "cyclic-cycles", "--n", "2"], 1,
@@ -331,6 +333,9 @@ def row(name, argv, code, message):
     row("sweep-monitor-of-another-family",
         ["sweep", "--algo", "sro", "--seeds", "0:2", "--check", "p-props"], 1,
         "error: monitor p-props applies to sim-rs-by-s traces, not 'sro'"),
+    row("sweep-sro-three-robots",
+        ["sweep", "--algo", "sro", "--n", "3", "--seeds", "0:2", "--check", "sro"], 1,
+        "error: sro requires exactly 2 robots"),
     row("sweep-sro-delta",
         ["sweep", "--algo", "sro", "--delta", "0.5", "--seeds", "0:2", "--check", "sro"], 1,
         "error: sro requires rigid movement"),

@@ -491,9 +491,10 @@ def _grid_case(name, seed):
         "tricolor": alg_tricolor,
         "move-east": alg_move_east,
         "sim-rs-by-s": lambda: sim_rs_by_s(alg_tricolor()),
+        "sim-lumi-by-fcom": lambda: sim_lumi_by_fcom(alg_tricolor(), 3),
     }[name]()
-    n = 3 if name == "sim-rs-by-s" else 6
-    rounds = 60 if name == "sim-rs-by-s" else 25
+    n = 3 if name.startswith("sim-") else 6
+    rounds = 60 if name.startswith("sim-") else 25
     return algo, make_configuration(_grid_positions(rng, n), palette=algo.palette), rounds
 
 
@@ -501,6 +502,8 @@ def golden_grid_digest(name, workdir):
     """SHA-256 over the trace files of every grid cell of one algorithm."""
     digest = hashlib.sha256()
     path = os.path.join(workdir, "grid.trace")
+    # sim-lumi-by-fcom runs only on its rsynch host; everything else on ssynch.
+    kind = "rsynch" if name == "sim-lumi-by-fcom" else "ssynch"
     for seed in GRID_SEEDS:
         algo, config, rounds = _grid_case(name, seed)
         for frames in ("identity", "rotated", "reflecting"):
@@ -512,7 +515,7 @@ def golden_grid_digest(name, workdir):
                     digest.update(cell.encode())
                     try:
                         trace = run(
-                            config, "ssynch", algo, rounds=rounds, seed=seed,
+                            config, kind, algo, rounds=rounds, seed=seed,
                             rigidity=Rigidity(delta), multiplicity=multiplicity,
                             frames=_grid_frames(frames, config.n),
                             chirality=frames != "reflecting",
@@ -526,13 +529,15 @@ def golden_grid_digest(name, workdir):
     return digest.hexdigest()
 
 
-# Recorded before Look and Move were rewritten for speed.
+# Recorded before Look and Move were rewritten for speed; sim-lumi-by-fcom
+# was recorded later, before its step and monitor shared one protocol table.
 GOLDEN_GRID = {
     "tricolor": "3eca6cc7664f437e8b0202348a9712f8bc36dbce113ed7cb70810ddff86679e2",
     "move-east": "3b4dc20ee4bac4903b24ff28905af6e9defe71c6179780854addbc7494e9772f",
     "cyclic-cycles": "aa8a5d1df91431491cc251aa4480f1e50b59cbacd106b71b580c9c1937e0319e",
     "sro": "475d64f5089814d5a3b1a32ff87c8f81024c5d25d26db14361d79014251ae325",
     "sim-rs-by-s": "e4abf64af07cd021132d9c56f52c44f886c170381a2e96e2f1ca2d22396dbd2a",
+    "sim-lumi-by-fcom": "20f790575de8a0be107a750480301686766dc618a4d3f51d4e8e56ceab46934e",
 }
 
 

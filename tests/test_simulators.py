@@ -1,31 +1,49 @@
 import dataclasses
+import functools
 import itertools
+import math
 import random
+import re
+import struct
 
 import pytest
 
 from lcmswarm.algorithms import alg_move_east, alg_stay, alg_tricolor
 from lcmswarm.core import (
+    ORIGIN,
     LightTuple,
+    LocalFrame,
     ModelKind,
     ObservedLocation,
     Point,
     Snapshot,
     make_configuration,
+    order_locations,
+    snapshot,
 )
 from lcmswarm.engine import Algorithm, FrameSpec, Rigidity, StepResult, run, run_round
 from lcmswarm.scheduler import RSYNCH, SSYNCH, check_fair, generate, validate
 from lcmswarm.simulators import (
     CH_C,
     CH_E,
+    CH_M,
     EXEC_SET_FALSE,
+    EXEC_SET_TRUE,
+    FC_STEP_1,
     FC_STEP_2,
     FC_STEP_3,
+    FC_STEP_M,
     LumiByFcomLayout,
     RS_STEP_1,
     RS_STEP_2,
+    RS_STEP_3,
+    RS_STEP_4,
+    RS_STEP_5,
+    RS_STEP_M,
     RsBySLayout,
     SimulationFault,
+    _exec_mask,
+    _project_inner_snapshot,
     derive_fcom_layout,
     derive_rs_layout,
     extract_induced_schedule,
@@ -166,6 +184,172 @@ def _tamper_light(trace, round_idx, rid, var, value):
     return dataclasses.replace(trace, rounds=tuple(rounds))
 
 
+def _with_events(trace, round_idx, rid, events):
+    """The trace with robot rid's events of round round_idx (1-based) replaced."""
+    rounds = list(trace.rounds)
+    rec = rounds[round_idx - 1]
+    new_events = {r: evs for r, evs in rec.events.items() if r != rid}
+    if events:
+        new_events[rid] = events
+    rounds[round_idx - 1] = dataclasses.replace(rec, events=new_events)
+    return dataclasses.replace(trace, rounds=tuple(rounds))
+
+
+@functools.cache
+def _healthy_trace(family):
+    """A clean n=3 tricolor run of a wrapper on its usual host, with its layout."""
+    if family == "rs":
+        wrap = sim_rs_by_s(alg_tricolor())
+        trace = run(spaced_config(3, wrap.palette), "ssynch", wrap, rounds=90, seed=3)
+        return trace, derive_rs_layout(wrap.palette)
+    wrap = sim_lumi_by_fcom(alg_tricolor(), 3)
+    trace = run(spaced_config(3, wrap.palette), "rsynch", wrap, rounds=240, seed=0)
+    return trace, derive_fcom_layout(wrap.palette)
+
+
+def _rs_start(*states):
+    """Forge the initial (step, executed, charged) of every robot."""
+    def forge(trace, layout):
+        for rid, values in enumerate(states):
+            for var, value in zip((layout.step, layout.executed, layout.charged), values):
+                trace = _tamper_light(trace, 0, rid, var, value)
+        return trace
+    return forge
+
+
+def _transition(trace, layout, old, new):
+    """(round, robot) of the first step change of one robot from old to new."""
+    configs = trace.configs()
+    for i in range(1, len(configs)):
+        for rid in range(trace.initial.n):
+            if (configs[i - 1].light(rid).values[layout.step] == old
+                    and configs[i].light(rid).values[layout.step] == new):
+                return i, rid
+    raise AssertionError(f"no step change {old} -> {new}")
+
+
+def _at_transition(old, new, post, var, value):
+    """Forge one light at a step change: on the changing robot after the round
+    (post) or on the next robot before it; value maps the old value."""
+    def forge(trace, layout):
+        i, rid = _transition(trace, layout, old, new)
+        round_idx, robot = (i, rid) if post else (i - 1, (rid + 1) % trace.initial.n)
+        index = getattr(layout, var)
+        current = trace.configs()[round_idx].light(robot).values[index]
+        return _tamper_light(trace, round_idx, robot, index, value(current))
+    return forge
+
+
+def _inner_execs(trace):
+    return [(i, rid) for i, rec in enumerate(trace.rounds, start=1)
+            for rid, evs in rec.events.items() if "inner-exec" in evs]
+
+
+def _first_close(trace, layout):
+    """The first round after which every executed flag is up."""
+    configs = trace.configs()
+    return next(i for i in range(1, len(configs))
+                if all(configs[i].light(r).values[layout.executed] for r in range(trace.initial.n)))
+
+
+def _exec_while_draining(trace, layout):
+    return _with_events(trace, _first_close(trace, layout) + 1, 0, ("inner-exec",))
+
+
+def _exec_twice(trace, layout):
+    close = _first_close(trace, layout)
+    first, rid = _inner_execs(trace)[0]
+    assert first < close
+    return _with_events(trace, close, rid, ("inner-exec",))
+
+
+def _drop_first_exec(trace, layout):
+    first, rid = _inner_execs(trace)[0]
+    return _with_events(trace, first, rid, ())
+
+
+def _wrong_own_color(trace, layout):
+    i, rid = next((i, rid) for i, rid in _inner_execs(trace)
+                  if any(e.startswith("own-color:") for e in trace.rounds[i - 1].events[rid]))
+    events = tuple(
+        f"own-color:{(int(e.split(':')[1]) + 1) % layout.ell}" if e.startswith("own-color:") else e
+        for e in trace.rounds[i - 1].events[rid]
+    )
+    return _with_events(trace, i, rid, events)
+
+
+def _fcom_start_step(trace, layout):
+    return _tamper_light(trace, 0, 0, layout.step, FC_STEP_M)
+
+
+def _set(value):
+    return lambda _current: value
+
+
+def _bump(modulus):
+    return lambda current: (current + 1) % modulus
+
+
+# One row per violation message of the monitors: the family of the clean run
+# it starts from, how the run is forged, and the message that must appear.
+MONITOR_RULES = [
+    ("rs", _rs_start((RS_STEP_1, 0, CH_C), (RS_STEP_4, 0, CH_C), (RS_STEP_1, 0, CH_C)),
+     "step configuration [0, 3] is not allowed"),
+    ("rs", _rs_start((RS_STEP_1, 1, CH_C), (RS_STEP_1, 0, CH_C), (RS_STEP_1, 0, CH_C)),
+     "step-1 robots must all be charged and unexecuted"),
+    ("rs", _rs_start((RS_STEP_2, 1, CH_M), (RS_STEP_2, 1, CH_E), (RS_STEP_2, 0, CH_C)),
+     "just-moved charge flag inside step 2"),
+    ("rs", _rs_start((RS_STEP_2, 0, CH_C), (RS_STEP_2, 0, CH_C), (RS_STEP_2, 0, CH_C)),
+     "step 2 lacks a discharged robot"),
+    ("rs", _rs_start((RS_STEP_2, 0, CH_E), (RS_STEP_2, 1, CH_E), (RS_STEP_2, 0, CH_C)),
+     "stale discharged robot outside a fresh mega-cycle"),
+    ("rs", _rs_start((RS_STEP_2, 0, CH_E), (RS_STEP_2, 0, CH_E), (RS_STEP_2, 0, CH_E)),
+     "fully discharged swarm with unexecuted robots"),
+    ("rs", _rs_start((RS_STEP_2, 1, CH_E), (RS_STEP_2, 1, CH_E), (RS_STEP_2, 1, CH_E)),
+     "full execution without a preceding step 1"),
+    ("rs", _rs_start((RS_STEP_3, 1, CH_C), (RS_STEP_3, 0, CH_C), (RS_STEP_3, 0, CH_C)),
+     "step-3 flags outside the reset/executed pair"),
+    ("rs", _rs_start((RS_STEP_4, 0, CH_M), (RS_STEP_4, 1, CH_C), (RS_STEP_4, 0, CH_C)),
+     "moved-but-unexecuted robot in step 4"),
+    ("rs", _rs_start((RS_STEP_4, 1, CH_C), (RS_STEP_4, 1, CH_C), (RS_STEP_4, 0, CH_C)),
+     "step-4 movers must be a nonempty proper subset"),
+    ("rs", _rs_start((RS_STEP_4, 1, CH_M), (RS_STEP_4, 0, CH_C), (RS_STEP_4, 0, CH_C)),
+     "step-4 movers differ from the last inner execution"),
+    ("rs", _rs_start((RS_STEP_5, 0, CH_M), (RS_STEP_5, 0, CH_C), (RS_STEP_5, 0, CH_C)),
+     "moved-but-unexecuted robot in step 5"),
+    ("rs", _rs_start((RS_STEP_5, 0, CH_E), (RS_STEP_5, 0, CH_C), (RS_STEP_5, 0, CH_C)),
+     "discharged-but-unexecuted robot in step 5"),
+    ("rs", _rs_start((RS_STEP_5, 1, CH_C), (RS_STEP_5, 1, CH_C), (RS_STEP_5, 0, CH_C)),
+     "step-5 spent robots must be a nonempty proper subset"),
+    ("rs", _rs_start((RS_STEP_M, 1, CH_M), (RS_STEP_M, 1, CH_C), (RS_STEP_M, 1, CH_E)),
+     "just-moved charge flag inside step m"),
+    ("rs", _rs_start((RS_STEP_M, 1, CH_E), (RS_STEP_M, 1, CH_E), (RS_STEP_M, 1, CH_E)),
+     "step-m charged robots must be a nonempty proper subset"),
+    ("rs", _exec_while_draining, "inner execution between mega-cycles"),
+    ("rs", _exec_twice, "executed twice in a mega-cycle"),
+    ("rs", _drop_first_exec, "mega-cycle closed without robots"),
+    ("fcom", _exec_while_draining, "inner execution between mega-cycles"),
+    ("fcom", _exec_twice, "executed twice in a mega-cycle"),
+    ("fcom", _drop_first_exec, "mega-cycle closed without robots"),
+    ("fcom", _wrong_own_color, "reconstructed color"),
+    ("fcom", _fcom_start_step, "step configuration [0, 3] is not allowed"),
+    ("fcom", _at_transition(FC_STEP_1, FC_STEP_2, True, "checked", _set(0)),
+     "left copying with flags down"),
+    ("fcom", _at_transition(FC_STEP_1, FC_STEP_2, True, "counts", _bump(4)),
+     "successor-color copy"),
+    ("fcom", _at_transition(FC_STEP_1, FC_STEP_2, True, "suc_executed", _bump(4)),
+     "successor-executed copy"),
+    ("fcom", _at_transition(FC_STEP_2, FC_STEP_M, False, "executed", _set(0)),
+     "closed the mega-cycle with"),
+    ("fcom", _at_transition(FC_STEP_M, FC_STEP_2, True, "executed", _set(1)),
+     "left flag reset without resetting"),
+    ("fcom", _at_transition(FC_STEP_M, FC_STEP_2, False, "executed", _set(1)),
+     "reopened simulation with"),
+    ("fcom", _at_transition(FC_STEP_3, FC_STEP_1, False, "checked", _set(1)),
+     "left flag clearing while"),
+]
+
+
 class TestMonitors:
     def _healthy(self, seed=3):
         wrap = sim_rs_by_s(alg_tricolor())
@@ -206,6 +390,15 @@ class TestMonitors:
             if any("twice" in v or "between mega-cycles" in v for v in violations):
                 return
         pytest.fail("forged double execution never flagged")
+
+    @pytest.mark.parametrize("family,forge,message", MONITOR_RULES,
+                             ids=["-".join([f, *re.findall(r"[a-z0-9]+", m)])
+                                  for f, _, m in MONITOR_RULES])
+    def test_every_rule_fires(self, family, forge, message):
+        trace, layout = _healthy_trace(family)
+        assert monitor_properties(trace) == []
+        violations = monitor_properties(forge(trace, layout))
+        assert any(message in v for v in violations), violations
 
     def test_monitor_requires_simulator_trace(self):
         from lcmswarm.algorithms import alg_sro
@@ -334,3 +527,264 @@ class TestLumiByFcom:
                         assert int(ev.split(":")[1]) == actual
                         seen += 1
         assert seen >= 3
+
+
+# The two wrapper steps as they were before the protocol tables, copied
+# verbatim: the bitwise oracle for every later change to either step.
+def oracle_sim_rs_by_s(inner: Algorithm) -> Algorithm:
+    """Wrap an inner protocol for execution by full-light robots under any
+    fair semi-synchronous host schedule; the wrapper keeps the inner
+    protocol's robot-count, chirality and rigidity constraints."""
+    layout = RsBySLayout(inner.palette)
+    k, STEP, EXEC, CHARGED = layout.k, layout.step, layout.executed, layout.charged
+
+    def step(snap: Snapshot) -> StepResult:
+        all_lights = [t for loc in snap.observed for t in loc.lights]
+        steps = frozenset(t[STEP] for t in all_lights)
+        own = snap.own_light
+
+        def run_inner() -> tuple[dict[int, int], Point, tuple[str, ...]]:
+            inner_snap = _project_inner_snapshot(snap, k, own[:k], add_self=False)
+            res = inner.step(inner_snap)
+            return dict(res.light), res.destination, ("inner-exec",) + res.events
+
+        if steps == {RS_STEP_1}:
+            light, dest, events = run_inner()
+            light.update({STEP: RS_STEP_2, EXEC: 1, CHARGED: CH_E})
+            return StepResult(light=light, destination=dest, events=events)
+
+        if steps == {RS_STEP_2}:
+            if all(t[CHARGED] == CH_E for t in all_lights):
+                return StepResult(light={STEP: RS_STEP_3})
+            if all(t[EXEC] == 1 for t in all_lights):
+                return StepResult(light={STEP: RS_STEP_M})
+            if own[EXEC] == 0 and own[CHARGED] == CH_C:
+                light, dest, events = run_inner()
+                light.update({STEP: RS_STEP_4, EXEC: 1, CHARGED: CH_M})
+                return StepResult(light=light, destination=dest, events=events)
+            return StepResult()
+
+        if steps == {RS_STEP_3}:  # reset all flags, then back to step 1
+            if any(t[EXEC] == 1 and t[CHARGED] == CH_E for t in all_lights):
+                if own[EXEC] == 1 and own[CHARGED] == CH_E:
+                    return StepResult(light={EXEC: 0, CHARGED: CH_C})
+                return StepResult()
+            return StepResult(light={STEP: RS_STEP_1})
+
+        if steps == {RS_STEP_4}:  # recharge the robots that sat out
+            if any(t[CHARGED] == CH_E for t in all_lights):
+                if own[CHARGED] == CH_E:
+                    return StepResult(light={CHARGED: CH_C})
+                return StepResult()
+            return StepResult(light={STEP: RS_STEP_5})
+
+        if steps == {RS_STEP_5}:  # discharge the robots that just moved
+            if any(t[CHARGED] == CH_M for t in all_lights):
+                if own[CHARGED] == CH_M:
+                    return StepResult(light={CHARGED: CH_E})
+                return StepResult()
+            return StepResult(light={STEP: RS_STEP_2})
+
+        if steps == {RS_STEP_M}:  # end of mega-cycle: clear executed flags
+            if not all(t[EXEC] == 0 for t in all_lights):
+                if own[EXEC] != 0:
+                    return StepResult(light={EXEC: 0})
+                return StepResult()
+            return StepResult(light={STEP: RS_STEP_2})
+
+        if steps <= {RS_STEP_1, RS_STEP_2}:
+            return StepResult(light={STEP: RS_STEP_2})
+        if steps <= {RS_STEP_2, RS_STEP_3}:
+            return StepResult(light={STEP: RS_STEP_3})
+        if steps <= {RS_STEP_2, RS_STEP_4}:
+            return StepResult(light={STEP: RS_STEP_4})
+        if steps <= {RS_STEP_4, RS_STEP_5}:
+            return StepResult(light={STEP: RS_STEP_5})
+        if steps <= {RS_STEP_5, RS_STEP_2}:
+            return StepResult(light={STEP: RS_STEP_2})
+        if steps <= {RS_STEP_3, RS_STEP_1}:
+            return StepResult(light={STEP: RS_STEP_1})
+        if steps <= {RS_STEP_2, RS_STEP_M} and all(t[EXEC] == 1 for t in all_lights):
+            return StepResult(light={STEP: RS_STEP_M})
+        if steps <= {RS_STEP_M, RS_STEP_2} and all(t[EXEC] == 0 for t in all_lights):
+            return StepResult(light={STEP: RS_STEP_2})
+        return StepResult()
+
+    return Algorithm(
+        "sim-rs-by-s",
+        layout.palette,
+        step,
+        ModelKind.LUMI,
+        needs_chirality=inner.needs_chirality,
+        robot_count=inner.robot_count,
+        min_robots=inner.min_robots,
+        rigid=inner.rigid,
+        host=SSYNCH,
+    )
+
+
+def oracle_sim_lumi_by_fcom(inner: Algorithm, n: int) -> Algorithm:
+    """Wrap an inner full-light protocol for execution by external-light
+    robots under a restricted-repetition host schedule; needs chirality and
+    keeps the inner protocol's robot-count and rigidity constraints."""
+    layout = LumiByFcomLayout(inner.palette, n)
+    k, ell = layout.k, layout.ell
+    COUNTS, STEP, EXEC = layout.counts, layout.step, layout.executed
+    SUC_EXEC, CHECKED, SUC_CHECKED = layout.suc_executed, layout.checked, layout.suc_checked
+    inner_palette = inner.palette
+
+    def step(snap: Snapshot) -> StepResult:
+        ring = order_locations([loc.point for loc in snap.observed])
+        io = ring.index_of(ORIGIN)
+        suc_loc = ring.locations[ring.suc(io)]
+        pred_loc = ring.locations[ring.pred(io)]
+        here = snap.location_at(ORIGIN)
+        at_suc = snap.location_at(suc_loc)
+        at_pred = snap.location_at(pred_loc)
+        others = [t for loc in snap.observed for t in loc.lights]
+        others_steps = frozenset(t[STEP] for t in others)
+
+        def pred_field(idx: int) -> int:
+            vals = {t[idx] for t in at_pred.lights}
+            if len(vals) != 1:
+                raise SimulationFault("predecessor-location robots disagree on a copied light")
+            return vals.pop()
+
+        def own_executed() -> bool:
+            mask = pred_field(SUC_EXEC)
+            seen = _exec_mask(bool(t[EXEC]) for t in here.lights)
+            return (mask & ~seen) == EXEC_SET_TRUE
+
+        def all_robots_executed() -> bool:
+            return all(t[EXEC] == 1 for t in others) and own_executed()
+
+        def reset_checking() -> dict[int, int]:
+            out = {COUNTS + c: 0 for c in range(ell)}
+            out[SUC_EXEC] = EXEC_SET_FALSE
+            out[SUC_CHECKED] = 0
+            out[CHECKED] = 0
+            return out
+
+        def checked_flags_reset(t: tuple[int, ...]) -> bool:
+            return (
+                all(t[COUNTS + c] == 0 for c in range(ell))
+                and t[SUC_EXEC] == EXEC_SET_FALSE
+                and t[SUC_CHECKED] == 0
+                and t[CHECKED] == 0
+            )
+
+        if others_steps == {FC_STEP_1}:  # copy colors and flags of the successor
+            light: dict[int, int] = {COUNTS + c: 0 for c in range(ell)}
+            for t in at_suc.lights:
+                var = COUNTS + flat_color(t[:k], inner_palette)
+                light[var] = min(light[var] + 1, n)
+            light[SUC_EXEC] = _exec_mask(bool(t[EXEC]) for t in at_suc.lights)
+            if all(t[CHECKED] == 1 for t in at_suc.lights):
+                light[SUC_CHECKED] = 1
+            light[CHECKED] = 1
+            done = all(t[CHECKED] == 1 and t[SUC_CHECKED] == 1 for t in others)
+            light[STEP] = FC_STEP_2 if done else FC_STEP_1
+            return StepResult(light=light)
+
+        if others_steps == {FC_STEP_2}:  # perform one simulated activation
+            if all_robots_executed():
+                return StepResult(light={STEP: FC_STEP_M})
+            if own_executed():
+                return StepResult(light={STEP: FC_STEP_2})
+            # Determine own color: predecessor's copy of this location's
+            # multiset minus the colors visible here.
+            counts = [pred_field(COUNTS + c) for c in range(ell)]
+            for t in here.lights:
+                counts[flat_color(t[:k], inner_palette)] -= 1
+            if sum(counts) != 1 or any(c < 0 for c in counts):
+                raise SimulationFault(f"own-color reconstruction is not a singleton: {counts}")
+            own_color = unflatten_color(counts.index(1), inner_palette)
+            inner_snap = _project_inner_snapshot(snap, k, own_color, add_self=True)
+            res = inner.step(inner_snap)
+            light = {i: v for i, v in enumerate(own_color)}
+            light.update(res.light)
+            light.update({EXEC: 1, STEP: FC_STEP_3})
+            events = (
+                "inner-exec",
+                f"own-color:{flat_color(own_color, inner_palette)}",
+            ) + res.events
+            return StepResult(light=light, destination=res.destination, events=events)
+
+        if others_steps == {FC_STEP_3}:  # reset checking flags
+            light = reset_checking()
+            done = all(checked_flags_reset(t) for t in others)
+            light[STEP] = FC_STEP_1 if done else FC_STEP_3
+            return StepResult(light=light)
+
+        if others_steps == {FC_STEP_M}:  # reset executed flags
+            light = {EXEC: 0, SUC_EXEC: EXEC_SET_FALSE}
+            done = all(
+                t[EXEC] == 0 and t[SUC_EXEC] == EXEC_SET_FALSE for t in others
+            )
+            light[STEP] = FC_STEP_2 if done else FC_STEP_M
+            return StepResult(light=light)
+
+        if others_steps <= {FC_STEP_1, FC_STEP_2}:
+            return StepResult(light={STEP: FC_STEP_2})
+        if others_steps <= {FC_STEP_2, FC_STEP_3}:
+            return StepResult(light={STEP: FC_STEP_3})
+        if others_steps <= {FC_STEP_2, FC_STEP_M} and all_robots_executed():
+            return StepResult(light={STEP: FC_STEP_M})
+        if others_steps <= {FC_STEP_3, FC_STEP_1}:
+            return StepResult(light={STEP: FC_STEP_1})
+        if others_steps <= {FC_STEP_M, FC_STEP_2} and all(t[EXEC] == 0 for t in others):
+            return StepResult(light={STEP: FC_STEP_2})
+        return StepResult()
+
+    return Algorithm(
+        "sim-lumi-by-fcom",
+        layout.palette,
+        step,
+        ModelKind.FCOM,
+        needs_chirality=True,
+        robot_count=inner.robot_count,
+        min_robots=max(2, inner.min_robots),
+        rigid=inner.rigid,
+        host=RSYNCH,
+    )
+
+
+def _step_bits(step, snap):
+    """A step's result with floats as bit patterns, or its exception."""
+    try:
+        res = step(snap)
+    except Exception as exc:
+        return type(exc), str(exc)
+    dest = res.destination
+    return sorted(res.light.items()), struct.pack("dd", dest.x, dest.y), res.events
+
+
+@pytest.mark.parametrize("wrapper", ["sim-rs-by-s", "sim-lumi-by-fcom"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_wrapper_steps_bitwise_equal_oracle(wrapper, n):
+    # Every robot's snapshot of every configuration of runs shaped like the
+    # acceptance batteries (ssynch 110 rounds, rsynch 240 rounds), with
+    # identity frames and with seeded rotated and scaled frames.
+    rng = random.Random(f"wrapper-frames-{wrapper}-{n}")
+    rotated = {rid: FrameSpec(rng.uniform(-math.pi, math.pi), rng.uniform(0.25, 4.0))
+               for rid in range(n)}
+    identity = {rid: FrameSpec() for rid in range(n)}
+    checked = 0
+    for inner in (alg_stay(), alg_move_east(), alg_tricolor()):
+        if wrapper == "sim-rs-by-s":
+            new, old, kind, rounds = sim_rs_by_s(inner), oracle_sim_rs_by_s(inner), SSYNCH, 110
+        else:
+            new, old = sim_lumi_by_fcom(inner, n), oracle_sim_lumi_by_fcom(inner, n)
+            kind, rounds = RSYNCH, 240
+        for seed in (0, 1, 2):
+            for frames in (identity, rotated):
+                trace = run(spaced_config(n, new.palette), kind, new,
+                            rounds=rounds, seed=seed, frames=frames)
+                for config in trace.configs():
+                    for rid in range(n):
+                        spec = frames[rid]
+                        frame = LocalFrame(config.position(rid), spec.rotation, spec.scale)
+                        snap = snapshot(new.model, config, rid, frame)
+                        assert _step_bits(new.step, snap) == _step_bits(old.step, snap)
+                        checked += 1
+    assert checked == 3 * 3 * 2 * (rounds + 1) * n
