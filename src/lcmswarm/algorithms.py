@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -16,9 +15,10 @@ from .core import (
     Configuration,
     LightTuple,
     ModelKind,
-    ObservedLocation,
     Point,
     Snapshot,
+    _key_points,
+    _points_key,
     distance,
     make_configuration,
     midpoint,
@@ -208,16 +208,9 @@ class _CycReading:
     origin_at_center: bool
 
 
-_PACK_XY = struct.Struct("2d").pack
-
 # Distinct geometries whose reading one cyclic-circles algorithm keeps.  Over
 # 20 seeds of a full counter cycle under ssynch, n=5 sees 38 and n=9 sees 160.
 _CYC_READINGS = 1024
-
-
-def _points_key(observed: Sequence[ObservedLocation]) -> bytes:
-    """The observed coordinates' bit patterns: 0.0 and -0.0 stay apart."""
-    return b"".join([_PACK_XY(loc.point.x, loc.point.y) for loc in observed])
 
 
 def _cyc_reader(n: int) -> Callable[[bytes], _CycReading]:
@@ -227,7 +220,7 @@ def _cyc_reader(n: int) -> Callable[[bytes], _CycReading]:
 
     @functools.lru_cache(maxsize=_CYC_READINGS)
     def read_geometry(key: bytes) -> _CycReading:
-        pts = [Point(x, y) for x, y in struct.iter_unpack("2d", key)]
+        pts = _key_points(key)
         view = decode_cyc_pattern(pts, n)
         index = {id(p): k for k, p in enumerate(pts)}
         pos_tol = _DECODE_TOL * view.radius

@@ -8,7 +8,8 @@ tolerance used by checkers throughout the package.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+import struct
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -164,7 +165,7 @@ def from_local(frame: LocalFrame, p: Point) -> Point:
     return _point(0.0 + c * x - s * y + frame.origin.x, 0.0 + s * x + c * y + frame.origin.y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LightTuple:
     """Joint value of a robot's declared light variables.
 
@@ -193,6 +194,19 @@ class LightTuple:
         for idx, v in assignments.items():
             vals[idx] = v
         return LightTuple(tuple(vals), self.palette)
+
+
+_set_values, _set_palette = LightTuple.values.__set__, LightTuple.palette.__set__
+
+
+def _light(values: tuple[int, ...], palette: tuple[int, ...]) -> LightTuple:
+    """LightTuple(values, palette) through its slots, skipping the dataclass
+    __init__ and its checks: only for values already checked against the
+    palette."""
+    lt = _new(LightTuple)
+    _set_values(lt, values)
+    _set_palette(lt, palette)
+    return lt
 
 
 def palette_size(palette: tuple[int, ...]) -> int:
@@ -256,7 +270,7 @@ class ObservedLocation:
     lights: tuple[tuple[int, ...], ...] | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Snapshot:
     """A robot's model-filtered, locally-framed view of the configuration.
 
@@ -299,18 +313,66 @@ def _location(point: Point, count: int, lights) -> ObservedLocation:
     return loc
 
 
-@dataclass(frozen=True, slots=True)
+_set_observed = Snapshot.observed.__set__
+_set_own_light = Snapshot.own_light.__set__
+_set_visible = Snapshot.multiplicity_visible.__set__
+
+
+def _snapshot(observed: tuple[ObservedLocation, ...], own_light, visible: bool) -> Snapshot:
+    """Snapshot(observed, own_light, visible) through its slots, skipping the
+    dataclass __init__."""
+    snap = _new(Snapshot)
+    _set_observed(snap, observed)
+    _set_own_light(snap, own_light)
+    _set_visible(snap, visible)
+    return snap
+
+
+_PACK_XY = struct.Struct("2d").pack
+
+
+def _points_key(observed: Sequence[ObservedLocation]) -> bytes:
+    """The observed coordinates' bit patterns: 0.0 and -0.0 stay apart."""
+    return b"".join([_PACK_XY(loc.point.x, loc.point.y) for loc in observed])
+
+
+def _key_points(key: bytes) -> list[Point]:
+    """The points a _points_key was made from, bit for bit."""
+    return [Point(x, y) for x, y in struct.iter_unpack("2d", key)]
+
+
+def _multiset(members: list[tuple[int, LightTuple]]) -> tuple[tuple[int, ...], ...]:
+    """The sorted light values of the robots at one location."""
+    if len(members) == 1:
+        return (members[0][1].values,)
+    return tuple(sorted(lt.values for _, lt in members))
+
+
+@dataclass(slots=True)
 class _Grouping:
     """What every observer of one configuration shares: the occupied
     locations in first-seen order, the robots at each, and per location the
-    light multiset and the count under each multiplicity mode."""
+    light multiset and the robot count.  The counts the weak and none
+    multiplicity modes reveal are derived the first time a Look asks."""
 
     config: Configuration
     keys: list[tuple[float, float]]
     groups: dict[tuple[float, float], list[tuple[int, LightTuple]]]
     lights: list[tuple[tuple[int, ...], ...]]
-    dark: list[None]
-    counts: dict[Multiplicity, list[int]]
+    strong: list[int]
+    weak: list[int] | None = None
+    none: list[int] | None = None
+
+    def counts(self, multiplicity: Multiplicity) -> list[int]:
+        if multiplicity is Multiplicity.STRONG:
+            return self.strong
+        if multiplicity is Multiplicity.WEAK:
+            if self.weak is None:
+                self.weak = [min(count, 2) for count in self.strong]
+            return self.weak
+        if self.none is None:
+            self.none = [1] * len(self.strong)
+        return self.none
 
 
 # Every observer of a round Looks at the same Configuration object, so its
@@ -327,18 +389,12 @@ def _grouping(config: Configuration) -> _Grouping:
         for rid, p, lt in config.entries:
             groups.setdefault((p.x, p.y), []).append((rid, lt))
         members = groups.values()
-        strong = [len(ms) for ms in members]
         last = _last_grouping = _Grouping(
             config,
             list(groups),
             groups,
-            [tuple(sorted(lt.values for _, lt in ms)) for ms in members],
-            [None] * len(groups),
-            {
-                Multiplicity.STRONG: strong,
-                Multiplicity.WEAK: [min(count, 2) for count in strong],
-                Multiplicity.NONE: [1] * len(groups),
-            },
+            [_multiset(ms) for ms in members],
+            [len(ms) for ms in members],
         )
     return last
 
@@ -361,21 +417,23 @@ def snapshot(
     elif model is ModelKind.FCOM:
         p = config.position(observer)
         here = (p.x, p.y)
+        members = g.groups[here]
         lights = list(g.lights)
-        lights[g.keys.index(here)] = tuple(
-            sorted(lt.values for rid, lt in g.groups[here] if rid != observer)
+        lights[g.keys.index(here)] = (
+            tuple(sorted(lt.values for rid, lt in members if rid != observer))
+            if len(members) > 1 else ()
         )
     else:
-        lights = g.dark
-    counts = g.counts[multiplicity]
+        lights = [None] * len(g.keys)
+    counts = g.counts(multiplicity)
     # Sorting (x, y, first-seen index) gives the stable sort by (x, y),
     # 0.0 == -0.0 ties included, without comparing objects.
     local = _local_coords(frame, g.keys)
     local.sort()
-    observed = [_location(_point(x, y), counts[i], lights[i]) for x, y, i in local]
+    observed = tuple([_location(_point(x, y), counts[i], lights[i]) for x, y, i in local])
 
     own = config.light(observer).values if model in (ModelKind.FSTA, ModelKind.LUMI) else None
-    return Snapshot(tuple(observed), own, multiplicity is not Multiplicity.NONE)
+    return _snapshot(observed, own, multiplicity is not Multiplicity.NONE)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from .core import (
     Multiplicity,
     Point,
     Snapshot,
+    _light,
     from_local,
     points_close,
     snapshot,
@@ -161,6 +162,12 @@ def _check_result(result: StepResult, palette: tuple[int, ...], name: str) -> No
             raise PaletteError(f"{name}: value {value} outside palette of size {palette[idx]}")
 
 
+def _check_palette(config: Configuration, algo: Algorithm) -> None:
+    for _, _, lt in config.entries:
+        if lt.palette != algo.palette:
+            raise ConstraintError("initial lights do not match the algorithm's palette")
+
+
 def run_round(
     config: Configuration,
     eset: frozenset[int],
@@ -171,7 +178,11 @@ def run_round(
     rng: random.Random,
     multiplicity: Multiplicity = Multiplicity.STRONG,
 ) -> tuple[Configuration, dict[int, tuple[str, ...]]]:
-    """Execute one synchronous round for the robots in eset."""
+    """Execute one synchronous round for the robots in eset.
+
+    Every light in config must carry algo.palette (run and replay check the
+    initial configuration); new values are checked against it once, by
+    _check_result, and committed unchecked."""
     for rid in eset:
         if not 0 <= rid < config.n:
             raise ValueError(f"activation of unknown robot {rid}")
@@ -194,8 +205,12 @@ def run_round(
             frame, result = results[rid]
             dest = from_local(frame, result.destination)
             new_pos = pos if points_close(dest, pos, 0.0) else apply_move(pos, dest, rigidity, rng)
-            new_light = light.replace(dict(result.light)) if result.light else light
-            entries.append((rid, new_pos, new_light))
+            if result.light:
+                values = list(light.values)
+                for idx, value in result.light.items():
+                    values[idx] = value
+                light = _light(tuple(values), light.palette)
+            entries.append((rid, new_pos, light))
             if result.events:
                 events[rid] = result.events
         else:
@@ -260,9 +275,7 @@ def run(
     frames = {rid: frames.get(rid, IDENTITY_FRAME) for rid in range(n)}
     if chirality and any(spec.reflecting for spec in frames.values()):
         raise ConstraintError("chirality requires every frame to preserve orientation")
-    for _, _, lt in config0.entries:
-        if lt.palette != algo.palette:
-            raise ConstraintError("initial lights do not match the algorithm's palette")
+    _check_palette(config0, algo)
 
     rng = random.Random(seed)
     header = TraceHeader(model, kind_name, n, seed, rigidity.delta, algo.palette, algo.name)
@@ -300,6 +313,8 @@ def replay(
         raise ValueError("header mismatch: model differs")
     if rigidity.delta != h.delta:
         raise ValueError("header mismatch: movement policy differs")
+
+    _check_palette(trace.initial, algo)
 
     n = trace.initial.n
     frames = frames or {}

@@ -100,6 +100,8 @@ def check_sro(trace: Trace, tol: float = 1e-9) -> Verdict:
     no longer express angles and ratios to the stated tolerance, and the
     spiral has converged for every purpose the tolerance can resolve.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     if trace.initial.n != 2:
         raise ValueError("shrinking rotation is a two-robot problem")
     configs = trace.configs()
@@ -122,8 +124,6 @@ def check_sro(trace: Trace, tol: float = 1e-9) -> Verdict:
         span = max(1.0, abs(pa.x), abs(pa.y), abs(pb.x), abs(pb.y))
         if len_old <= 1000.0 * tol * span:
             return _ok()  # converged below the resolvable scale
-        if len_old <= 0.0:
-            return _reject(rounds[i - 1], "degenerate segment")
         ratio = len_new / len_old
         angle = math.atan2(
             v_old.x * v_new.y - v_old.y * v_new.x, v_old.x * v_new.x + v_old.y * v_new.y

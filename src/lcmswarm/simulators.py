@@ -21,16 +21,19 @@ and monitor_properties work off those annotations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .core import (
     ORIGIN,
     Configuration,
     LightTuple,
     ModelKind,
-    ObservedLocation,
     Point,
     Snapshot,
+    _key_points,
+    _location,
+    _points_key,
+    _snapshot,
     make_configuration,
     order_locations,
     palette_size,
@@ -74,8 +77,8 @@ def _project_inner_snapshot(
         vals = [t[:k] for t in (loc.lights or ())]
         if add_self and points_close(loc.point, ORIGIN):
             vals.append(own_inner)
-        observed.append(ObservedLocation(loc.point, loc.count, tuple(sorted(vals))))
-    return Snapshot(tuple(observed), own_inner, snap.multiplicity_visible)
+        observed.append(_location(loc.point, loc.count, tuple(sorted(vals))))
+    return _snapshot(tuple(observed), own_inner, snap.multiplicity_visible)
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +144,15 @@ def rs_by_s_color_count(inner_colors: int) -> int:
     return 36 * inner_colors
 
 
+def _run_inner(
+    inner: Algorithm, snap: Snapshot, k: int
+) -> tuple[dict[int, int], Point, tuple[str, ...]]:
+    """One inner execution by a full-light host whose first k light
+    variables are the inner ones."""
+    res = inner.step(_project_inner_snapshot(snap, k, snap.own_light[:k], add_self=False))
+    return dict(res.light), res.destination, ("inner-exec",) + res.events
+
+
 def sim_rs_by_s(inner: Algorithm) -> Algorithm:
     """Wrap an inner protocol for execution by full-light robots under any
     fair semi-synchronous host schedule; the wrapper keeps the inner
@@ -153,13 +165,8 @@ def sim_rs_by_s(inner: Algorithm) -> Algorithm:
         steps = frozenset(t[STEP] for t in all_lights)
         own = snap.own_light
 
-        def run_inner() -> tuple[dict[int, int], Point, tuple[str, ...]]:
-            inner_snap = _project_inner_snapshot(snap, k, own[:k], add_self=False)
-            res = inner.step(inner_snap)
-            return dict(res.light), res.destination, ("inner-exec",) + res.events
-
         if steps == {RS_STEP_1}:
-            light, dest, events = run_inner()
+            light, dest, events = _run_inner(inner, snap, k)
             light.update({STEP: RS_STEP_2, EXEC: 1, CHARGED: CH_E})
             return StepResult(light=light, destination=dest, events=events)
 
@@ -169,7 +176,7 @@ def sim_rs_by_s(inner: Algorithm) -> Algorithm:
             if all(t[EXEC] == 1 for t in all_lights):
                 return StepResult(light={STEP: RS_STEP_M})
             if own[EXEC] == 0 and own[CHARGED] == CH_C:
-                light, dest, events = run_inner()
+                light, dest, events = _run_inner(inner, snap, k)
                 light.update({STEP: RS_STEP_4, EXEC: 1, CHARGED: CH_M})
                 return StepResult(light=light, destination=dest, events=events)
             return StepResult()
@@ -332,10 +339,58 @@ def _successor_copy(lights, layout: LumiByFcomLayout) -> tuple[list[int], int]:
     return [min(c, n) for c in counts], _exec_mask(bool(t[layout.executed]) for t in lights)
 
 
+# Distinct observed geometries whose ring reading is kept.  Over 20 seeds of
+# 240 rsynch rounds at n=3, tricolor sees 660 and stay sees 3.
+_RING_READINGS = 1024
+
+
+@lru_cache(maxsize=_RING_READINGS)
+def _read_ring(key: bytes) -> tuple[int, int, int]:
+    """The indices in Snapshot.observed of the observer's own location, its
+    successor and its predecessor on the clockwise ring, from the geometry's
+    _points_key.  A geometry with no location at the origin raises every time
+    and is not kept."""
+    points = _key_points(key)
+    ring = order_locations(points)
+    io = ring.index_of(ORIGIN)
+
+    def at(p: Point) -> int:  # Snapshot.location_at, as an index
+        return next(i for i, q in enumerate(points) if points_close(q, p))
+
+    return at(ORIGIN), at(ring.locations[ring.suc(io)]), at(ring.locations[ring.pred(io)])
+
+
+def _pred_field(pred_lights, idx: int) -> int:
+    """The value every robot at the predecessor location shows in a copied
+    light variable."""
+    vals = {t[idx] for t in pred_lights}
+    if len(vals) != 1:
+        raise SimulationFault("predecessor-location robots disagree on a copied light")
+    return vals.pop()
+
+
+def _own_executed(layout: LumiByFcomLayout, here_lights, pred_lights) -> bool:
+    """Whether the observer's executed flag is up: its predecessor's copy of
+    the flags here, less the flags the observer can see here."""
+    mask = _pred_field(pred_lights, layout.suc_executed)
+    seen = _exec_mask(bool(t[layout.executed]) for t in here_lights)
+    return (mask & ~seen) == EXEC_SET_TRUE
+
+
+def _all_robots_executed(layout: LumiByFcomLayout, others, here_lights, pred_lights) -> bool:
+    """Whether every robot, the observer included, has its executed flag up."""
+    executed = layout.executed
+    return all(t[executed] == 1 for t in others) and _own_executed(layout, here_lights, pred_lights)
+
+
 def sim_lumi_by_fcom(inner: Algorithm, n: int) -> Algorithm:
     """Wrap an inner full-light protocol for execution by external-light
     robots under a restricted-repetition host schedule; needs chirality and
-    keeps the inner protocol's robot-count and rigidity constraints."""
+    keeps the inner protocol's robot-count and rigidity constraints.
+
+    The clockwise ring depends on the observed positions alone and the same
+    geometries recur, so each activation looks up its geometry's ring
+    reading (_read_ring) and only reads the lights itself."""
     layout = LumiByFcomLayout(inner.palette, n)
     k, ell = layout.k, layout.ell
     COUNTS, STEP, EXEC = layout.counts, layout.step, layout.executed
@@ -344,35 +399,19 @@ def sim_lumi_by_fcom(inner: Algorithm, n: int) -> Algorithm:
     inner_palette = inner.palette
 
     def step(snap: Snapshot) -> StepResult:
-        ring = order_locations([loc.point for loc in snap.observed])
-        io = ring.index_of(ORIGIN)
-        suc_loc = ring.locations[ring.suc(io)]
-        pred_loc = ring.locations[ring.pred(io)]
-        here = snap.location_at(ORIGIN)
-        at_suc = snap.location_at(suc_loc)
-        at_pred = snap.location_at(pred_loc)
-        others = [t for loc in snap.observed for t in loc.lights]
+        observed = snap.observed
+        i_here, i_suc, i_pred = _read_ring(_points_key(observed))
+        here_lights = observed[i_here].lights
+        suc_lights = observed[i_suc].lights
+        pred_lights = observed[i_pred].lights
+        others = [t for loc in observed for t in loc.lights]
         others_steps = frozenset(t[STEP] for t in others)
 
-        def pred_field(idx: int) -> int:
-            vals = {t[idx] for t in at_pred.lights}
-            if len(vals) != 1:
-                raise SimulationFault("predecessor-location robots disagree on a copied light")
-            return vals.pop()
-
-        def own_executed() -> bool:
-            mask = pred_field(SUC_EXEC)
-            seen = _exec_mask(bool(t[EXEC]) for t in here.lights)
-            return (mask & ~seen) == EXEC_SET_TRUE
-
-        def all_robots_executed() -> bool:
-            return all(t[EXEC] == 1 for t in others) and own_executed()
-
         if others_steps == {FC_STEP_1}:  # copy colors and flags of the successor
-            counts, mask = _successor_copy(at_suc.lights, layout)
+            counts, mask = _successor_copy(suc_lights, layout)
             light = {COUNTS + c: count for c, count in enumerate(counts)}
             light[SUC_EXEC] = mask
-            if all(t[CHECKED] == 1 for t in at_suc.lights):
+            if all(t[CHECKED] == 1 for t in suc_lights):
                 light[SUC_CHECKED] = 1
             light[CHECKED] = 1
             done = all(t[CHECKED] == 1 and t[SUC_CHECKED] == 1 for t in others)
@@ -380,14 +419,14 @@ def sim_lumi_by_fcom(inner: Algorithm, n: int) -> Algorithm:
             return StepResult(light=light)
 
         if others_steps == {FC_STEP_2}:  # perform one simulated activation
-            if all_robots_executed():
+            if _all_robots_executed(layout, others, here_lights, pred_lights):
                 return StepResult(light={STEP: FC_STEP_M})
-            if own_executed():
+            if _own_executed(layout, here_lights, pred_lights):
                 return StepResult(light={STEP: FC_STEP_2})
             # Determine own color: predecessor's copy of this location's
             # multiset minus the colors visible here.
-            counts = [pred_field(COUNTS + c) for c in range(ell)]
-            for t in here.lights:
+            counts = [_pred_field(pred_lights, COUNTS + c) for c in range(ell)]
+            for t in here_lights:
                 counts[flat_color(t[:k], inner_palette)] -= 1
             if sum(counts) != 1 or any(c < 0 for c in counts):
                 raise SimulationFault(f"own-color reconstruction is not a singleton: {counts}")
@@ -418,10 +457,11 @@ def sim_lumi_by_fcom(inner: Algorithm, n: int) -> Algorithm:
         # Every single step returned above, so others_steps holds two or more.
         if others_steps in FC_CATCH_UP:
             return StepResult(light={STEP: FC_CATCH_UP[others_steps]})
-        if others_steps == FC_MEGA_PAIR and all_robots_executed():
-            return StepResult(light={STEP: FC_STEP_M})
-        if others_steps == FC_MEGA_PAIR and all(t[EXEC] == 0 for t in others):
-            return StepResult(light={STEP: FC_STEP_2})
+        if others_steps == FC_MEGA_PAIR:
+            if _all_robots_executed(layout, others, here_lights, pred_lights):
+                return StepResult(light={STEP: FC_STEP_M})
+            if all(t[EXEC] == 0 for t in others):
+                return StepResult(light={STEP: FC_STEP_2})
         return StepResult()
 
     return Algorithm(

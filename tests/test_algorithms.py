@@ -23,7 +23,6 @@ from lcmswarm.algorithms import (
     alg_stay,
     alg_tricolor,
     _cyc_reader,
-    _points_key,
     cyc_initial_config,
     decode_cyc_pattern,
     flag_scheme_algorithm,
@@ -38,6 +37,7 @@ from lcmswarm.core import (
     ObservedLocation,
     Point,
     Snapshot,
+    _points_key,
     distance,
     make_configuration,
     points_close,

@@ -365,6 +365,15 @@ class TestReplay:
         with pytest.raises(ValueError, match="header mismatch"):
             replay(trace, alg_stay())
 
+    def test_replay_refuses_initial_lights_of_another_palette(self):
+        # Replay commits lights unchecked, so it must start from the palette
+        # it checks new values against.
+        trace = run(make_configuration([Point(0, 0), Point(1, 1)], palette=(3,)), "fsynch",
+                    alg_tricolor(), rounds=3, seed=0)
+        wider = make_configuration([Point(0, 0), Point(1, 1)], palette=(4,))
+        with pytest.raises(ConstraintError, match="initial lights"):
+            replay(dataclasses.replace(trace, initial=wider), alg_tricolor())
+
 
 class TestTraceFiles:
     def test_round_trip_is_identical(self, tmp_path):

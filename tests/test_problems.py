@@ -99,6 +99,12 @@ class TestCheckSro:
         with pytest.raises(ValueError):
             check_sro(synthetic_trace([[(0, 0), (1, 1), (2, 2)]]))
 
+    @pytest.mark.parametrize("tol", [-1e-9, math.nan, math.inf])
+    def test_tolerance_must_be_a_finite_nonnegative_number(self, tol):
+        trace = synthetic_trace([[(0, 0), (1, 1)], [(0, 1), (1, 0)]])
+        with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+            check_sro(trace, tol)
+
     @pytest.mark.parametrize("seed", range(25))
     def test_accepts_every_restricted_run(self, seed):
         cfg = make_configuration([Point(0, 0), Point(1, 1)])

@@ -17,6 +17,7 @@ from lcmswarm.core import (
     ObservedLocation,
     Point,
     Snapshot,
+    _points_key,
     make_configuration,
     order_locations,
     snapshot,
@@ -42,8 +43,10 @@ from lcmswarm.simulators import (
     RS_STEP_M,
     RsBySLayout,
     SimulationFault,
+    _RING_READINGS,
     _exec_mask,
     _project_inner_snapshot,
+    _read_ring,
     derive_fcom_layout,
     derive_rs_layout,
     extract_induced_schedule,
@@ -171,17 +174,23 @@ class TestExtract:
         assert extract_induced_schedule(trace).sets == ()
 
 
-def _tamper_light(trace, round_idx, rid, var, value):
+def _with_entry(trace, round_idx, rid, change):
+    """The trace with robot rid's position and light in configuration
+    round_idx (0 is the initial one) replaced by change(position, light)."""
     config = trace.configs()[round_idx]
     entries = list(config.entries)
     r, p, lt = entries[rid]
-    entries[rid] = (r, p, lt.replace({var: value}))
+    entries[rid] = (r, *change(p, lt))
     new_config = dataclasses.replace(config, entries=tuple(entries))
     if round_idx == 0:
         return dataclasses.replace(trace, initial=new_config)
     rounds = list(trace.rounds)
     rounds[round_idx - 1] = dataclasses.replace(rounds[round_idx - 1], config=new_config)
     return dataclasses.replace(trace, rounds=tuple(rounds))
+
+
+def _tamper_light(trace, round_idx, rid, var, value):
+    return _with_entry(trace, round_idx, rid, lambda p, lt: (p, lt.replace({var: value})))
 
 
 def _with_events(trace, round_idx, rid, events):
@@ -408,6 +417,34 @@ class TestMonitors:
             monitor_properties(trace)
 
 
+class TestFidelity:
+    """verify_inner_fidelity on a clean trace and on one forged mismatch."""
+
+    @pytest.mark.parametrize("family", ["rs", "lumi"])
+    def test_clean_trace_has_no_mismatch(self, family):
+        trace, _ = _healthy_trace(family)
+        assert verify_inner_fidelity(trace, alg_tricolor()) == []
+
+    @pytest.mark.parametrize("family", ["rs", "lumi"])
+    def test_moved_robot_diverges(self, family):
+        trace, _ = _healthy_trace(family)
+        r, rid = _inner_execs(trace)[0]  # the first inner execution
+        moved = _with_entry(trace, r, rid, lambda p, lt: (Point(p.x + 1.0, p.y), lt))
+        assert verify_inner_fidelity(moved, alg_tricolor()) == [
+            f"inner round 1: robot {rid} position diverges at trace round {r}"
+        ]
+
+    @pytest.mark.parametrize("family", ["rs", "lumi"])
+    def test_flipped_inner_light_diverges(self, family):
+        trace, _ = _healthy_trace(family)
+        r, rid = _inner_execs(trace)[0]  # the first inner execution
+        colour = trace.rounds[r - 1].config.light(rid).values[0]
+        flipped = _tamper_light(trace, r, rid, 0, (colour + 1) % 3)
+        assert verify_inner_fidelity(flipped, alg_tricolor()) == [
+            f"inner round 1: robot {rid} inner light diverges at trace round {r}"
+        ]
+
+
 def fcom_tuple(layout, inner, counts, step, executed, suc_exec, checked, suc_checked):
     vals = tuple(inner) + tuple(counts) + (step, executed, suc_exec, checked, suc_checked)
     return LightTuple(vals, layout.palette)
@@ -467,6 +504,53 @@ class TestDetermineOwnColor:
         snap = self._snapshot(layout, [self.RED], pred_counts=[1, 0, 0])
         with pytest.raises(SimulationFault, match="singleton"):
             wrap.step(snap)
+
+
+def _geometry(*xy):
+    return tuple(ObservedLocation(Point(x, y), 1, ()) for x, y in xy)
+
+
+class TestRingReading:
+    """The sim-lumi-by-fcom ring reading, kept once per observed geometry."""
+
+    def test_signed_zeros_make_different_keys(self):
+        plus = _geometry((0.0, 0.0), (2.0, 0.0), (1.0, 2.0))
+        minus = _geometry((-0.0, 0.0), (2.0, 0.0), (1.0, 2.0))
+        assert _points_key(plus) != _points_key(minus)
+        assert _read_ring(_points_key(plus)) == _read_ring(_points_key(minus)) == (0, 2, 1)
+
+    def test_geometry_without_origin_raises_every_time_and_is_not_kept(self):
+        key = _points_key(_geometry((1.0, 0.0), (2.0, 0.0), (1.0, 2.0)))
+        _read_ring.cache_clear()
+        for _ in range(3):
+            with pytest.raises(ValueError, match="not an occupied location"):
+                _read_ring(key)
+        assert _read_ring.cache_info().currsize == 0
+
+    def test_cache_is_bounded(self):
+        assert _RING_READINGS == 1024
+        _read_ring.cache_clear()
+        for i in range(_RING_READINGS + 100):
+            _read_ring(_points_key(_geometry((0.0, 0.0), (1.0 + i, 0.0), (0.0, 1.0))))
+        info = _read_ring.cache_info()
+        assert info.misses == 1124 and info.currsize <= 1024
+
+    def test_cache_hit_does_not_order_locations(self, monkeypatch):
+        calls = []
+
+        def counting(points):
+            calls.append(points)
+            return order_locations(points)
+
+        monkeypatch.setattr("lcmswarm.simulators.order_locations", counting)
+        _read_ring.cache_clear()
+        wrap = sim_lumi_by_fcom(alg_tricolor(), 3)
+        config = spaced_config(3, wrap.palette)
+        snap = snapshot(wrap.model, config, 1, LocalFrame(config.position(1)))
+        first = _step_bits(wrap.step, snap)
+        assert len(calls) == 1
+        assert _step_bits(wrap.step, snap) == first
+        assert len(calls) == 1 and _read_ring.cache_info().hits == 1
 
 
 class TestLumiByFcom:
