@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 from typing import Callable, NamedTuple
@@ -227,7 +228,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.config:
         for key, (lineno, val) in _load_config_file(args.config).items():
             where = f"{args.config}:{lineno}"
-            if not hasattr(cfg, key):
+            if key not in {field.name for field in dataclasses.fields(cfg)}:
                 raise ValueError(f"{where}: unknown config key {key!r}")
             current = getattr(cfg, key)
             field_type = type(current) if current is not None else str
@@ -500,20 +501,23 @@ def cmd_plot(args: argparse.Namespace) -> int:
     except (ValueError, OSError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    if args.out and args.out.endswith(".svg"):
-        rendering = svg_plot(trace)
-    else:
-        rendering = ascii_plot(trace)
-    if args.out:
+    rendering = svg_plot(trace) if args.out and args.out.endswith(".svg") else ascii_plot(trace)
+    if not args.out:
+        print(rendering)
+        return 0
+    try:
         with open(args.out, "w") as fh:
             fh.write(rendering + "\n")
-        print(f"wrote {args.out}")
-    else:
-        print(rendering)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    print(f"wrote {args.out}")
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one argument parser of this process; parse_args keeps no state."""
     parser = argparse.ArgumentParser(prog="lcmswarm", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -547,8 +551,11 @@ def main(argv: list[str] | None = None) -> int:
     p_plt.add_argument("--trace", required=True)
     p_plt.add_argument("--out", help="output path; .svg renders vector output")
     p_plt.set_defaults(func=cmd_plot)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

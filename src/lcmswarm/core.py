@@ -120,6 +120,20 @@ class LocalFrame:
             raise ValueError("frame rotation must be finite")
 
 
+_set_origin, _set_rotation = LocalFrame.origin.__set__, LocalFrame.rotation.__set__
+_set_scale, _set_reflecting = LocalFrame.scale.__set__, LocalFrame.reflecting.__set__
+
+
+def _frame(origin: Point, rotation: float, scale: float, reflecting: bool) -> LocalFrame:
+    """LocalFrame through its slots, unchecked: only for a checked spec."""
+    frame = _new(LocalFrame)
+    _set_origin(frame, origin)
+    _set_rotation(frame, rotation)
+    _set_scale(frame, scale)
+    _set_reflecting(frame, reflecting)
+    return frame
+
+
 def to_local(frame: LocalFrame, p: Point) -> Point:
     """Express a global point in the frame's coordinates.
 
@@ -241,6 +255,13 @@ class Configuration:
 
     def light(self, rid: int) -> LightTuple:
         return self.entries[rid][2]
+
+
+def _configuration(entries: tuple[tuple[int, Point, LightTuple], ...]) -> Configuration:
+    """Configuration(entries) unchecked: only for ids already 0..n-1 in order."""
+    config = _new(Configuration)
+    config.__dict__["entries"] = entries
+    return config
 
 
 def make_configuration(

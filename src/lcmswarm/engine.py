@@ -8,10 +8,12 @@ Runs are deterministic in their inputs and seed.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from .core import (
+    ORIGIN,
     Configuration,
     LightTuple,
     LocalFrame,
@@ -19,7 +21,10 @@ from .core import (
     Multiplicity,
     Point,
     Snapshot,
+    _configuration,
+    _frame,
     _light,
+    _point,
     from_local,
     points_close,
     snapshot,
@@ -168,6 +173,18 @@ def _check_palette(config: Configuration, algo: Algorithm) -> None:
             raise ConstraintError("initial lights do not match the algorithm's palette")
 
 
+def _frames(frames: dict[int, FrameSpec] | None, n: int) -> dict[int, FrameSpec]:
+    """Each robot's frame spec, identity by default; ConstraintError names a
+    robot whose spec no LocalFrame accepts."""
+    frames = {rid: (frames or {}).get(rid, IDENTITY_FRAME) for rid in range(n)}
+    for rid, spec in frames.items():
+        try:
+            LocalFrame(ORIGIN, spec.rotation, spec.scale)
+        except ValueError as exc:
+            raise ConstraintError(f"robot {rid}: {exc}") from exc
+    return frames
+
+
 def run_round(
     config: Configuration,
     eset: frozenset[int],
@@ -180,9 +197,9 @@ def run_round(
 ) -> tuple[Configuration, dict[int, tuple[str, ...]]]:
     """Execute one synchronous round for the robots in eset.
 
-    Every light in config must carry algo.palette (run and replay check the
-    initial configuration); new values are checked against it once, by
-    _check_result, and committed unchecked."""
+    Lights must carry algo.palette and frame specs must be valid (run and
+    replay check both); new values are checked once, by _check_result, and
+    committed unchecked."""
     for rid in eset:
         if not 0 <= rid < config.n:
             raise ValueError(f"activation of unknown robot {rid}")
@@ -192,7 +209,7 @@ def run_round(
     results: dict[int, tuple[LocalFrame, StepResult]] = {}
     for rid in sorted(eset):
         spec = frames[rid]
-        frame = LocalFrame(config.position(rid), spec.rotation, spec.scale, spec.reflecting)
+        frame = _frame(config.position(rid), spec.rotation, spec.scale, spec.reflecting)
         result = algo.step(snapshot(model, config, rid, frame, multiplicity))
         _check_result(result, algo.palette, algo.name)
         results[rid] = frame, result
@@ -215,7 +232,7 @@ def run_round(
                 events[rid] = result.events
         else:
             entries.append((rid, pos, light))
-    return Configuration(tuple(entries)), events
+    return _configuration(tuple(entries)), events
 
 
 def run(
@@ -271,8 +288,7 @@ def run(
         if not report.ok:
             raise ConstraintError(f"{algo.name} runs only under {algo.host} schedules: "
                                   f"round {report.round} breaks rule {report.rule}")
-    frames = frames or {}
-    frames = {rid: frames.get(rid, IDENTITY_FRAME) for rid in range(n)}
+    frames = _frames(frames, n)
     if chirality and any(spec.reflecting for spec in frames.values()):
         raise ConstraintError("chirality requires every frame to preserve orientation")
     _check_palette(config0, algo)
@@ -316,9 +332,7 @@ def replay(
 
     _check_palette(trace.initial, algo)
 
-    n = trace.initial.n
-    frames = frames or {}
-    frames = {rid: frames.get(rid, IDENTITY_FRAME) for rid in range(n)}
+    frames = _frames(frames, trace.initial.n)
     rng = random.Random(h.seed)
     config = trace.initial
     for recorded in trace.rounds:
@@ -334,48 +348,47 @@ def replay(
     return True
 
 
-def _fmt(v: float) -> str:
-    # Shortest representation that parses back to the identical double; the
-    # write-read round-trip must be exact for replay and late-stage geometry
-    # checks (a fixed 12-digit format loses deeply shrunk segments).
-    return repr(v)
-
-
 def write_trace(trace: Trace, path: str) -> None:
-    """Serialize a trace; round 0 carries the initial configuration."""
+    """Serialize a trace; round 0 carries the initial configuration.
+
+    Floats are written as repr, the shortest text that parses back to the same
+    double, as replay and late-stage geometry checks need (12 fixed digits lose
+    deeply shrunk segments)."""
     h = trace.header
     head = (
         f"model={h.model.value} kind={h.kind} n={h.n} seed={h.seed} "
-        f"delta={'rigid' if h.delta is None else _fmt(h.delta)} "
-        f"palette={';'.join(str(s) for s in h.palette)}"
+        f"delta={'rigid' if h.delta is None else repr(h.delta)} "
+        f"palette={';'.join(map(str, h.palette))}"
     )
     if h.algo:
         head += f" algo={h.algo}"
     if h.inner:
         head += f" inner={h.inner}"
     lines = [head]
-
-    def emit(config: Configuration, k: int, eset: frozenset[int], events: dict):
-        lines.append(f"round={k} act=" + " ".join(str(r) for r in sorted(eset)))
+    light_text: dict[tuple[int, ...], str] = {}  # each distinct light formatted once
+    rounds = [(r.config, r.eset, r.events) for r in trace.rounds]
+    for k, (config, eset, events) in enumerate([(trace.initial, (), {})] + rounds):
+        lines.append(f"round={k} act=" + " ".join(map(str, sorted(eset))))
         for rid, p, lt in config.entries:
-            row = f"id={rid} pos={_fmt(p.x)},{_fmt(p.y)} light=" + ";".join(
-                str(v) for v in lt.values
-            )
+            text = light_text.get(lt.values)
+            if text is None:
+                text = light_text[lt.values] = ";".join(map(str, lt.values))
             if rid in events:
-                row += " ev=" + ",".join(events[rid])
-            lines.append(row)
-
-    emit(trace.initial, 0, frozenset(), {})
-    for k, r in enumerate(trace.rounds, start=1):
-        emit(r.config, k, r.eset, r.events)
+                text += " ev=" + ",".join(events[rid])
+            lines.append(f"id={rid} pos={p.x!r},{p.y!r} light={text}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
+# A robot line exactly as write_trace writes it; ids must run 0..n-1 in order.
+_ROBOT_LINE = re.compile(r"id=(\S*) pos=([^\s,]*),([^\s,]*) light=(\S*)(?: ev=(\S*))?")
+
+
 def read_trace(path: str) -> Trace:
-    """Parse a trace file; a malformed one raises ValueError naming its line."""
+    """Parse a trace file in one pass; a malformed one raises ValueError naming
+    its line.  Each distinct light text is checked against the palette once."""
     with open(path) as fh:
-        lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, start=1) if ln.strip()]
+        lines = [(no, ln) for no, ln in enumerate(fh.read().split("\n"), start=1) if ln.strip()]
     if not lines:
         raise ValueError(f"{path}:1: empty trace file")
     head_no, head_line = lines[0]
@@ -393,7 +406,8 @@ def read_trace(path: str) -> Trace:
         fields.get("algo", ""), fields.get("inner", ""),
     )
 
-    blocks: list[tuple[int, frozenset[int], list[tuple[int, str]]]] = []
+    lights: dict[str, LightTuple] = {}
+    rounds: list[TraceRound] = []
     i = 1
     while i < len(lines):
         lineno, line = lines[i]
@@ -405,42 +419,34 @@ def read_trace(path: str) -> Trace:
             eset = frozenset(int(t) for t in act.split())
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad round line: {exc}") from exc
-        if k != len(blocks):
-            raise ValueError(f"{path}:{lineno}: expected round {len(blocks)}, got round={k}")
+        if k != len(rounds):
+            raise ValueError(f"{path}:{lineno}: expected round {len(rounds)}, got round={k}")
         if eset and (min(eset) < 0 or max(eset) >= n):
             bad = min(eset) if min(eset) < 0 else max(eset)
             raise ValueError(f"{path}:{lineno}: activation of unknown robot {bad} (n={n})")
-        body = lines[i + 1 : i + 1 + n]
-        if len(body) < n:
+        if i + n >= len(lines):
             raise ValueError(f"{path}:{lineno}: truncated round {k}")
-        blocks.append((lineno, eset, body))
-        i += 1 + n
-
-    def parse_block(round_line: int, body: list[tuple[int, str]]) -> tuple[Configuration, dict]:
         entries = []
         events: dict[int, tuple[str, ...]] = {}
-        for lineno, row in body:
-            toks = dict(tok.split("=", 1) for tok in row.split() if "=" in tok)
+        for rowno, row in lines[i + 1 : i + 1 + n]:
+            match = _ROBOT_LINE.fullmatch(row)
             try:
-                rid = int(toks["id"])
-                x, y = (float(t) for t in toks["pos"].split(","))
-                vals = tuple(int(t) for t in toks["light"].split(";") if t)
-                entries.append((rid, Point(x, y), LightTuple(vals, palette)))
-            except (KeyError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad robot line: {exc}") from exc
-            if "ev" in toks:
-                events[rid] = tuple(toks["ev"].split(","))
-        entries.sort(key=lambda e: e[0])
+                if match is None:
+                    raise ValueError(f"not id=<i> pos=<x>,<y> light=<v;...>[ ev=<e,...>]: {row!r}")
+                rid, x, y, text, ev = match.groups()
+                rid = int(rid)
+                if text not in lights:
+                    lights[text] = LightTuple(tuple(int(t) for t in text.split(";") if t), palette)
+                entries.append((rid, _point(float(x), float(y)), lights[text]))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{rowno}: bad robot line: {exc}") from exc
+            if ev is not None:
+                events[rid] = tuple(ev.split(","))
         try:
-            return Configuration(tuple(entries)), events
+            rounds.append(TraceRound(eset, Configuration(tuple(entries)), events))
         except ValueError as exc:
-            raise ValueError(f"{path}:{round_line}: {exc}") from exc
-
-    if not blocks:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        i += 1 + n
+    if not rounds:
         raise ValueError(f"{path}: trace must start with round=0")
-    initial, _ = parse_block(blocks[0][0], blocks[0][2])
-    rounds = []
-    for round_line, eset, body in blocks[1:]:
-        config, events = parse_block(round_line, body)
-        rounds.append(TraceRound(eset, config, events))
-    return Trace(header, initial, tuple(rounds))
+    return Trace(header, rounds[0].config, tuple(rounds[1:]))

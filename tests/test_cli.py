@@ -1,9 +1,14 @@
+import contextlib
+import dataclasses
+import io
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lcmswarm.algorithms import cyc_initial_config
-from lcmswarm.cli import main
+from lcmswarm.cli import ALGO_NAMES, CHECKS, RunConfig, _parser, main
 from lcmswarm.engine import read_trace
-from lcmswarm.scheduler import SSYNCH, generate, write_schedule
+from lcmswarm.scheduler import KIND_NAMES, SSYNCH, generate, write_schedule
 
 
 def run_cli(*argv):
@@ -154,6 +159,14 @@ def test_run_out_into_missing_directory_is_an_error_not_a_traceback(tmp_path, ca
     assert not out.exists()
 
 
+def test_plot_out_into_missing_directory_is_an_error_not_a_traceback(tmp_path, capsys):
+    out = tmp_path / "t.trace"
+    assert run_cli("run", "--algo", "sro", "--scheduler", "rsynch", "--out", str(out)) == 0
+    assert run_cli("plot", "--trace", str(out), "--out", str(tmp_path / "missing" / "t.svg")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing" in err
+
+
 def test_sweep_bad_seed_range_is_an_error_not_a_traceback(capsys):
     code = run_cli(
         "sweep", "--algo", "sro", "--scheduler", "rsynch", "--n", "2",
@@ -204,6 +217,14 @@ def test_bad_number_in_config_file_names_file_line_and_key(tmp_path, capsys, com
     assert run_cli(*argv) == 1
     value = line.split("=", 1)[1]
     assert capsys.readouterr().err == f"error: {cfg}:5: {key} must be {kind}, got {value!r}\n"
+
+
+@pytest.mark.parametrize("key", ["__class__", "__dict__", "bogus"])
+def test_config_key_that_is_no_run_field_is_unknown(tmp_path, capsys, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"algo=sro\n{key}=x\n")
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "t.trace")) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:2: unknown config key {key!r}\n"
 
 
 def test_cyclic_cycles_positions_are_reported_not_ignored(tmp_path, capsys):
@@ -369,3 +390,137 @@ def test_tolerance_must_be_a_finite_nonnegative_number(tmp_path, capsys, command
     captured = capsys.readouterr()
     assert "--tol: must be a finite number >= 0" in captured.err
     assert "sro" not in captured.out
+
+
+# --- Fuzzed command lines ------------------------------------------------------
+#
+# Every call keeps the exit-code contract (0, 1 or 2, argparse's usage errors
+# included) and prints no traceback.  Paths are relative to a scratch
+# directory holding a few good and bad input files.
+
+FILES = ["sro.trace", "sim.trace", "junk.trace", "valid.sched", "good.cfg", "junk.cfg",
+         "nokey.cfg", "missing.file", "dir"]
+FLAGS = {
+    "--algo": [*ALGO_NAMES, "bogus"],
+    "--inner": ["stay", "tricolor", "sro", "cyclic-cycles", "sim-rs-by-s", "bogus"],
+    "--scheduler": [*KIND_NAMES, "bogus"],
+    "--kind": [*KIND_NAMES, "bogus"],
+    "--blocks": ["0|1", "0 1|2", "0|x", "", "|"],
+    "--n": ["2", "3", "0", "-1", "x", "1e3"],
+    "--rounds": ["0", "3", "-2", "x"],
+    "--seed": ["0", "7", "-3", "x"],
+    "--delta": ["0.5", "0", "-1", "nan", "x"],
+    "--positions": ["0,0 1,1", "0,0 5,0 9,9", "0,0", "x", "nan,0 1,1", "1,2,3", ""],
+    "--radius": ["2", "0", "-1", "nan", "x"],
+    "--d-rel": ["0.5", "0", "2", "nan", "x"],
+    "--tol": ["0", "1e-9", "-1", "nan", "x"],
+    "--seeds": ["0:1", "2", "3:1", "a:b", "", "0:"],
+    "--out": ["out.trace", "plot.svg", "missing/out.trace", "dir"],
+    "--problem": [*CHECKS, "bogus"],
+    "--monitor": [*CHECKS, "bogus"],
+    "--check": [*CHECKS, "bogus"],
+    **{flag: FILES for flag in ("--trace", "--schedule", "--schedule-file", "--config")},
+}
+RUN_FLAGS = ["--config", "--algo", "--inner", "--scheduler", "--blocks", "--schedule-file", "--n",
+             "--rounds", "--seed", "--delta", "--no-chirality", "--positions", "--radius",
+             "--d-rel", "--out"]
+COMMANDS = {  # a valid start of each command line, and the flags its command takes
+    "run": (["--algo", "sro", "--rounds", "3"], RUN_FLAGS),
+    "validate": (["--schedule", "valid.sched"], ["--schedule", "--kind"]),
+    "check": (["--problem", "sro", "--trace", "sro.trace"],
+              ["--problem", "--monitor", "--trace", "--tol", "--d-rel"]),
+    "sweep": (["--algo", "sro", "--rounds", "3", "--seeds", "0:1", "--check", "sro"],
+              [*RUN_FLAGS, "--seeds", "--check", "--tol"]),
+    "plot": (["--trace", "sro.trace"], ["--trace", "--out"]),
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from([*COMMANDS, "bogus"]))
+    start, flags = COMMANDS.get(command, ([], []))
+    argv = [command, *start] if draw(st.integers(0, 4)) else [command]
+    for _ in range(draw(st.integers(0, 5))):
+        # Mostly the command's own flags; now and then a foreign or unknown one.
+        if flags and draw(st.integers(0, 5)):
+            flag = draw(st.sampled_from(flags))
+        else:
+            flag = draw(st.sampled_from([*FLAGS, "--no-chirality", "--bogus"]))
+        argv.append(flag)
+        if flag in FLAGS and draw(st.integers(0, 9)):  # now and then, no value
+            argv.append(draw(st.sampled_from(FLAGS[flag])))
+    return argv
+
+
+def call(argv):
+    """main's exit code, stdout and stderr; any other exception propagates."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture
+def inputs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--algo", "sro", "--scheduler", "rsynch", "--rounds", "50", "--seed", "7",
+                 "--out", "sro.trace"]) == 0
+    assert main(["run", "--algo", "sim-rs-by-s", "--inner", "stay", "--n", "3",
+                 "--scheduler", "ssynch", "--rounds", "20", "--out", "sim.trace"]) == 0
+    (tmp_path / "junk.trace").write_text("not a trace\n")
+    write_schedule(generate("rsynch", 2, 6, 1), "rsynch", "valid.sched")
+    (tmp_path / "good.cfg").write_text("algo=sro\nrounds=3\n")
+    (tmp_path / "junk.cfg").write_text("algo=sro\nn=x\n")
+    (tmp_path / "nokey.cfg").write_text("bogus=1\nno equals sign\n")
+    (tmp_path / "dir").mkdir()
+    return tmp_path
+
+
+@given(argv=argvs())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_argv_keeps_the_exit_code_contract(inputs, argv):
+    code, out, err = call(argv)
+    assert code in (0, 1, 2), (argv, code, out, err)
+    assert "Traceback" not in out + err, argv
+
+
+CONFIG_VALUES = {  # config-file keys, with the values each is drawn with
+    **{field.name: FLAGS.get("--" + field.name.replace("_", "-"), ["true", "no", "maybe"])
+       for field in dataclasses.fields(RunConfig)},
+    **{key: ["x", "1"] for key in ("__class__", "__dict__", "__doc__", "bogus")},
+}
+
+
+@given(st.lists(st.sampled_from(sorted(CONFIG_VALUES)).flatmap(
+    lambda key: st.tuples(st.just(key), st.sampled_from(CONFIG_VALUES[key]))), max_size=6))
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_config_file_keeps_the_exit_code_contract(inputs, lines):
+    (inputs / "fuzz.cfg").write_text("".join(f"{key}={value}\n" for key, value in lines))
+    code, out, err = call(["run", "--config", "fuzz.cfg", "--rounds", "3"])
+    assert code in (0, 1, 2), (lines, code, out, err)
+    assert "Traceback" not in out + err, lines
+
+
+def test_the_one_parser_keeps_no_state_between_calls(inputs):
+    check = ["check", "--problem", "sro", "--trace", "sro.trace"]
+    before = call(check)
+    assert before == (0, "sro: ok\n", "")
+    for argv in (
+        ["check", "--problem", "sro", "--monitor", "induced", "--trace", "sro.trace"],
+        ["check", "--problem", "bogus", "--trace", "sro.trace"],
+        ["check", "--problem", "cyc", "--trace", "sro.trace", "--tol", "nan"],
+        ["check", "--trace", "junk.trace", "--problem", "rdv", "--d-rel", "x"],
+        ["check", "--monitor", "p-props", "--trace", "sro.trace"],
+        ["sweep", "--algo", "sro", "--seeds", "a:b", "--check", "sro"],
+        ["run", "--algo", "sro", "--n", "3", "--out", "dir"],
+        ["bogus", "--problem", "sro"],
+        [],
+    ):
+        assert call(argv)[0] != 0, argv
+    assert call(check) == before
+    assert _parser.cache_info().currsize == 1

@@ -17,6 +17,7 @@ from lcmswarm.algorithms import (
     cyc_initial_config,
 )
 from lcmswarm.core import (
+    Configuration,
     LightTuple,
     ModelKind,
     Multiplicity,
@@ -32,6 +33,9 @@ from lcmswarm.engine import (
     PaletteError,
     Rigidity,
     StepResult,
+    Trace,
+    TraceHeader,
+    TraceRound,
     apply_move,
     read_trace,
     replay,
@@ -321,6 +325,28 @@ class TestConstraints:
             run(cfg, _sets({0, 1, 2}, (), {0}), rs)
         run(make_configuration(THREE), _sets({0}, ()), alg_stay())  # no host: any sets
 
+    @pytest.mark.parametrize("activated", [True, False], ids=["activated", "idle"])
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (FrameSpec(scale=-1.0), "scale must be positive, got -1.0"),
+            (FrameSpec(scale=0.0), "scale must be positive, got 0.0"),
+            (FrameSpec(scale=math.inf), "scale must be positive, got inf"),
+            (FrameSpec(rotation=math.nan), "rotation must be finite"),
+        ],
+        ids=["scale-1", "scale0", "scale-inf", "rotation-nan"],
+    )
+    def test_frames_are_checked_before_round_one(self, spec, message, activated):
+        stub = Algorithm("stub", (), _raising_step, ModelKind.OBLOT)
+        cfg = make_configuration(THREE)
+        # Robot 2 is activated in round 1 or in no round at all.
+        sets = _sets({2}, {0}) if activated else _sets({0}, {1})
+        with pytest.raises(ConstraintError, match=f"^robot 2: frame {message}"):
+            run(cfg, sets, stub, frames={2: spec})
+        trace = run(cfg, _sets({0}, {1}), alg_stay())
+        with pytest.raises(ConstraintError, match=f"^robot 2: frame {message}"):
+            replay(trace, alg_stay(), frames={2: spec})
+
 
 class TestReplay:
     def _trace(self, delta=None, seed=11):
@@ -455,6 +481,41 @@ class TestTraceFiles:
         with pytest.raises(ValueError, match=":6: bad robot line: non-finite"):
             read_trace(str(path))
 
+    # The robot-line grammar is exact.  The replaced reader split a line into
+    # key=value tokens and sorted the robots, so it accepted all but one of
+    # these forms; read_trace refuses each, naming its line.
+    @pytest.mark.parametrize(
+        "edit, accepted_before",
+        [
+            (lambda row: " ".join(reversed(row.split(" "))), True),
+            (lambda row: row + " extra=1", True),
+            (lambda row: row + " ev", True),
+            (lambda row: row + " ", True),
+            (lambda row: row.replace(" ", "  "), True),
+            (lambda row: row.replace(" ", "\t"), True),
+            (lambda row: row.replace(" light=", ""), False),
+        ],
+        ids=["reordered", "extra-token", "bare-token", "trailing-space", "double-space",
+             "tab", "no-light"],
+    )
+    def test_other_robot_line_forms_name_their_line(self, tmp_path, edit, accepted_before):
+        path, lines = self._written(tmp_path)
+        assert lines[5].startswith("id=0 pos=") and lines[5].endswith(" light=")
+        lines[5] = edit(lines[5])
+        path.write_text("\n".join(lines) + "\n")
+        assert isinstance(_outcome(oracle_read_trace, str(path)), Trace) == accepted_before
+        with pytest.raises(ValueError, match=":6: bad robot line: not id=<i> pos=<x>,<y> light="):
+            read_trace(str(path))
+
+    def test_robot_lines_out_of_id_order_name_their_round(self, tmp_path):
+        path, lines = self._written(tmp_path)
+        lines[5], lines[6] = lines[6], lines[5]
+        path.write_text("\n".join(lines) + "\n")
+        assert isinstance(_outcome(oracle_read_trace, str(path)), Trace)  # it sorted them
+        with pytest.raises(ValueError, match=re.escape(":5: robot ids must be exactly 0..n-1 "
+                                                       "in order, got [1, 0]")):
+            read_trace(str(path))
+
     def test_duplicate_robot_id_names_its_round(self, tmp_path):
         path, lines = self._written(tmp_path)
         lines[6] = lines[6].replace("id=1", "id=0")
@@ -507,10 +568,9 @@ def _grid_case(name, seed):
     return algo, make_configuration(_grid_positions(rng, n), palette=algo.palette), rounds
 
 
-def golden_grid_digest(name, workdir):
-    """SHA-256 over the trace files of every grid cell of one algorithm."""
-    digest = hashlib.sha256()
-    path = os.path.join(workdir, "grid.trace")
+def grid_runs(name):
+    """(cell, trace) for every grid cell of one algorithm; a run that raises
+    gives its ValueError in place of the trace."""
     # sim-lumi-by-fcom runs only on its rsynch host; everything else on ssynch.
     kind = "rsynch" if name == "sim-lumi-by-fcom" else "ssynch"
     for seed in GRID_SEEDS:
@@ -521,7 +581,6 @@ def golden_grid_digest(name, workdir):
             for delta in (None, GRID_DELTA):
                 for multiplicity in Multiplicity:
                     cell = f"{seed} {frames} {delta} {multiplicity.value}\n"
-                    digest.update(cell.encode())
                     try:
                         trace = run(
                             config, kind, algo, rounds=rounds, seed=seed,
@@ -530,11 +589,22 @@ def golden_grid_digest(name, workdir):
                             chirality=frames != "reflecting",
                         )
                     except ValueError as exc:
-                        digest.update(f"error: {type(exc).__name__}: {exc}\n".encode())
-                        continue
-                    write_trace(trace, path)
-                    with open(path, "rb") as fh:
-                        digest.update(fh.read())
+                        trace = exc
+                    yield cell, trace
+
+
+def golden_grid_digest(name, workdir):
+    """SHA-256 over the trace files of every grid cell of one algorithm."""
+    digest = hashlib.sha256()
+    path = os.path.join(workdir, "grid.trace")
+    for cell, trace in grid_runs(name):
+        digest.update(cell.encode())
+        if isinstance(trace, ValueError):
+            digest.update(f"error: {type(trace).__name__}: {trace}\n".encode())
+            continue
+        write_trace(trace, path)
+        with open(path, "rb") as fh:
+            digest.update(fh.read())
     return digest.hexdigest()
 
 
@@ -553,3 +623,183 @@ GOLDEN_GRID = {
 @pytest.mark.parametrize("name", sorted(GOLDEN_GRID))
 def test_golden_grid_traces_are_unchanged(name, tmp_path):
     assert golden_grid_digest(name, str(tmp_path)) == GOLDEN_GRID[name]
+
+
+# --- Trace files against the reader they replaced -----------------------------
+
+
+def oracle_read_trace(path: str) -> Trace:
+    """The token-dict reader that read_trace replaced, verbatim: what it
+    accepts and which line it names are the reference."""
+    with open(path) as fh:
+        lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, start=1) if ln.strip()]
+    if not lines:
+        raise ValueError(f"{path}:1: empty trace file")
+    head_no, head_line = lines[0]
+    fields = dict(tok.split("=", 1) for tok in head_line.split() if "=" in tok)
+    try:
+        model = ModelKind(fields["model"])
+        n = int(fields["n"])
+        seed = int(fields["seed"])
+        delta = None if fields["delta"] == "rigid" else float(fields["delta"])
+        palette = tuple(int(t) for t in fields["palette"].split(";") if t)
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"{path}:{head_no}: bad trace header: {exc}") from exc
+    header = TraceHeader(
+        model, fields.get("kind", "explicit"), n, seed, delta, palette,
+        fields.get("algo", ""), fields.get("inner", ""),
+    )
+
+    blocks: list[tuple[int, frozenset[int], list[tuple[int, str]]]] = []
+    i = 1
+    while i < len(lines):
+        lineno, line = lines[i]
+        if not line.startswith("round="):
+            raise ValueError(f"{path}:{lineno}: expected a round line, got {line!r}")
+        head, _, act = line.partition(" act=")
+        try:
+            k = int(head.split("=", 1)[1])
+            eset = frozenset(int(t) for t in act.split())
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad round line: {exc}") from exc
+        if k != len(blocks):
+            raise ValueError(f"{path}:{lineno}: expected round {len(blocks)}, got round={k}")
+        if eset and (min(eset) < 0 or max(eset) >= n):
+            bad = min(eset) if min(eset) < 0 else max(eset)
+            raise ValueError(f"{path}:{lineno}: activation of unknown robot {bad} (n={n})")
+        body = lines[i + 1 : i + 1 + n]
+        if len(body) < n:
+            raise ValueError(f"{path}:{lineno}: truncated round {k}")
+        blocks.append((lineno, eset, body))
+        i += 1 + n
+
+    def parse_block(round_line: int, body: list[tuple[int, str]]) -> tuple[Configuration, dict]:
+        entries = []
+        events: dict[int, tuple[str, ...]] = {}
+        for lineno, row in body:
+            toks = dict(tok.split("=", 1) for tok in row.split() if "=" in tok)
+            try:
+                rid = int(toks["id"])
+                x, y = (float(t) for t in toks["pos"].split(","))
+                vals = tuple(int(t) for t in toks["light"].split(";") if t)
+                entries.append((rid, Point(x, y), LightTuple(vals, palette)))
+            except (KeyError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: bad robot line: {exc}") from exc
+            if "ev" in toks:
+                events[rid] = tuple(toks["ev"].split(","))
+        entries.sort(key=lambda e: e[0])
+        try:
+            return Configuration(tuple(entries)), events
+        except ValueError as exc:
+            raise ValueError(f"{path}:{round_line}: {exc}") from exc
+
+    if not blocks:
+        raise ValueError(f"{path}: trace must start with round=0")
+    initial, _ = parse_block(blocks[0][0], blocks[0][2])
+    rounds = []
+    for round_line, eset, body in blocks[1:]:
+        config, events = parse_block(round_line, body)
+        rounds.append(TraceRound(eset, config, events))
+    return Trace(header, initial, tuple(rounds))
+
+
+def _outcome(read, path):
+    """What a reader makes of a file: its Trace, or the line its error names."""
+    try:
+        return read(path)
+    except ValueError as exc:
+        named = re.match(f"{re.escape(path)}:([0-9]+): ", str(exc))
+        assert named, exc
+        return int(named.group(1))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_GRID))
+def test_reader_matches_the_replaced_reader_on_every_grid_trace(name, tmp_path):
+    path = str(tmp_path / "grid.trace")
+    traces = events = 0
+    for cell, trace in grid_runs(name):
+        if isinstance(trace, ValueError):
+            continue
+        write_trace(trace, path)
+        assert read_trace(path) == oracle_read_trace(path) == trace, cell
+        traces += 1
+        events += sum(len(r.events) for r in trace.rounds)
+    assert traces > 0 and (events > 0) == name.startswith("sim-")
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_GRID))
+def test_round_trip_of_every_grid_trace_is_byte_identical(name, tmp_path):
+    first, second = tmp_path / "first.trace", tmp_path / "second.trace"
+    for cell, trace in grid_runs(name):
+        if isinstance(trace, ValueError):
+            continue
+        write_trace(trace, str(first))
+        back = read_trace(str(first))
+        write_trace(back, str(second))
+        assert back == trace, cell
+        assert second.read_bytes() == first.read_bytes(), cell
+
+
+def test_round_trip_keeps_signed_zeros_and_subnormals(tmp_path):
+    palette = (3, 2, 5)
+    coords = [Point(-0.0, 1e-300), Point(5e-324, -0.0), Point(-5e-324, -1e-300)]
+    lights = [LightTuple(v, palette) for v in ((2, 1, 4), (0, 0, 0), (1, 0, 3))]
+    trace = Trace(
+        TraceHeader(ModelKind.LUMI, "explicit", 3, 9, 5e-324, palette, "hand", "made"),
+        make_configuration(coords, lights),
+        (TraceRound(frozenset({0, 2}), make_configuration(coords[::-1], lights[::-1]),
+                    {0: ("a", "b"), 2: ("c",)}),),
+    )
+    first, second = tmp_path / "first.trace", tmp_path / "second.trace"
+    write_trace(trace, str(first))
+    back = read_trace(str(first))
+    write_trace(back, str(second))
+    assert back == trace and second.read_bytes() == first.read_bytes()
+    assert "id=0 pos=-0.0,1e-300 light=2;1;4" in first.read_text().splitlines()
+    got = [(repr(p.x), repr(p.y)) for _, p, _ in back.initial.entries]
+    assert got == [("-0.0", "1e-300"), ("5e-324", "-0.0"), ("-5e-324", "-1e-300")]
+
+
+def _corpus(lines, n, palette):
+    """(index, label, new lines, or None to cut the file there) for every
+    single-line edit of a written trace that the replaced reader refuses: a
+    cut file, a non-finite position, a colour out of the palette, a
+    duplicated id, an activation out of range and a bad round number."""
+    for j, line in enumerate(lines[1:], start=1):
+        if line.startswith("round="):
+            k, act = j // (n + 1), line[line.index(" act="):]
+            yield j, "next round number", [f"round={k + 1}{act}"]
+            yield j, "text round number", [f"round=x{act}"]
+            yield j, "activation of n", [f"{line} {n}"]
+            yield j, "activation of -1", [f"{line} -1"]
+            continue
+        rid, rest = j % (n + 1) - 1, line[line.index(" "):]
+        yield j, "cut before this line", None
+        yield j, "nan position", [re.sub("pos=[^,]*", "pos=nan", line)]
+        yield j, "inf position", [re.sub(",[^ ]*", ",inf", line, count=1)]
+        yield j, "colour out of palette", [re.sub("light=[0-9]*", f"light={palette[0]}", line)]
+        yield j, "duplicated id", [f"id={(rid + 1) % n}{rest}"]
+
+
+def test_reader_names_the_same_line_as_the_replaced_reader(tmp_path):
+    wrap = sim_rs_by_s(alg_tricolor())
+    cfg = make_configuration([Point(0, 0), Point(9, 0), Point(4, 3)], palette=wrap.palette)
+    path = tmp_path / "t.trace"
+    write_trace(run(cfg, "ssynch", wrap, rounds=4, seed=6), str(path))
+    lines = path.read_text().splitlines()
+    assert len(lines) == 21 and any(" ev=" in line for line in lines)
+    files = 0
+    for j, label, edit in _corpus(lines, 3, wrap.palette):
+        for blanks in (False, True):
+            # Blank lines count: insert some after the header and before the edit.
+            head, tail = lines[:j], [] if edit is None else edit + lines[j + 1:]
+            if blanks:
+                head = head[:1] + ["", "  "] + head[1:] + ["\t", ""]
+            path.write_text("\n".join(head + tail) + "\n")
+            want = _outcome(oracle_read_trace, str(path))
+            assert isinstance(want, int), (j, label)
+            assert _outcome(read_trace, str(path)) == want, (j, label, blanks)
+            files += 1
+    assert files == 2 * (5 * 4 + 15 * 5)  # 5 rounds of 3 robots
+    path.write_text("\n\n".join(lines) + "\n \n")  # only blank lines added
+    assert read_trace(str(path)) == oracle_read_trace(str(path))
