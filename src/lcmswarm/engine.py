@@ -396,6 +396,8 @@ def read_trace(path: str) -> Trace:
     try:
         model = ModelKind(fields["model"])
         n = int(fields["n"])
+        if n < 1:
+            raise ValueError(f"n must be a positive integer, got {n}")
         seed = int(fields["seed"])
         delta = None if fields["delta"] == "rigid" else float(fields["delta"])
         palette = tuple(int(t) for t in fields["palette"].split(";") if t)

@@ -43,6 +43,13 @@ def _inconclusive(reason: str) -> Verdict:
     return Verdict(INCONCLUSIVE, None, reason)
 
 
+def _check_tol(tol: float) -> None:
+    """Every checker compares distances against tol, so each refuses one that
+    is negative or not finite before reading the trace."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+
+
 def cog(config: Configuration) -> Point:
     """Center of gravity: the arithmetic mean of all robot positions."""
     if config.n < 1:
@@ -100,8 +107,7 @@ def check_sro(trace: Trace, tol: float = 1e-9) -> Verdict:
     no longer express angles and ratios to the stated tolerance, and the
     spiral has converged for every purpose the tolerance can resolve.
     """
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    _check_tol(tol)
     if trace.initial.n != 2:
         raise ValueError("shrinking rotation is a two-robot problem")
     configs = trace.configs()
@@ -163,6 +169,7 @@ def check_cyc(
     counter cycle of 2^(n-1) oscillations; a shorter clean prefix is
     inconclusive.
     """
+    _check_tol(tol)
     if trace.initial.n != n:
         raise ValueError(f"trace has {trace.initial.n} robots, expected {n}")
     d_fn = d_rel or (lambda _i: 0.5)
@@ -212,19 +219,15 @@ def check_cyc(
         if not labels or labels[-1][0] != label:
             labels.append((label, i))
 
-    expected = 0
-    oscillations = 0
+    # Labels alternate between the base pattern (even places) and counter
+    # values (odd places).  No label repeats the one before it, so once the
+    # even places hold the base pattern, the odd places cannot.
     for j, (label, rnd) in enumerate(labels):
-        if j % 2 == 0:
-            if label != -1:
-                return _reject(rnd, "pattern sequence must alternate starting from the base pattern")
-        else:
-            if label == -1:
-                return _reject(rnd, "pattern sequence must alternate")
-            if label != expected % k:
-                return _reject(rnd, f"counter showed {label}, expected {expected % k}")
-            expected += 1
-            oscillations += 1
+        if j % 2 == 0 and label != -1:
+            return _reject(rnd, "pattern sequence must alternate starting from the base pattern")
+        if j % 2 == 1 and label != (j // 2) % k:
+            return _reject(rnd, f"counter showed {label}, expected {(j // 2) % k}")
+    oscillations = len(labels) // 2
     if oscillations >= k:
         return _ok()
     return _inconclusive(f"observed {oscillations} of {k} oscillations")
@@ -261,6 +264,7 @@ def check_cge(trace: Trace, tol: float = 1e-9) -> Verdict:
     motion after arrival.  Robots still en route at the end of the prefix
     leave the verdict inconclusive.
     """
+    _check_tol(tol)
     if trace.initial.n < 2:
         raise ValueError("expansion needs at least 2 robots")
     targets = cge_targets(trace.initial)
@@ -309,6 +313,7 @@ def check_cge(trace: Trace, tol: float = 1e-9) -> Verdict:
 
 def check_rdv(trace: Trace, tol: float = 1e-9) -> Verdict:
     """Two robots must meet and never separate afterwards."""
+    _check_tol(tol)
     if trace.initial.n != 2:
         raise ValueError("rendezvous is a two-robot problem")
     gathered_at: int | None = None

@@ -235,11 +235,6 @@ def default_fairness_window(n: int) -> int:
     return 2 * n
 
 
-def _sample_nonempty(rng: random.Random, pool: list[int]) -> set[int]:
-    k = rng.randint(1, len(pool))
-    return set(rng.sample(pool, k))
-
-
 def generate(
     kind: SchedulerKind | str,
     n: int,
@@ -261,7 +256,9 @@ def generate(
     full = frozenset(range(n))
     window = default_fairness_window(n)
 
-    if kind.name == FSYNCH:
+    # A nonempty proper subset of a single robot cannot exist, so the only
+    # rsynch prefixes for n = 1 activate the full swarm forever.
+    if kind.name == FSYNCH or (kind.name == RSYNCH and n == 1):
         return SchedulePrefix((full,) * rounds, n)
 
     if kind.name == ROUND_ROBIN:
@@ -272,55 +269,27 @@ def generate(
         p = len(kind.blocks)
         return SchedulePrefix(tuple(kind.blocks[i % p] for i in range(rounds)), n)
 
-    if kind.name == SSYNCH:
-        sets = []
-        last = {r: 0 for r in range(n)}
-        for i in range(1, rounds + 1):
-            s = _sample_nonempty(rng, list(range(n)))
-            s |= {r for r in range(n) if i - last[r] >= window}
-            sets.append(frozenset(s))
-            for r in s:
-                last[r] = i
-        return SchedulePrefix(tuple(sets), n)
-
-    if kind.name == RSYNCH:
-        if n == 1:
-            # A nonempty proper subset of a single robot cannot exist; the
-            # only valid prefixes activate the full swarm forever.
-            return SchedulePrefix((full,) * rounds, n)
-        p_full = rng.choice([0, 0, 1, 2, rng.randint(0, rounds)])
-        p_full = min(p_full, rounds)
-        sets = [full] * p_full
-        last = {r: p_full if p_full else 0 for r in range(n)}
-        prev: frozenset[int] | None = None
-        for i in range(p_full + 1, rounds + 1):
-            allowed = sorted(full - prev) if prev else sorted(full)
-            s = _sample_nonempty(rng, allowed)
-            s |= {r for r in allowed if i - last[r] >= window}
-            if len(s) == n:
-                removable = sorted(r for r in s if i - last[r] < window)
-                s.discard(removable[0] if removable else min(s))
-            prev = frozenset(s)
-            sets.append(prev)
-            for r in prev:
-                last[r] = i
-        return SchedulePrefix(tuple(sets), n)
-
-    # Energy-restricted: activate within the charged set, idling only when
-    # a full activation forces it.
-    sets = []
-    charged = full
-    last = {r: 0 for r in range(n)}
-    for i in range(1, rounds + 1):
-        if not charged:
-            sets.append(frozenset())
-        else:
-            s = _sample_nonempty(rng, sorted(charged))
-            s |= {r for r in charged if i - last[r] >= window}
-            sets.append(frozenset(s))
-            for r in s:
-                last[r] = i
-        charged = full - sets[-1]
+    # ssynch samples from the whole swarm; energy-restricted, and rsynch after
+    # its full prefix, from the robots their previous draw left charged (all
+    # of them at the first draw).  That pool is empty only after an
+    # energy-restricted full activation, which forces an idle round.
+    rsynch = kind.name == RSYNCH
+    everyone = list(range(n)) if kind.name == SSYNCH else None
+    p_full = min(rng.choice([0, 0, 1, 2, rng.randint(0, rounds)]), rounds) if rsynch else 0
+    sets = [full] * p_full
+    last = [p_full] * n
+    prev = frozenset()
+    for i in range(p_full + 1, rounds + 1):
+        pool = everyone or sorted(full - prev)
+        s = set(rng.sample(pool, rng.randint(1, len(pool)))) if pool else set()
+        s |= {r for r in pool if i - last[r] >= window}
+        if rsynch and len(s) == n:
+            removable = sorted(r for r in s if i - last[r] < window)
+            s.discard(removable[0] if removable else min(s))
+        for r in s:
+            last[r] = i
+        prev = frozenset(s)
+        sets.append(prev)
     return SchedulePrefix(tuple(sets), n)
 
 
@@ -341,17 +310,20 @@ def read_schedule(path: str) -> tuple[SchedulePrefix, str]:
         raw.pop()
     if not raw:
         raise ValueError(f"{path}:1: missing schedule header")
-    header = raw[0].split()
-    fields = dict(tok.split("=", 1) for tok in header if "=" in tok)
+    fields = dict(tok.split("=", 1) for tok in raw[0].split() if "=" in tok)
     if "n" not in fields or "kind" not in fields:
         raise ValueError(f"{path}:1: header must declare n=<count> kind=<scheduler>")
-    n = int(fields["n"])
-    kind_name = fields["kind"]
+    n = int(fields["n"]) if fields["n"].isdecimal() else 0
+    if n < 1:
+        raise ValueError(f"{path}:1: bad schedule header: n must be a positive integer, got {fields['n']!r}")
     sets = []
     for lineno, line in enumerate(raw[1:], start=2):
-        body = line.strip()
         try:
-            sets.append(frozenset(int(tok) for tok in body.split()) if body else frozenset())
+            e = frozenset(int(tok) for tok in line.split())
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad robot id: {exc}") from exc
-    return SchedulePrefix(tuple(sets), n), kind_name
+        bad = [rid for rid in e if not 0 <= rid < n]
+        if bad:
+            raise ValueError(f"{path}:{lineno}: member id {min(bad)} out of range for n={n}")
+        sets.append(e)
+    return SchedulePrefix(tuple(sets), n), fields["kind"]

@@ -7,8 +7,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lcmswarm.algorithms import cyc_initial_config
 from lcmswarm.cli import ALGO_NAMES, CHECKS, RunConfig, _parser, main
-from lcmswarm.engine import read_trace
+from lcmswarm.engine import read_trace, write_trace
 from lcmswarm.scheduler import KIND_NAMES, SSYNCH, generate, write_schedule
+from lcmswarm.simulators import monitor_properties
 
 
 def run_cli(*argv):
@@ -67,6 +68,19 @@ def test_validate_exit_codes(tmp_path, capsys):
     assert run_cli("validate", "--schedule", str(ugly)) == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("n=x kind=rsynch\n0\n", "parse error: {}:1: bad schedule header: n must be a positive integer, got 'x'"),
+    ("n=-1 kind=rsynch\n0\n", "parse error: {}:1: bad schedule header: n must be a positive"),
+    ("n=2 kind=rsynch\n0\n0 5\n", "parse error: {}:3: member id 5 out of range for n=2"),
+    ("n=2 kind=bogus\n0\n", "error: unknown scheduler kind 'bogus'"),
+])
+def test_validate_bad_schedule_file_names_its_line(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.sched"
+    path.write_text(text)
+    assert run_cli("validate", "--schedule", str(path)) == 2
+    assert capsys.readouterr().err.startswith(message.format(path))
+
+
 def test_explicit_schedule_file_drives_run(tmp_path):
     sched = tmp_path / "alt.sched"
     write_schedule(generate("rsynch", 2, 12, 3), "rsynch", str(sched))
@@ -104,6 +118,40 @@ def test_monitor_through_cli(tmp_path, capsys):
     assert run_cli("check", "--monitor", "induced", "--trace", str(out)) == 0
     # Wrong monitor family is an operator error, not a reject.
     assert run_cli("check", "--monitor", "step-lemmas", "--trace", str(out)) == 2
+
+
+def forged_sim_trace(tmp_path, execs):
+    """An n=3 sim-rs-by-s trace file whose only events are inner executions:
+    the robots of execs[i] in round i+1."""
+    out = tmp_path / "sim.trace"
+    assert run_cli("run", "--algo", "sim-rs-by-s", "--inner", "tricolor", "--scheduler", "ssynch",
+                   "--n", "3", "--rounds", str(len(execs)), "--out", str(out)) == 0
+    trace = read_trace(str(out))
+    rounds = tuple(dataclasses.replace(rec, events={rid: ("inner-exec",) for rid in sorted(e)})
+                   for rec, e in zip(trace.rounds, execs))
+    write_trace(dataclasses.replace(trace, rounds=rounds), str(out))
+    return out
+
+
+@pytest.mark.parametrize("execs, detail", [
+    ([{0}, {0}], "induced: invalid rsynch at induced round 2: overlap-consecutive"),
+    ([{0}, {1}] * 4, "induced: robot 2 starved for 8 induced rounds (at 8)"),
+])
+def test_induced_monitor_rejects_a_forged_schedule(tmp_path, capsys, execs, detail):
+    out = forged_sim_trace(tmp_path, execs)
+    capsys.readouterr()
+    assert run_cli("check", "--monitor", "induced", "--trace", str(out)) == 1
+    assert capsys.readouterr().out == detail + "\n"
+
+
+def test_property_monitor_prints_its_first_violation(tmp_path, capsys):
+    out = forged_sim_trace(tmp_path, [{0}, {0}, set()])
+    violations = monitor_properties(read_trace(str(out)))
+    assert violations
+    capsys.readouterr()
+    assert run_cli("check", "--monitor", "p-props", "--trace", str(out)) == 1
+    assert capsys.readouterr().out == (
+        f"p-props: {len(violations)} violations; first: {violations[0]}\n")
 
 
 def test_sweep_aggregates(tmp_path, capsys):
@@ -294,6 +342,18 @@ def test_check_bad_round_line_names_its_line(tmp_path, capsys, bad, message):
     assert capsys.readouterr().err.startswith(f"parse error: {out}:8: {message}")
 
 
+@pytest.mark.parametrize("command", [["plot"], ["check", "--problem", "sro"]])
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_trace_header_n_below_one_is_a_parse_error_on_line_one(tmp_path, capsys, command, n):
+    out = tmp_path / "t.trace"
+    assert run_cli("run", "--algo", "sro", "--scheduler", "fsynch", "--rounds", "3",
+                   "--out", str(out)) == 0
+    out.write_text(out.read_text().replace(" n=2 ", f" n={n} ", 1))
+    capsys.readouterr()
+    assert run_cli(*command, "--trace", str(out)) == 2
+    assert capsys.readouterr().err.startswith(f"parse error: {out}:1: bad trace header: n must")
+
+
 SCHEDULES = {
     "valid.sched": "n=3 kind=rsynch\n0\n1 2\n0\n1\n2\n0 1\n",
     "overlap.sched": "n=3 kind=rsynch\n0 1\n1 2\n0\n",
@@ -398,7 +458,7 @@ def test_tolerance_must_be_a_finite_nonnegative_number(tmp_path, capsys, command
 # included) and prints no traceback.  Paths are relative to a scratch
 # directory holding a few good and bad input files.
 
-FILES = ["sro.trace", "sim.trace", "junk.trace", "valid.sched", "good.cfg", "junk.cfg",
+FILES = ["sro.trace", "sim.trace", "junk.trace", "zero.trace", "valid.sched", "good.cfg", "junk.cfg",
          "nokey.cfg", "missing.file", "dir"]
 FLAGS = {
     "--algo": [*ALGO_NAMES, "bogus"],
@@ -471,6 +531,8 @@ def inputs(tmp_path, monkeypatch):
     assert main(["run", "--algo", "sim-rs-by-s", "--inner", "stay", "--n", "3",
                  "--scheduler", "ssynch", "--rounds", "20", "--out", "sim.trace"]) == 0
     (tmp_path / "junk.trace").write_text("not a trace\n")
+    (tmp_path / "zero.trace").write_text("model=OBLOT kind=fsynch n=0 seed=0 delta=rigid palette=\n"
+                                         "round=0 act=\n")
     write_schedule(generate("rsynch", 2, 6, 1), "rsynch", "valid.sched")
     (tmp_path / "good.cfg").write_text("algo=sro\nrounds=3\n")
     (tmp_path / "junk.cfg").write_text("algo=sro\nn=x\n")

@@ -391,6 +391,24 @@ class TestReplay:
         with pytest.raises(ValueError, match="header mismatch"):
             replay(trace, alg_stay())
 
+    @pytest.mark.parametrize("field, value", [("palette", (2,)), ("model", ModelKind.LUMI)])
+    def test_replay_header_mismatch_names_palette_and_model(self, field, value):
+        trace = self._trace()
+        lied = dataclasses.replace(trace, header=dataclasses.replace(trace.header, **{field: value}))
+        with pytest.raises(ValueError, match=f"^header mismatch: {field} differs$"):
+            replay(lied, alg_sro())
+
+    def test_replay_detects_a_changed_light(self):
+        trace = run(make_configuration([Point(0, 0), Point(5, 0)], palette=(3,)), "fsynch",
+                    alg_tricolor(), rounds=4, seed=0)
+        assert replay(trace, alg_tricolor())
+        config = trace.rounds[2].config
+        rid, p, lt = config.entries[1]
+        entries = (config.entries[0], (rid, p, lt.replace({0: (lt.values[0] + 1) % 3})))
+        rounds = list(trace.rounds)
+        rounds[2] = dataclasses.replace(rounds[2], config=dataclasses.replace(config, entries=entries))
+        assert not replay(dataclasses.replace(trace, rounds=tuple(rounds)), alg_tricolor())
+
     def test_replay_refuses_initial_lights_of_another_palette(self):
         # Replay commits lights unchecked, so it must start from the palette
         # it checks new values against.
@@ -458,6 +476,27 @@ class TestTraceFiles:
         lines[7] = bad
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:8: {message}"):
+            read_trace(str(path))
+
+    @pytest.mark.parametrize("text, message", [
+        ("", ":1: empty trace file"),
+        ("model=OBLOT kind=fsynch n=2 seed=0 delta=rigid palette=\n", ": trace must start with round=0"),
+        ("model=OBLOT kind=fsynch n=2 seed=0 delta=rigid palette=\nid=0 pos=0.0,0.0 light=\n",
+         ":2: expected a round line, got 'id=0 pos=0.0,0.0 light='"),
+    ], ids=["empty", "header-only", "robot-line-first"])
+    def test_file_without_rounds_is_a_parse_error(self, tmp_path, text, message):
+        path = tmp_path / "t.trace"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path) + message)}$"):
+            read_trace(str(path))
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_header_n_below_one_names_line_one(self, tmp_path, n):
+        path, lines = self._written(tmp_path)
+        lines[0] = lines[0].replace(" n=2 ", f" n={n} ")
+        path.write_text("\n".join(lines) + "\n")
+        message = f"{path}:1: bad trace header: n must be a positive integer, got {n}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_trace(str(path))
 
     def test_trace_not_starting_at_round_zero_names_its_line(self, tmp_path):

@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from lcmswarm.algorithms import alg_cyclic_cycles, alg_sro, cyc_initial_config
+from lcmswarm.algorithms import (
+    CYC_STATUS,
+    STATUS_CENTER,
+    STATUS_FINAL,
+    alg_cyclic_cycles,
+    alg_sro,
+    cyc_initial_config,
+)
 from lcmswarm.core import ModelKind, Point, make_configuration
 from lcmswarm.engine import Trace, TraceHeader, TraceRound, run
 from lcmswarm.problems import (
@@ -12,6 +19,7 @@ from lcmswarm.problems import (
     OK,
     REJECT,
     DiagonalSquare,
+    Verdict,
     cge_target_map,
     cge_targets,
     check_cge,
@@ -152,6 +160,55 @@ class TestCheckCyc:
         with pytest.raises(ValueError):
             check_cyc(self._trace(), 4)
 
+    def _stretches(self, trace):
+        """The configuration indices f1 < c1 < f2 < c2 < f3 where the first
+        three uniform-final and the two uniform-center stretches between them
+        begin, after the base pattern of round 0."""
+        configs = trace.configs()
+
+        def uniform(status):
+            return [i for i, c in enumerate(configs)
+                    if all(c.light(r).values[CYC_STATUS] == status for r in range(c.n))]
+
+        centers, finals = uniform(STATUS_CENTER), uniform(STATUS_FINAL)
+        marks = [finals[0]]
+        for stretch in (centers, finals, centers, finals):
+            marks.append(next(i for i in stretch if i > marks[-1]))
+        return marks
+
+    def _without(self, trace, lo, hi):
+        """The trace with configurations lo..hi-1 cut out."""
+        return dataclasses.replace(trace, rounds=trace.rounds[: lo - 1] + trace.rounds[hi - 1 :])
+
+    def _mover_nudged(self, trace, i):
+        config = trace.rounds[i - 1].config
+        entries = list(config.entries)
+        rid, p, lt = entries[0]  # robot 0 starts at the center: the mover
+        entries[0] = (rid, Point(p.x + 1e-2, p.y), lt)
+        rounds = list(trace.rounds)
+        rounds[i - 1] = dataclasses.replace(rounds[i - 1], config=dataclasses.replace(config, entries=tuple(entries)))
+        return dataclasses.replace(trace, rounds=tuple(rounds))
+
+    def test_mover_off_center_or_target_rejected(self):
+        trace = self._trace()
+        f1, c1, _, _, _ = self._stretches(trace)
+        assert check_cyc(self._mover_nudged(trace, f1), 3) == Verdict(
+            REJECT, f1, "uniform final status while the mover is off its target")
+        assert check_cyc(self._mover_nudged(trace, c1), 3) == Verdict(
+            REJECT, c1, "uniform center status while the mover is away from the center")
+
+    def test_skipped_base_pattern_rejected(self):
+        trace = self._trace()
+        _, c1, f2, _, _ = self._stretches(trace)
+        assert check_cyc(self._without(trace, c1, f2), 3) == Verdict(
+            REJECT, c1, "pattern sequence must alternate starting from the base pattern")
+
+    def test_skipped_counter_value_rejected(self):
+        trace = self._trace()
+        _, _, f2, _, f3 = self._stretches(trace)
+        assert check_cyc(self._without(trace, f2, f3), 3) == Verdict(
+            REJECT, f2, "counter showed 2, expected 1")
+
 
 class TestCgeTargets:
     def test_target_map_examples(self):
@@ -266,3 +323,31 @@ class TestCheckRdv:
     def test_wrong_robot_count(self):
         with pytest.raises(ValueError):
             check_rdv(synthetic_trace([[(0, 0)]]))
+
+
+CHECKERS = {
+    "sro": check_sro,
+    "rdv": check_rdv,
+    "cge": check_cge,
+    "cyc": lambda trace, tol: check_cyc(trace, 3, tol=tol),
+}
+
+
+def clean_trace(checker):
+    """A trace its checker accepts at the default tolerance."""
+    if checker == "cyc":
+        return run(cyc_initial_config(3), "ssynch", alg_cyclic_cycles(3), rounds=160, seed=0)
+    return synthetic_trace({
+        "sro": [[(0, 0), (1, 1)], [(0, 1), (1, 0)]],
+        "rdv": [[(1, 1), (1, 1)]],
+        "cge": [[(0, 0), (2, 0)], [(-1, 0), (3, 0)]],
+    }[checker])
+
+
+@pytest.mark.parametrize("checker", sorted(CHECKERS))
+@pytest.mark.parametrize("tol", [-1e-9, math.nan, math.inf])
+def test_every_checker_refuses_a_bad_tolerance(checker, tol):
+    trace = clean_trace(checker)
+    assert CHECKERS[checker](trace, 1e-9).status == OK
+    with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+        CHECKERS[checker](trace, tol)

@@ -1,9 +1,13 @@
+import random
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcmswarm.scheduler import (
     ENERGY_RESTRICTED,
     FSYNCH,
+    ROUND_ROBIN,
     RSYNCH,
     SSYNCH,
     SchedulePrefix,
@@ -184,6 +188,10 @@ class TestFairness:
         assert not report.ok
         assert (B, 3, 3) in report.violations
 
+    def test_starvation_flagged_when_the_robot_returns(self):
+        report = check_fair(prefix(2, {A}, {A}, {A}, {B}, {A, B}), 2)
+        assert report.violations == ((B, 4, 4),)
+
     def test_round_robin_is_fair_at_window_p(self):
         kind = round_robin([{A}, {B}, {C}])
         p = generate(kind, 3, 17, seed=0)
@@ -240,6 +248,107 @@ class TestGenerate:
             generate(SSYNCH, 0, 5, 0)
 
 
+# `generate` as it was before its random families shared one sampling loop,
+# copied verbatim: the oracle that pins every ssynch, rsynch and
+# energy-restricted prefix, the RNG call order included.
+def _sample_nonempty(rng: random.Random, pool: list[int]) -> set[int]:
+    k = rng.randint(1, len(pool))
+    return set(rng.sample(pool, k))
+
+
+def oracle_generate(
+    kind: SchedulerKind | str,
+    n: int,
+    rounds: int,
+    seed: int,
+) -> SchedulePrefix:
+    """Deterministically generate a valid activation prefix.
+
+    Random generators force-include any robot approaching the default
+    fairness window, so their output is always fair with window <= 2n.
+    """
+    if isinstance(kind, str):
+        kind = SchedulerKind(kind)
+    if rounds < 1:
+        raise ValueError("rounds must be >= 1")
+    if n < 1:
+        raise ValueError("need at least one robot")
+    rng = random.Random(seed)
+    full = frozenset(range(n))
+    window = default_fairness_window(n)
+
+    if kind.name == FSYNCH:
+        return SchedulePrefix((full,) * rounds, n)
+
+    if kind.name == ROUND_ROBIN:
+        if kind.blocks is None:
+            raise ValueError("round-robin generation requires partition blocks")
+        if frozenset().union(*kind.blocks) != full:
+            raise ValueError("round-robin blocks must cover the whole swarm")
+        p = len(kind.blocks)
+        return SchedulePrefix(tuple(kind.blocks[i % p] for i in range(rounds)), n)
+
+    if kind.name == SSYNCH:
+        sets = []
+        last = {r: 0 for r in range(n)}
+        for i in range(1, rounds + 1):
+            s = _sample_nonempty(rng, list(range(n)))
+            s |= {r for r in range(n) if i - last[r] >= window}
+            sets.append(frozenset(s))
+            for r in s:
+                last[r] = i
+        return SchedulePrefix(tuple(sets), n)
+
+    if kind.name == RSYNCH:
+        if n == 1:
+            # A nonempty proper subset of a single robot cannot exist; the
+            # only valid prefixes activate the full swarm forever.
+            return SchedulePrefix((full,) * rounds, n)
+        p_full = rng.choice([0, 0, 1, 2, rng.randint(0, rounds)])
+        p_full = min(p_full, rounds)
+        sets = [full] * p_full
+        last = {r: p_full if p_full else 0 for r in range(n)}
+        prev: frozenset[int] | None = None
+        for i in range(p_full + 1, rounds + 1):
+            allowed = sorted(full - prev) if prev else sorted(full)
+            s = _sample_nonempty(rng, allowed)
+            s |= {r for r in allowed if i - last[r] >= window}
+            if len(s) == n:
+                removable = sorted(r for r in s if i - last[r] < window)
+                s.discard(removable[0] if removable else min(s))
+            prev = frozenset(s)
+            sets.append(prev)
+            for r in prev:
+                last[r] = i
+        return SchedulePrefix(tuple(sets), n)
+
+    # Energy-restricted: activate within the charged set, idling only when
+    # a full activation forces it.
+    sets = []
+    charged = full
+    last = {r: 0 for r in range(n)}
+    for i in range(1, rounds + 1):
+        if not charged:
+            sets.append(frozenset())
+        else:
+            s = _sample_nonempty(rng, sorted(charged))
+            s |= {r for r in charged if i - last[r] >= window}
+            sets.append(frozenset(s))
+            for r in s:
+                last[r] = i
+        charged = full - sets[-1]
+    return SchedulePrefix(tuple(sets), n)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_generate_equals_oracle(kind):
+    for n in range(1, 9):
+        for rounds in (1, 2, 3, 7, 30, 111):
+            for seed in range(40):
+                assert generate(kind, n, rounds, seed) == oracle_generate(kind, n, rounds, seed), (
+                    kind, n, rounds, seed)
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_scheduler_hierarchy(seed):
     # Full activation satisfies every family down the hierarchy, and the
@@ -284,3 +393,14 @@ def test_schedule_file_parse_errors(tmp_path):
     headerless.write_text("0 1\n")
     with pytest.raises(ValueError, match="header"):
         read_schedule(str(headerless))
+    for text, message in [
+        ("", ":1: missing schedule header"),
+        ("n=x kind=ssynch\n0\n", ":1: bad schedule header: n must be a positive integer, got 'x'"),
+        ("n=0 kind=ssynch\n", ":1: bad schedule header: n must be a positive integer, got '0'"),
+        ("n=-1 kind=ssynch\n0\n", ":1: bad schedule header: n must be a positive integer, got '-1'"),
+        ("n=2 kind=ssynch\n0 1\n0 5\n", ":3: member id 5 out of range for n=2"),
+        ("n=2 kind=ssynch\n-1\n", ":2: member id -1 out of range for n=2"),
+    ]:
+        bad.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(bad) + message)}"):
+            read_schedule(str(bad))
