@@ -131,6 +131,8 @@ def validate_run_config(cfg: RunConfig) -> list[str]:
         problems.append(f"scheduler: unknown kind {cfg.scheduler!r}")
     if cfg.rounds is not None and cfg.rounds < 0:
         problems.append("rounds: must be nonnegative")
+    if cfg.n is not None and cfg.n < 1:
+        problems.append("n: must be a positive integer")
     if cfg.algo == "cyclic-cycles":
         if cfg.d_rel is not None and not 0.0 < cfg.d_rel < 1.0:
             problems.append("d-rel: must be a radius fraction in (0, 1)")
@@ -371,14 +373,21 @@ def _refuse_other_families(name: str, algo: str) -> None:
         raise ValueError(f"monitor {name} applies to {' or '.join(families)} traces, not {algo!r}")
 
 
-def _tolerance(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
-    return value
+def _number(rule: str, holds: Callable[[float], bool]) -> Callable[[str], float]:
+    """An argparse type: the flag's value as a float, refused unless `holds`."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+    return parse
+
+
+_tolerance = _number("a finite number >= 0", lambda v: math.isfinite(v) and v >= 0.0)
+_radius_fraction = _number("a radius fraction in (0, 1)", lambda v: 0.0 < v < 1.0)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -536,7 +545,7 @@ def _parser() -> argparse.ArgumentParser:
     group.add_argument("--monitor", choices=[k for k, c in CHECKS.items() if c.families])
     p_chk.add_argument("--trace", required=True)
     p_chk.add_argument("--tol", type=_tolerance, default=1e-9)
-    p_chk.add_argument("--d-rel", dest="d_rel", type=float,
+    p_chk.add_argument("--d-rel", dest="d_rel", type=_radius_fraction,
                        help="mover distance fraction the trace was produced with")
     p_chk.set_defaults(func=cmd_check)
 

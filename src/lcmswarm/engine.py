@@ -62,9 +62,11 @@ class Algorithm:
 
     Step functions receive only a Snapshot; they never see robot ids, round
     numbers, or anything else, which enforces anonymity and uniformity by
-    construction.  The remaining fields are run constraints, which `run`
-    checks before round 1; only `rigid` is left to the command line, since
-    pinned traces run sro under non-rigid movement.
+    construction.  `run` reuses a robot's step result while the configuration
+    is unchanged, so a step must be a pure function of its snapshot.  The
+    remaining fields are run constraints, which `run` checks before round 1;
+    only `rigid` is left to the command line, since pinned traces run sro
+    under non-rigid movement.
     """
 
     name: str
@@ -194,44 +196,54 @@ def run_round(
     rigidity: Rigidity,
     rng: random.Random,
     multiplicity: Multiplicity = Multiplicity.STRONG,
+    computed: dict[int, tuple[LocalFrame, StepResult]] | None = None,
 ) -> tuple[Configuration, dict[int, tuple[str, ...]]]:
     """Execute one synchronous round for the robots in eset.
 
     Lights must carry algo.palette and frame specs must be valid (run and
     replay check both); new values are checked once, by _check_result, and
-    committed unchecked."""
+    committed unchecked.  `computed` keeps each robot's frame and step result
+    for `config` across rounds and is emptied when the configuration changes;
+    a round that moves no robot and changes no light value returns `config`."""
     for rid in eset:
         if not 0 <= rid < config.n:
             raise ValueError(f"activation of unknown robot {rid}")
+    computed = {} if computed is None else computed
 
     # Look + Compute against the same pre-round configuration; each robot's
     # frame is built once and kept for its Move.
-    results: dict[int, tuple[LocalFrame, StepResult]] = {}
     for rid in sorted(eset):
-        spec = frames[rid]
-        frame = _frame(config.position(rid), spec.rotation, spec.scale, spec.reflecting)
-        result = algo.step(snapshot(model, config, rid, frame, multiplicity))
-        _check_result(result, algo.palette, algo.name)
-        results[rid] = frame, result
+        if rid not in computed:
+            spec = frames[rid]
+            frame = _frame(config.position(rid), spec.rotation, spec.scale, spec.reflecting)
+            result = algo.step(snapshot(model, config, rid, frame, multiplicity))
+            _check_result(result, algo.palette, algo.name)
+            computed[rid] = frame, result
 
     # Move + light commit, simultaneously.
     entries = []
     events: dict[int, tuple[str, ...]] = {}
+    changed = False
     for rid, pos, light in config.entries:
-        if rid in results:
-            frame, result = results[rid]
+        if rid in eset:
+            frame, result = computed[rid]
             dest = from_local(frame, result.destination)
-            new_pos = pos if points_close(dest, pos, 0.0) else apply_move(pos, dest, rigidity, rng)
+            if not points_close(dest, pos, 0.0):
+                pos = apply_move(pos, dest, rigidity, rng)
+                changed = True
             if result.light:
                 values = list(light.values)
                 for idx, value in result.light.items():
                     values[idx] = value
-                light = _light(tuple(values), light.palette)
-            entries.append((rid, new_pos, light))
+                if tuple(values) != light.values:
+                    light = _light(tuple(values), light.palette)
+                    changed = True
             if result.events:
                 events[rid] = result.events
-        else:
-            entries.append((rid, pos, light))
+        entries.append((rid, pos, light))
+    if not changed:
+        return config, events
+    computed.clear()
     return _configuration(tuple(entries)), events
 
 
@@ -296,10 +308,11 @@ def run(
     rng = random.Random(seed)
     header = TraceHeader(model, kind_name, n, seed, rigidity.delta, algo.palette, algo.name)
     config = config0
+    computed: dict[int, tuple[LocalFrame, StepResult]] = {}
     trace_rounds = []
     for k in range(rounds):
         config, events = run_round(
-            config, prefix.sets[k], algo, model, frames, rigidity, rng, multiplicity
+            config, prefix.sets[k], algo, model, frames, rigidity, rng, multiplicity, computed
         )
         trace_rounds.append(TraceRound(prefix.sets[k], config, events))
     return Trace(header, config0, tuple(trace_rounds))
@@ -335,9 +348,10 @@ def replay(
     frames = _frames(frames, trace.initial.n)
     rng = random.Random(h.seed)
     config = trace.initial
+    computed: dict[int, tuple[LocalFrame, StepResult]] = {}
     for recorded in trace.rounds:
         config, _ = run_round(
-            config, recorded.eset, algo, h.model, frames, rigidity, rng, multiplicity
+            config, recorded.eset, algo, h.model, frames, rigidity, rng, multiplicity, computed
         )
         for rid, pos, light in config.entries:
             want_pos = recorded.config.position(rid)

@@ -207,6 +207,8 @@ def check_cyc(
             label = -1
         elif all(s == STATUS_FINAL for s in statuses):
             frac = d_fn(idx)
+            if not 0.0 < frac < 1.0:
+                raise ValueError(f"d({idx}) = {frac} must be a radius fraction in (0, 1)")
             target = Point(
                 view.center.x + frac * view.radius * unit.x,
                 view.center.y + frac * view.radius * unit.y,

@@ -323,6 +323,64 @@ def test_cyclic_cycles_radius_must_be_positive_and_finite(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("flags, message", [
+    *[pytest.param(["--algo", *algo, "--n", n], "n: must be a positive integer", id=f"n{n}-{algo[0]}")
+      for algo in (["stay"], ["cyclic-cycles"], ["sim-rs-by-s", "--inner", "stay"])
+      for n in ("0", "-2")],
+    pytest.param(["--algo", "stay", "--rounds", "-2"], "rounds: must be nonnegative", id="rounds"),
+    pytest.param(["--algo", "stay", "--scheduler", "round-robin"],
+                 "blocks: round-robin needs --blocks", id="blocks"),
+    pytest.param(["--algo", "stay", "--config", "kind.cfg"],
+                 "scheduler: unknown kind 'bogus'", id="scheduler"),
+    pytest.param(["--algo", "cyclic-cycles", "--n", "3", "--d-rel", "1.5"],
+                 "d-rel: must be a radius fraction in (0, 1)", id="d-rel"),
+])
+def test_field_rules_are_config_errors(tmp_path, capsys, monkeypatch, command, flags, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "kind.cfg").write_text("scheduler=bogus\n")
+    argv = [command, *flags, "--out", "t.trace"]
+    if command == "sweep":
+        argv += ["--seeds", "0:1", "--check", "rdv"]
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {message}\n"
+    assert not (tmp_path / "t.trace").exists() and "pass" not in captured.out
+
+
+def test_positions_that_do_not_match_n_are_an_error(tmp_path, capsys):
+    out = tmp_path / "t.trace"
+    assert run_cli("run", "--algo", "stay", "--n", "3", "--positions", "0,0 1,1",
+                   "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: n=3 but 2 positions were given\n"
+
+
+@pytest.mark.parametrize("d_rel", ["2", "0", "-1", "nan", "1", "x"])
+def test_check_d_rel_must_be_a_radius_fraction(tmp_path, capsys, d_rel):
+    out = tmp_path / "cyc.trace"
+    assert run_cli("run", "--algo", "cyclic-cycles", "--n", "3", "--scheduler", "fsynch",
+                   "--rounds", "60", "--out", str(out)) == 0
+    assert run_cli("check", "--problem", "cyc", "--trace", str(out), "--d-rel", "0.5") == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run_cli("check", "--problem", "cyc", "--trace", str(out), f"--d-rel={d_rel}")
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"--d-rel: must be a radius fraction in (0, 1), got {d_rel!r}" in captured.err
+    assert "cyc:" not in captured.out
+
+
+def test_sweep_counts_a_checker_error_against_its_seed(capsys):
+    # The cyc checker cannot decode a stay run's two robots; each seed's
+    # error is that seed's failure, and the first is reported.
+    code = run_cli("sweep", "--algo", "stay", "--n", "2", "--rounds", "3", "--seeds", "0:1",
+                   "--check", "cyc")
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "seeds 0..1: 0 pass, 2 fail, 0 inconclusive" in out
+    assert "first counterexample seed 0: error: " in out
+
+
 @pytest.mark.parametrize("bad, message", [
     ("round=2 act=x", "bad round line: invalid literal for int()"),
     ("round=q", "bad round line: invalid literal for int()"),

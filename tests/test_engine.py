@@ -19,12 +19,18 @@ from lcmswarm.algorithms import (
 from lcmswarm.core import (
     Configuration,
     LightTuple,
+    LocalFrame,
     ModelKind,
     Multiplicity,
     Point,
+    _configuration,
+    _frame,
+    _light,
     distance,
+    from_local,
     make_configuration,
     points_close,
+    snapshot,
 )
 from lcmswarm.engine import (
     Algorithm,
@@ -36,6 +42,7 @@ from lcmswarm.engine import (
     Trace,
     TraceHeader,
     TraceRound,
+    _check_result,
     apply_move,
     read_trace,
     replay,
@@ -43,7 +50,14 @@ from lcmswarm.engine import (
     run_round,
     write_trace,
 )
-from lcmswarm.scheduler import ENERGY_RESTRICTED, SchedulePrefix, generate
+from lcmswarm.scheduler import (
+    ENERGY_RESTRICTED,
+    KIND_NAMES,
+    ROUND_ROBIN,
+    SchedulePrefix,
+    SchedulerKind,
+    generate,
+)
 from lcmswarm.simulators import sim_lumi_by_fcom, sim_rs_by_s
 
 
@@ -278,6 +292,20 @@ class TestConstraints:
         with pytest.raises(ConstraintError, match="nonnegative"):
             run(cfg, SchedulePrefix((), 2), alg_sro(), rounds=-1)
         assert issubclass(ConstraintError, ValueError)
+
+    def test_every_run_precondition_is_a_constraint_error(self):
+        cfg = make_configuration([Point(0, 0), Point(1, 1)])
+        stub = Algorithm("stub", (), _raising_step, ModelKind.OBLOT, min_robots=3)
+        for args, kwargs, message in [
+            (("fsynch", alg_stay()), {}, "rounds is required when generating a schedule"),
+            (("fsynch", alg_stay()), {"rounds": -1}, "rounds must be nonnegative"),
+            ((_sets({0}), alg_stay()), {}, "schedule is for n=3, configuration has n=2"),
+            (("fsynch", stub), {"rounds": 1}, "stub requires at least 3 robots"),
+        ]:
+            with pytest.raises(ConstraintError, match=f"^{re.escape(message)}$"):
+                run(cfg, *args, **kwargs)
+        with pytest.raises(ConstraintError, match="^sro requires exactly 2 robots$"):
+            run(make_configuration(THREE), "fsynch", alg_sro(), rounds=1)
 
     def test_rigid_is_declared_by_sro(self):
         assert alg_sro().rigid and not alg_stay().rigid and not alg_cyclic_cycles(3).rigid
@@ -607,9 +635,9 @@ def _grid_case(name, seed):
     return algo, make_configuration(_grid_positions(rng, n), palette=algo.palette), rounds
 
 
-def grid_runs(name):
-    """(cell, trace) for every grid cell of one algorithm; a run that raises
-    gives its ValueError in place of the trace."""
+def grid_cells(name):
+    """(cell, positional and keyword arguments of run) for every grid cell of
+    one algorithm."""
     # sim-lumi-by-fcom runs only on its rsynch host; everything else on ssynch.
     kind = "rsynch" if name == "sim-lumi-by-fcom" else "ssynch"
     for seed in GRID_SEEDS:
@@ -620,16 +648,24 @@ def grid_runs(name):
             for delta in (None, GRID_DELTA):
                 for multiplicity in Multiplicity:
                     cell = f"{seed} {frames} {delta} {multiplicity.value}\n"
-                    try:
-                        trace = run(
-                            config, kind, algo, rounds=rounds, seed=seed,
-                            rigidity=Rigidity(delta), multiplicity=multiplicity,
-                            frames=_grid_frames(frames, config.n),
-                            chirality=frames != "reflecting",
-                        )
-                    except ValueError as exc:
-                        trace = exc
-                    yield cell, trace
+                    kwargs = dict(
+                        rounds=rounds, seed=seed,
+                        rigidity=Rigidity(delta), multiplicity=multiplicity,
+                        frames=_grid_frames(frames, config.n),
+                        chirality=frames != "reflecting",
+                    )
+                    yield cell, (config, kind, algo), kwargs
+
+
+def grid_runs(name):
+    """(cell, trace) for every grid cell of one algorithm; a run that raises
+    gives its ValueError in place of the trace."""
+    for cell, args, kwargs in grid_cells(name):
+        try:
+            trace = run(*args, **kwargs)
+        except ValueError as exc:
+            trace = exc
+        yield cell, trace
 
 
 def golden_grid_digest(name, workdir):
@@ -842,3 +878,211 @@ def test_reader_names_the_same_line_as_the_replaced_reader(tmp_path):
     assert files == 2 * (5 * 4 + 15 * 5)  # 5 rounds of 3 robots
     path.write_text("\n\n".join(lines) + "\n \n")  # only blank lines added
     assert read_trace(str(path)) == oracle_read_trace(str(path))
+
+
+# --- Step results reused while the configuration is unchanged ------------------
+#
+# run and replay step a robot once per configuration: a robot activated again
+# before any robot moved or changed a light value reuses its result, and a
+# round that changes nothing returns the configuration it was given.  The
+# oracle is run_round and run's loop as they were before, when every
+# activation Looked and stepped.
+
+
+def oracle_run_round(
+    config: Configuration,
+    eset: frozenset[int],
+    algo: Algorithm,
+    model: ModelKind,
+    frames: dict[int, FrameSpec],
+    rigidity: Rigidity,
+    rng: random.Random,
+    multiplicity: Multiplicity = Multiplicity.STRONG,
+) -> tuple[Configuration, dict[int, tuple[str, ...]]]:
+    """Execute one synchronous round for the robots in eset.
+
+    Lights must carry algo.palette and frame specs must be valid (run and
+    replay check both); new values are checked once, by _check_result, and
+    committed unchecked."""
+    for rid in eset:
+        if not 0 <= rid < config.n:
+            raise ValueError(f"activation of unknown robot {rid}")
+
+    # Look + Compute against the same pre-round configuration; each robot's
+    # frame is built once and kept for its Move.
+    results: dict[int, tuple[LocalFrame, StepResult]] = {}
+    for rid in sorted(eset):
+        spec = frames[rid]
+        frame = _frame(config.position(rid), spec.rotation, spec.scale, spec.reflecting)
+        result = algo.step(snapshot(model, config, rid, frame, multiplicity))
+        _check_result(result, algo.palette, algo.name)
+        results[rid] = frame, result
+
+    # Move + light commit, simultaneously.
+    entries = []
+    events: dict[int, tuple[str, ...]] = {}
+    for rid, pos, light in config.entries:
+        if rid in results:
+            frame, result = results[rid]
+            dest = from_local(frame, result.destination)
+            new_pos = pos if points_close(dest, pos, 0.0) else apply_move(pos, dest, rigidity, rng)
+            if result.light:
+                values = list(light.values)
+                for idx, value in result.light.items():
+                    values[idx] = value
+                light = _light(tuple(values), light.palette)
+            entries.append((rid, new_pos, light))
+            if result.events:
+                events[rid] = result.events
+        else:
+            entries.append((rid, pos, light))
+    return _configuration(tuple(entries)), events
+
+
+def oracle_run(config0, schedule, algo, *, rigidity=Rigidity(), rounds=None, seed=0, frames=None,
+               multiplicity=Multiplicity.STRONG, chirality=True):
+    """run's checks and header, then its loop over oracle_run_round."""
+    header = run(config0, schedule, algo, rigidity=rigidity, rounds=0, seed=seed, frames=frames,
+                 multiplicity=multiplicity, chirality=chirality).header
+    if isinstance(schedule, SchedulePrefix):
+        rounds = len(schedule) if rounds is None else rounds
+        prefix = schedule
+    else:
+        prefix = generate(schedule, config0.n, rounds, seed)
+    frames = {rid: (frames or {}).get(rid, FrameSpec()) for rid in range(config0.n)}
+    rng = random.Random(seed)
+    model = header.model
+    config = config0
+    trace_rounds = []
+    for k in range(rounds):
+        config, events = oracle_run_round(
+            config, prefix.sets[k], algo, model, frames, rigidity, rng, multiplicity
+        )
+        trace_rounds.append(TraceRound(prefix.sets[k], config, events))
+    return Trace(header, config0, tuple(trace_rounds))
+
+
+def _run_outcome(execute, args, kwargs):
+    try:
+        return execute(*args, **kwargs)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _file_bytes(trace, path):
+    write_trace(trace, path)
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _assert_run_matches_the_oracle(args, kwargs, path, cell=""):
+    """run equals the oracle, trace and file; replay accepts the oracle's trace.
+    Returns the number of rounds after which run kept the configuration object."""
+    got, want = _run_outcome(run, args, kwargs), _run_outcome(oracle_run, args, kwargs)
+    assert got == want, cell
+    if isinstance(want, str):
+        return 0
+    assert _file_bytes(got, path) == _file_bytes(want, path), cell
+    replay_kwargs = {k: kwargs[k] for k in ("rigidity", "frames", "multiplicity") if k in kwargs}
+    assert replay(want, args[2], **replay_kwargs), cell
+    configs = got.configs()
+    return sum(a is b for a, b in zip(configs, configs[1:]))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_GRID))
+def test_run_and_replay_match_the_oracle_on_every_grid_cell(name, tmp_path):
+    still = sum(
+        _assert_run_matches_the_oracle(args, kwargs, str(tmp_path / "grid.trace"), cell)
+        for cell, args, kwargs in grid_cells(name)
+    )
+    # Every tricolor, move-east and sro round here moves a robot or changes a
+    # light; the others have rounds that change nothing, so results are reused.
+    assert (still > 0) == (name in ("cyclic-cycles", "sim-lumi-by-fcom", "sim-rs-by-s"))
+
+
+def _witness(snap):
+    """Assigns the light it already shows and records an event: a no-op."""
+    return StepResult(light={0: snap.own_light[0]}, events=("seen", "kept"))
+
+
+def _east_toggles(snap):
+    """The eastmost robot alternately turns its light on and steps east turning
+    it off; every other robot re-assigns its light and records an event,
+    changing nothing."""
+    if any(loc.point.x > 0.0 for loc in snap.observed):
+        return StepResult(light={0: snap.own_light[0]}, events=("west",))
+    if snap.own_light[0] == 0:
+        return StepResult(light={0: 1})
+    return StepResult(destination=Point(1.0, 0.0), light={0: 0}, events=("east",))
+
+
+ALGOS_WITH_EVENTS = {
+    "witness": Algorithm("witness", (2,), _witness, ModelKind.FSTA),
+    "east-toggles": Algorithm("east-toggles", (2,), _east_toggles, ModelKind.FSTA),
+}
+
+
+@pytest.mark.parametrize("kind", KIND_NAMES)
+@pytest.mark.parametrize("name", sorted(ALGOS_WITH_EVENTS))
+def test_run_matches_the_oracle_for_steps_that_record_events(name, kind, tmp_path):
+    algo = ALGOS_WITH_EVENTS[name]
+    positions = [Point(0, 0), Point(3, 1), Point(-2, 4), Point(3, 1)]
+    config = make_configuration(positions, palette=(2,))
+    if kind == ROUND_ROBIN:
+        kind = SchedulerKind(ROUND_ROBIN, (frozenset({0, 2}), frozenset({1, 3})))
+    still = 0
+    for seed in range(3):
+        for delta in (None, 0.4):
+            for frames in ("identity", "rotated", "reflecting"):
+                kwargs = dict(rounds=40, seed=seed, rigidity=Rigidity(delta),
+                              frames=_grid_frames(frames, 4), multiplicity=Multiplicity.WEAK)
+                still += _assert_run_matches_the_oracle(
+                    (config, kind, algo), kwargs, str(tmp_path / "t.trace"))
+    assert still > 0
+
+
+def _counting(algo):
+    """algo with a step that records each snapshot it is given."""
+    seen = []
+
+    def step(snap):
+        seen.append(snap)
+        return algo.step(snap)
+
+    return dataclasses.replace(algo, step=step), seen
+
+
+class TestReuse:
+    def _run(self, sets, rounds=None):
+        algo, seen = _counting(ALGOS_WITH_EVENTS["east-toggles"])
+        config = make_configuration([Point(0, 0), Point(5, 0)], palette=(2,))
+        trace = run(config, SchedulePrefix(tuple(map(frozenset, sets)), 2), algo, rounds=rounds)
+        return trace, len(seen)
+
+    def test_a_robot_is_stepped_once_per_configuration(self):
+        # Robot 0 (west) changes nothing; robot 1 (east) changes a light,
+        # then moves, then changes a light again, each time it is activated.
+        sets = [{0}, {0}, {0}, {1}, {0}, {0}, {1}, {0}, {0, 1}, {0}, {0, 1}, {0, 1}]
+        steps = [self._run(sets, rounds)[1] for rounds in range(len(sets) + 1)]
+        assert steps == [0, 1, 1, 1, 2, 3, 3, 4, 5, 6, 7, 8, 10]
+
+    def test_a_reused_step_records_the_same_events(self):
+        trace, _ = self._run([{0}, {0}, {0, 1}, {0}])
+        assert [r.events for r in trace.rounds] == [
+            {0: ("west",)}, {0: ("west",)}, {0: ("west",)}, {0: ("west",)}
+        ]
+
+    def test_a_round_that_changes_nothing_returns_its_configuration(self):
+        trace, _ = self._run([{0}, {0, 1}, {0}, {1}, {1}])
+        configs = trace.configs()
+        assert [a is b for a, b in zip(configs, configs[1:])] == [True, False, True, False, False]
+        cfg = make_configuration([Point(0, 0), Point(1, 1)], palette=(2,))
+        for algo in (alg_stay(), ALGOS_WITH_EVENTS["witness"]):
+            out, _ = run_round(cfg, frozenset({0, 1}), algo, ModelKind.FSTA, identity_frames(2),
+                               Rigidity(), random.Random(0))
+            assert out is cfg
+
+    def test_replay_steps_once_per_configuration(self):
+        trace, steps = self._run([{0}, {0}, {0}, {1}, {0}, {0}])
+        algo, seen = _counting(ALGOS_WITH_EVENTS["east-toggles"])
+        assert replay(trace, algo) and len(seen) == steps == 3

@@ -160,6 +160,15 @@ class TestCheckCyc:
         with pytest.raises(ValueError):
             check_cyc(self._trace(), 4)
 
+    @pytest.mark.parametrize("frac", [2.0, 1.0, 0.0, -1.0, math.nan])
+    def test_mover_distance_must_be_a_radius_fraction(self, frac):
+        # As the step itself refuses it, not as a reject of a clean run.
+        with pytest.raises(ValueError, match=r"^d\(0\) = .* must be a radius fraction in \(0, 1\)$"):
+            check_cyc(self._trace(), 3, d_rel=lambda _i: frac)
+        with pytest.raises(ValueError, match=r"^d\(0\) = .* must be a radius fraction"):
+            run(cyc_initial_config(3), "fsynch", alg_cyclic_cycles(3, d_rel=lambda _i: frac),
+                rounds=10)
+
     def _stretches(self, trace):
         """The configuration indices f1 < c1 < f2 < c2 < f3 where the first
         three uniform-final and the two uniform-center stretches between them
