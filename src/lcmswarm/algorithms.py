@@ -147,6 +147,8 @@ def decode_cyc_pattern(points: Sequence[Point], n: int) -> CycView:
 
     Raises MalformedPatternError unless exactly one interpretation fits.
     """
+    if n < 3:
+        raise MalformedPatternError("cyclic circles needs at least 3 robots")
     if len(points) != n:
         raise MalformedPatternError(f"expected {n} distinct locations, saw {len(points)}")
     views = []
@@ -206,6 +208,7 @@ class _CycReading:
     i_am_mover: bool
     mover_at_center: bool
     origin_at_center: bool
+    targets: dict[int, tuple[Point, bool]]  # counter value: (mover's target, mover there)
 
 
 # Distinct geometries whose reading one cyclic-circles algorithm keeps.  Over
@@ -232,6 +235,7 @@ def _cyc_reader(n: int) -> Callable[[bytes], _CycReading]:
             points_close(view.mover, ORIGIN, pos_tol),
             points_close(view.mover, view.center, pos_tol),
             points_close(ORIGIN, view.center, pos_tol),
+            {},
         )
 
     return read_geometry
@@ -267,20 +271,26 @@ def alg_cyclic_cycles(
         uy = (view.vacancy.y - view.center.y) / view.radius
         return Point(view.center.x + frac * view.radius * ux, view.center.y + frac * view.radius * uy)
 
+    def final_target(reading: _CycReading, idx: int) -> tuple[Point, bool]:
+        kept = reading.targets.get(idx)
+        if kept is None:
+            target = final_point(reading.view, idx)
+            mover = ORIGIN if reading.i_am_mover else reading.view.mover
+            kept = reading.targets[idx] = target, points_close(mover, target, reading.pos_tol)
+        return kept
+
     def step(snap: Snapshot) -> StepResult:
         observed = snap.observed
         if any(loc.count != 1 for loc in observed):
             raise MalformedPatternError("cyclic circles expects one robot per location")
         reading = read_geometry(_points_key(observed))
-        view, pos_tol = reading.view, reading.pos_tol
         ring_lights = [None if k is None else observed[k].lights[0] for k in reading.slots]
 
         if reading.i_am_mover:
             statuses = [lt[CYC_STATUS] for lt in ring_lights]
             bits = [lt[CYC_B] for lt in ring_lights]
             idx = sum(b << k for k, b in enumerate(bits))
-            target = final_point(view, idx)
-            at_target = points_close(ORIGIN, target, pos_tol)
+            target, at_target = final_target(reading, idx)
             if all(s == STATUS_CENTER for s in statuses) and not at_target:
                 return StepResult(light={CYC_STATUS: STATUS_FINAL}, destination=target)
             if all(s == STATUS_FINAL for s in statuses) and not reading.origin_at_center:
@@ -291,7 +301,7 @@ def alg_cyclic_cycles(
                         CYC_CARRY: 1,  # carry into the least significant bit
                         CYC_SUC_B: ring_lights[0][CYC_B],
                     },
-                    destination=view.center,
+                    destination=reading.view.center,
                 )
             return StepResult()
 
@@ -305,8 +315,7 @@ def alg_cyclic_cycles(
         bits = [pred_light[CYC_SUC_B] if k == my_slot else lt[CYC_B]
                 for k, lt in enumerate(ring_lights)]
         idx = sum(b << k for k, b in enumerate(bits))
-        target = final_point(view, idx)
-        mover_at_target = points_close(view.mover, target, pos_tol)
+        _, mover_at_target = final_target(reading, idx)
 
         if mover_at_target and mover_light[CYC_STATUS] == STATUS_FINAL:
             return StepResult(light={CYC_STATUS: STATUS_FINAL})

@@ -19,12 +19,21 @@ TWO_PI = 2.0 * math.pi
 
 
 class ModelKind(Enum):
-    """Robot capability model, ordered from weakest to strongest."""
+    """Robot capability model, weakest first: (name, sees own light, sees others' lights)."""
 
-    OBLOT = "OBLOT"  # oblivious and silent
-    FSTA = "FSTA"    # internal light only (finite-state)
-    FCOM = "FCOM"    # external light only (finite-communication)
-    LUMI = "LUMI"    # full visible persistent light
+    OBLOT = "OBLOT", False, False  # oblivious and silent
+    FSTA = "FSTA", True, False     # internal light only (finite-state)
+    FCOM = "FCOM", False, True     # external light only (finite-communication)
+    LUMI = "LUMI", True, True      # full visible persistent light
+
+    def __new__(cls, value: str, sees_own: bool, sees_others: bool):
+        model = object.__new__(cls)
+        model._value_, model.sees_own, model.sees_others = value, sees_own, sees_others
+        return model
+
+    def sees_change(self, rid: int, lit: list[int]) -> bool:
+        """Whether robot `rid` sees a change of the lights of the distinct robots in `lit`."""
+        return self.sees_others and len(lit) > (rid in lit) or self.sees_own and rid in lit
 
 
 class Multiplicity(Enum):
@@ -295,13 +304,9 @@ class ObservedLocation:
 class Snapshot:
     """A robot's model-filtered, locally-framed view of the configuration.
 
-    The observer always sees itself at the local origin.  Light visibility:
-
-    * OBLOT - no lights at all;
-    * FSTA  - own light only (own_light);
-    * FCOM  - all other robots' lights; own light excluded from the multiset
-      at its own location; own_light absent;
-    * LUMI  - every light including its own; own_light present.
+    The observer always sees itself at the local origin.  Its model's
+    ModelKind row says which lights it sees: own_light, else None; and each
+    location's multiset, else None, holding its own light only if it sees it.
     """
 
     observed: tuple[ObservedLocation, ...]
@@ -426,16 +431,22 @@ def snapshot(
     observer: int,
     frame: LocalFrame,
     multiplicity: Multiplicity = Multiplicity.STRONG,
+    geometry: list[tuple[float, float, int]] | None = None,
 ) -> Snapshot:
     """Perform the Look of `observer`: positions of all robots mapped through
-    to_local, lights filtered per the model's visibility rule."""
+    to_local, lights filtered per the model's visibility row.  An empty
+    `geometry` list is filled with the sorted (x, y, grouping index) triples
+    of the occupied locations in `frame`, and a filled one is read: it holds
+    while no robot moves, since a change of lights keeps the grouping's order."""
     if not 0 <= observer < config.n:
         raise ValueError(f"unknown observer id {observer}")
     g = _grouping(config)
 
-    if model is ModelKind.LUMI:
+    if not model.sees_others:
+        lights = [None] * len(g.keys)
+    elif model.sees_own:
         lights = g.lights
-    elif model is ModelKind.FCOM:
+    else:
         p = config.position(observer)
         here = (p.x, p.y)
         members = g.groups[here]
@@ -444,16 +455,15 @@ def snapshot(
             tuple(sorted(lt.values for rid, lt in members if rid != observer))
             if len(members) > 1 else ()
         )
-    else:
-        lights = [None] * len(g.keys)
     counts = g.counts(multiplicity)
-    # Sorting (x, y, first-seen index) gives the stable sort by (x, y),
-    # 0.0 == -0.0 ties included, without comparing objects.
-    local = _local_coords(frame, g.keys)
-    local.sort()
-    observed = tuple([_location(_point(x, y), counts[i], lights[i]) for x, y, i in local])
+    geometry = [] if geometry is None else geometry
+    if not geometry:
+        # Sorting (x, y, first-seen index) gives the stable sort by (x, y),
+        # 0.0 == -0.0 ties included, without comparing objects.
+        geometry += sorted(_local_coords(frame, g.keys))
+    observed = tuple([_location(_point(x, y), counts[i], lights[i]) for x, y, i in geometry])
 
-    own = config.light(observer).values if model in (ModelKind.FSTA, ModelKind.LUMI) else None
+    own = config.light(observer).values if model.sees_own else None
     return _snapshot(observed, own, multiplicity is not Multiplicity.NONE)
 
 

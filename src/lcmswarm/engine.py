@@ -62,8 +62,8 @@ class Algorithm:
 
     Step functions receive only a Snapshot; they never see robot ids, round
     numbers, or anything else, which enforces anonymity and uniformity by
-    construction.  `run` reuses a robot's step result while the configuration
-    is unchanged, so a step must be a pure function of its snapshot.  The
+    construction.  A step must be a pure function of its snapshot: `run`
+    reuses a robot's step result while nothing it can see has changed.  The
     remaining fields are run constraints, which `run` checks before round 1;
     only `rigid` is left to the command line, since pinned traces run sro
     under non-rigid movement.
@@ -196,54 +196,62 @@ def run_round(
     rigidity: Rigidity,
     rng: random.Random,
     multiplicity: Multiplicity = Multiplicity.STRONG,
-    computed: dict[int, tuple[LocalFrame, StepResult]] | None = None,
+    store: dict[int, tuple[LocalFrame, list, StepResult | None]] | None = None,
 ) -> tuple[Configuration, dict[int, tuple[str, ...]]]:
     """Execute one synchronous round for the robots in eset.
 
     Lights must carry algo.palette and frame specs must be valid (run and
     replay check both); new values are checked once, by _check_result, and
-    committed unchecked.  `computed` keeps each robot's frame and step result
-    for `config` across rounds and is emptied when the configuration changes;
-    a round that moves no robot and changes no light value returns `config`."""
+    committed unchecked.  `store` keeps each robot's frame and Look geometry
+    until a robot moves, and its step result until a light it can see changes
+    value; a round that moves no robot and changes no light returns `config`."""
     for rid in eset:
         if not 0 <= rid < config.n:
             raise ValueError(f"activation of unknown robot {rid}")
-    computed = {} if computed is None else computed
+    store = {} if store is None else store
 
     # Look + Compute against the same pre-round configuration; each robot's
     # frame is built once and kept for its Move.
     for rid in sorted(eset):
-        if rid not in computed:
-            spec = frames[rid]
-            frame = _frame(config.position(rid), spec.rotation, spec.scale, spec.reflecting)
-            result = algo.step(snapshot(model, config, rid, frame, multiplicity))
+        frame, geometry, result = store.get(rid) or (None, [], None)  # the Look fills geometry
+        if result is None:
+            if frame is None:
+                spec = frames[rid]
+                frame = _frame(config.position(rid), spec.rotation, spec.scale, spec.reflecting)
+            result = algo.step(snapshot(model, config, rid, frame, multiplicity, geometry))
             _check_result(result, algo.palette, algo.name)
-            computed[rid] = frame, result
+            store[rid] = frame, geometry, result
 
     # Move + light commit, simultaneously.
     entries = []
     events: dict[int, tuple[str, ...]] = {}
-    changed = False
+    moved, lit = False, []
     for rid, pos, light in config.entries:
         if rid in eset:
-            frame, result = computed[rid]
-            dest = from_local(frame, result.destination)
-            if not points_close(dest, pos, 0.0):
-                pos = apply_move(pos, dest, rigidity, rng)
-                changed = True
+            frame, _, result = store[rid]
+            if result.destination.x or result.destination.y:  # the local origin is `pos`
+                dest = from_local(frame, result.destination)
+                if not points_close(dest, pos, 0.0):
+                    pos = apply_move(pos, dest, rigidity, rng)
+                    moved = True
             if result.light:
                 values = list(light.values)
                 for idx, value in result.light.items():
                     values[idx] = value
                 if tuple(values) != light.values:
                     light = _light(tuple(values), light.palette)
-                    changed = True
+                    lit.append(rid)
             if result.events:
                 events[rid] = result.events
         entries.append((rid, pos, light))
-    if not changed:
+    if moved:
+        store.clear()
+    elif lit:  # drop each kept result that sees a changed light
+        for rid, (frame, geometry, result) in store.items():
+            if result is not None and model.sees_change(rid, lit):
+                store[rid] = frame, geometry, None
+    else:
         return config, events
-    computed.clear()
     return _configuration(tuple(entries)), events
 
 
@@ -308,11 +316,11 @@ def run(
     rng = random.Random(seed)
     header = TraceHeader(model, kind_name, n, seed, rigidity.delta, algo.palette, algo.name)
     config = config0
-    computed: dict[int, tuple[LocalFrame, StepResult]] = {}
+    store: dict = {}
     trace_rounds = []
     for k in range(rounds):
         config, events = run_round(
-            config, prefix.sets[k], algo, model, frames, rigidity, rng, multiplicity, computed
+            config, prefix.sets[k], algo, model, frames, rigidity, rng, multiplicity, store
         )
         trace_rounds.append(TraceRound(prefix.sets[k], config, events))
     return Trace(header, config0, tuple(trace_rounds))
@@ -348,10 +356,10 @@ def replay(
     frames = _frames(frames, trace.initial.n)
     rng = random.Random(h.seed)
     config = trace.initial
-    computed: dict[int, tuple[LocalFrame, StepResult]] = {}
+    store: dict = {}
     for recorded in trace.rounds:
         config, _ = run_round(
-            config, recorded.eset, algo, h.model, frames, rigidity, rng, multiplicity, computed
+            config, recorded.eset, algo, h.model, frames, rigidity, rng, multiplicity, store
         )
         for rid, pos, light in config.entries:
             want_pos = recorded.config.position(rid)

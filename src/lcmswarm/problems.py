@@ -174,6 +174,10 @@ def check_cyc(
         raise ValueError(f"trace has {trace.initial.n} robots, expected {n}")
     d_fn = d_rel or (lambda _i: 0.5)
     k = 2 ** (n - 1)
+    configs = trace.configs()
+    for idx in range(min(k, len(configs))):  # each counter value the trace can reach
+        if not 0.0 < (frac := d_fn(idx)) < 1.0:
+            raise ValueError(f"d({idx}) = {frac} must be a radius fraction in (0, 1)")
     initial = trace.initial
     view = decode_cyc_pattern([p for _, p, _ in initial.entries], n)
 
@@ -192,7 +196,6 @@ def check_cyc(
     )
 
     labels: list[tuple[int, int]] = []  # (counter index or -1 for the base pattern, round)
-    configs = trace.configs()
     for i, config in enumerate(configs):
         for rid in ring_ids:
             if not points_close(config.position(rid), initial.position(rid), pos_tol):
@@ -207,8 +210,6 @@ def check_cyc(
             label = -1
         elif all(s == STATUS_FINAL for s in statuses):
             frac = d_fn(idx)
-            if not 0.0 < frac < 1.0:
-                raise ValueError(f"d({idx}) = {frac} must be a radius fraction in (0, 1)")
             target = Point(
                 view.center.x + frac * view.radius * unit.x,
                 view.center.y + frac * view.radius * unit.y,

@@ -291,6 +291,12 @@ class TestDecode:
         with pytest.raises(MalformedPatternError):
             decode_cyc_pattern([Point(0, 0)], 3)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_fewer_than_three_robots_is_malformed(self, n):
+        pts = [Point(0, 0), Point(1, 0)][:n]
+        with pytest.raises(MalformedPatternError, match="^cyclic circles needs at least 3 robots$"):
+            decode_cyc_pattern(pts, n)
+
 
 def result_bits(res):
     """A StepResult with its floats as bit patterns, so -0.0 != 0.0."""
@@ -335,6 +341,24 @@ class TestCycReadingCache:
                     assert result_bits(algo.step(snap)) == result_bits(oracle(snap))
                     checked += 1
         assert checked == 4 * 151 * n
+
+    def test_one_geometry_gives_each_counter_value_its_own_target(self):
+        # The mover at the center under every counter value, then again in
+        # reverse order: one kept reading, a count-dependent target each time.
+        n = 4
+
+        def varying(count):
+            return 0.2 + 0.6 * count / 2 ** (n - 1)
+
+        algo, oracle = alg_cyclic_cycles(n, varying), oracle_cyc_step(n, varying)
+        positions = [p for _, p, _ in cyc_initial_config(n).entries]
+        counts = list(range(2 ** (n - 1)))
+        for count in counts + counts[::-1]:
+            lights = [cyc_lights()] + [cyc_lights(b=(count >> k) & 1) for k in range(n - 1)]
+            config = make_configuration(positions, lights, CYC_PALETTE)
+            for rid in range(n):
+                snap = snapshot(ModelKind.FCOM, config, rid, LocalFrame(positions[rid]))
+                assert result_bits(algo.step(snap)) == result_bits(oracle(snap))
 
     def test_key_tells_negative_zero_apart(self):
         cfg = cyc_initial_config(4)

@@ -378,7 +378,15 @@ def test_sweep_counts_a_checker_error_against_its_seed(capsys):
     assert code == 1
     out = capsys.readouterr().out
     assert "seeds 0..1: 0 pass, 2 fail, 0 inconclusive" in out
-    assert "first counterexample seed 0: error: " in out
+    assert "first counterexample seed 0: error: cyclic circles needs at least 3 robots\n" in out
+
+
+def test_check_cyc_on_two_robots_names_the_cause(tmp_path, capsys):
+    trace = tmp_path / "stay.trace"
+    assert run_cli("run", "--algo", "stay", "--n", "2", "--rounds", "3", "--out", str(trace)) == 0
+    capsys.readouterr()
+    assert run_cli("check", "--problem", "cyc", "--trace", str(trace)) == 2
+    assert capsys.readouterr().err == "error: cyclic circles needs at least 3 robots\n"
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -600,7 +608,7 @@ def inputs(tmp_path, monkeypatch):
 
 
 @given(argv=argvs())
-@settings(max_examples=300, deadline=None,
+@settings(max_examples=300, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_fuzzed_argv_keeps_the_exit_code_contract(inputs, argv):
     code, out, err = call(argv)
@@ -617,7 +625,7 @@ CONFIG_VALUES = {  # config-file keys, with the values each is drawn with
 
 @given(st.lists(st.sampled_from(sorted(CONFIG_VALUES)).flatmap(
     lambda key: st.tuples(st.just(key), st.sampled_from(CONFIG_VALUES[key]))), max_size=6))
-@settings(max_examples=200, deadline=None,
+@settings(max_examples=200, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_fuzzed_config_file_keeps_the_exit_code_contract(inputs, lines):
     (inputs / "fuzz.cfg").write_text("".join(f"{key}={value}\n" for key, value in lines))

@@ -178,6 +178,20 @@ def test_silent_models_blind_to_other_lights(model):
         assert snapshot(model, one, 0, f) == snapshot(model, two, 0, f)
 
 
+@pytest.mark.parametrize("model, own, others", [
+    (ModelKind.OBLOT, False, False),
+    (ModelKind.FSTA, True, False),
+    (ModelKind.FCOM, False, True),
+    (ModelKind.LUMI, True, True),
+])
+def test_visibility_row_says_which_light_changes_a_robot_sees(model, own, others):
+    assert (model.sees_own, model.sees_others) == (own, others)
+    assert model.sees_change(0, [0]) == own
+    assert model.sees_change(0, [1]) == others
+    assert model.sees_change(0, [1, 0]) == (own or others)
+    assert model.sees_change(1, [0, 2]) == others
+
+
 def test_fcom_blind_to_own_light():
     rng = random.Random(8)
     for _ in range(50):
@@ -377,6 +391,38 @@ def test_snapshot_bitwise_equals_per_observer_oracle():
                         assert got == want, (config, observer, frame, model, multiplicity)
                         compared += 1
     assert compared > 10_000
+
+
+def test_kept_geometry_serves_a_configuration_whose_lights_alone_changed():
+    # snapshot fills an empty geometry list and reads a filled one as is; the
+    # engine keeps it across rounds that change only lights.
+    rng = random.Random(1106)
+    compared = 0
+    for _ in range(30):
+        config = random_configuration(rng)
+        relit = make_configuration(
+            [p for _, p, _ in config.entries],
+            [LightTuple((rng.randrange(2), rng.randrange(3)), LOOK_PALETTE) for _ in config.entries],
+            LOOK_PALETTE,
+        )
+        for observer in range(config.n):
+            for rotation, k, reflecting in FRAME_SPECS:
+                frame = LocalFrame(config.position(observer), rotation, k, reflecting)
+                for model in ModelKind:
+                    geometry = []
+
+                    def kept_look(*args):
+                        return snapshot(*args, geometry)
+
+                    for cfg in (config, relit):
+                        want = look_outcome(seed_snapshot, model, cfg, observer, frame,
+                                            Multiplicity.STRONG)
+                        got = look_outcome(kept_look, model, cfg, observer, frame,
+                                           Multiplicity.STRONG)
+                        assert got == want, (cfg, observer, frame, model)
+                        assert len(geometry) == len({(p.x, p.y) for _, p, _ in cfg.entries})
+                        compared += want != "ValueError"
+    assert compared > 2_000
 
 
 @pytest.mark.parametrize("rotation", [0.0, math.pi / 4, math.pi])

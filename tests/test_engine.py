@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 import os
 import random
@@ -880,13 +881,13 @@ def test_reader_names_the_same_line_as_the_replaced_reader(tmp_path):
     assert read_trace(str(path)) == oracle_read_trace(str(path))
 
 
-# --- Step results reused while the configuration is unchanged ------------------
+# --- Step results reused while nothing a robot can see has changed ------------
 #
-# run and replay step a robot once per configuration: a robot activated again
-# before any robot moved or changed a light value reuses its result, and a
-# round that changes nothing returns the configuration it was given.  The
-# oracle is run_round and run's loop as they were before, when every
-# activation Looked and stepped.
+# run and replay keep a robot's Look geometry until a robot moves and its step
+# result until a light its model lets it see changes value; a round that
+# changes nothing returns the configuration it was given.  The oracle is
+# run_round and run's loop as they were before, when every activation Looked
+# and stepped.
 
 
 def oracle_run_round(
@@ -1000,18 +1001,27 @@ def test_run_and_replay_match_the_oracle_on_every_grid_cell(name, tmp_path):
     assert (still > 0) == (name in ("cyclic-cycles", "sim-lumi-by-fcom", "sim-rs-by-s"))
 
 
+def _reading(snap):
+    """The robot's own light where its model shows it; otherwise the parity
+    of the other lights it sees (FCOM), or 0 when it sees none (OBLOT)."""
+    if snap.own_light is not None:
+        return snap.own_light[0]
+    return sum(values[0] for loc in snap.observed for values in loc.lights or ()) % 2
+
+
 def _witness(snap):
-    """Assigns the light it already shows and records an event: a no-op."""
-    return StepResult(light={0: snap.own_light[0]}, events=("seen", "kept"))
+    """Assigns its reading and records an event: a no-op where the robot sees
+    its own light, and from all-off lights under every model."""
+    return StepResult(light={0: _reading(snap)}, events=("seen", "kept"))
 
 
 def _east_toggles(snap):
     """The eastmost robot alternately turns its light on and steps east turning
-    it off; every other robot re-assigns its light and records an event,
-    changing nothing."""
+    it off, as its reading shows; every other robot assigns its reading and
+    records an event, which changes nothing where it sees its own light."""
     if any(loc.point.x > 0.0 for loc in snap.observed):
-        return StepResult(light={0: snap.own_light[0]}, events=("west",))
-    if snap.own_light[0] == 0:
+        return StepResult(light={0: _reading(snap)}, events=("west",))
+    if _reading(snap) == 0:
         return StepResult(light={0: 1})
     return StepResult(destination=Point(1.0, 0.0), light={0: 0}, events=("east",))
 
@@ -1025,13 +1035,13 @@ ALGOS_WITH_EVENTS = {
 @pytest.mark.parametrize("kind", KIND_NAMES)
 @pytest.mark.parametrize("name", sorted(ALGOS_WITH_EVENTS))
 def test_run_matches_the_oracle_for_steps_that_record_events(name, kind, tmp_path):
-    algo = ALGOS_WITH_EVENTS[name]
     positions = [Point(0, 0), Point(3, 1), Point(-2, 4), Point(3, 1)]
     config = make_configuration(positions, palette=(2,))
     if kind == ROUND_ROBIN:
         kind = SchedulerKind(ROUND_ROBIN, (frozenset({0, 2}), frozenset({1, 3})))
     still = 0
-    for seed in range(3):
+    for model, seed in itertools.product(ModelKind, range(3)):
+        algo = dataclasses.replace(ALGOS_WITH_EVENTS[name], model=model)
         for delta in (None, 0.4):
             for frames in ("identity", "rotated", "reflecting"):
                 kwargs = dict(rounds=40, seed=seed, rigidity=Rigidity(delta),
@@ -1052,19 +1062,37 @@ def _counting(algo):
     return dataclasses.replace(algo, step=step), seen
 
 
+# Steps run after each prefix of TestReuse's schedule, derived by hand.  Robot
+# 0 (west) copies its reading; robot 1 (east) changes its light or moves each
+# time it is stepped.  A move drops every result.  A light change by robot 1
+# drops 0's result if 0 sees others' lights and 1's if 1 sees its own:
+# - LUMI sees both, so every change drops every result;
+# - FSTA keeps 0's result when 1's light changes (rounds 5-6, 10);
+# - FCOM reads the other robot's light, so 0 changes its own light at rounds
+#   5, 8 and 10, which drops 1's result but not 0's (round 6 reuses it);
+# - OBLOT reads 0: robot 1 only ever turns its light on, and neither is
+#   stepped twice.
+STEPS_PER_MODEL = {
+    ModelKind.LUMI: [0, 1, 1, 1, 2, 3, 3, 4, 5, 6, 7, 8, 10],
+    ModelKind.FSTA: [0, 1, 1, 1, 2, 2, 2, 3, 4, 5, 5, 6, 8],
+    ModelKind.FCOM: [0, 1, 1, 1, 2, 3, 3, 4, 5, 6, 7, 8, 10],
+    ModelKind.OBLOT: [0, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2],
+}
+REUSE_SETS = [{0}, {0}, {0}, {1}, {0}, {0}, {1}, {0}, {0, 1}, {0}, {0, 1}, {0, 1}]
+
+
 class TestReuse:
-    def _run(self, sets, rounds=None):
+    def _run(self, sets, rounds=None, model=ModelKind.FSTA):
         algo, seen = _counting(ALGOS_WITH_EVENTS["east-toggles"])
         config = make_configuration([Point(0, 0), Point(5, 0)], palette=(2,))
-        trace = run(config, SchedulePrefix(tuple(map(frozenset, sets)), 2), algo, rounds=rounds)
+        trace = run(config, SchedulePrefix(tuple(map(frozenset, sets)), 2), algo, rounds=rounds,
+                    model=model)
         return trace, len(seen)
 
     def test_a_robot_is_stepped_once_per_configuration(self):
-        # Robot 0 (west) changes nothing; robot 1 (east) changes a light,
-        # then moves, then changes a light again, each time it is activated.
-        sets = [{0}, {0}, {0}, {1}, {0}, {0}, {1}, {0}, {0, 1}, {0}, {0, 1}, {0, 1}]
-        steps = [self._run(sets, rounds)[1] for rounds in range(len(sets) + 1)]
-        assert steps == [0, 1, 1, 1, 2, 3, 3, 4, 5, 6, 7, 8, 10]
+        for model, want in STEPS_PER_MODEL.items():
+            steps = [self._run(REUSE_SETS, k, model)[1] for k in range(len(REUSE_SETS) + 1)]
+            assert steps == want, model
 
     def test_a_reused_step_records_the_same_events(self):
         trace, _ = self._run([{0}, {0}, {0, 1}, {0}])
@@ -1083,6 +1111,8 @@ class TestReuse:
             assert out is cfg
 
     def test_replay_steps_once_per_configuration(self):
-        trace, steps = self._run([{0}, {0}, {0}, {1}, {0}, {0}])
-        algo, seen = _counting(ALGOS_WITH_EVENTS["east-toggles"])
-        assert replay(trace, algo) and len(seen) == steps == 3
+        for model, want in STEPS_PER_MODEL.items():
+            trace, steps = self._run(REUSE_SETS[:6], model=model)
+            algo, seen = _counting(dataclasses.replace(ALGOS_WITH_EVENTS["east-toggles"],
+                                                       model=model))
+            assert replay(trace, algo) and len(seen) == steps == want[6], model

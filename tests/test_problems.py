@@ -169,6 +169,16 @@ class TestCheckCyc:
             run(cyc_initial_config(3), "fsynch", alg_cyclic_cycles(3, d_rel=lambda _i: frac),
                 rounds=10)
 
+    def test_mover_distance_is_checked_before_the_trace_is_read(self):
+        # A one-round trace reaches no uniform-final round; every counter
+        # value it could reach is checked first, not only the first.
+        with pytest.raises(ValueError, match=r"^d\(0\) = 2.0 must be a radius fraction"):
+            check_cyc(self._trace(rounds=1), 3, d_rel=lambda _i: 2.0)
+        late = lambda i: 0.5 if i < 3 else 2.0  # noqa: E731
+        with pytest.raises(ValueError, match=r"^d\(3\) = 2.0 must be a radius fraction"):
+            check_cyc(self._trace(rounds=6), 3, d_rel=late)
+        assert check_cyc(self._trace(rounds=2), 3, d_rel=late).status == INCONCLUSIVE
+
     def _stretches(self, trace):
         """The configuration indices f1 < c1 < f2 < c2 < f3 where the first
         three uniform-final and the two uniform-center stretches between them
