@@ -378,27 +378,13 @@ def _multiset(members: list[tuple[int, LightTuple]]) -> tuple[tuple[int, ...], .
 class _Grouping:
     """What every observer of one configuration shares: the occupied
     locations in first-seen order, the robots at each, and per location the
-    light multiset and the robot count.  The counts the weak and none
-    multiplicity modes reveal are derived the first time a Look asks."""
+    light multiset and the robot count."""
 
     config: Configuration
     keys: list[tuple[float, float]]
     groups: dict[tuple[float, float], list[tuple[int, LightTuple]]]
     lights: list[tuple[tuple[int, ...], ...]]
     strong: list[int]
-    weak: list[int] | None = None
-    none: list[int] | None = None
-
-    def counts(self, multiplicity: Multiplicity) -> list[int]:
-        if multiplicity is Multiplicity.STRONG:
-            return self.strong
-        if multiplicity is Multiplicity.WEAK:
-            if self.weak is None:
-                self.weak = [min(count, 2) for count in self.strong]
-            return self.weak
-        if self.none is None:
-            self.none = [1] * len(self.strong)
-        return self.none
 
 
 # Every observer of a round Looks at the same Configuration object, so its
@@ -455,7 +441,9 @@ def snapshot(
             tuple(sorted(lt.values for rid, lt in members if rid != observer))
             if len(members) > 1 else ()
         )
-    counts = g.counts(multiplicity)
+    counts = g.strong
+    if multiplicity is not Multiplicity.STRONG:
+        counts = [min(c, 2) if multiplicity is Multiplicity.WEAK else 1 for c in counts]
     geometry = [] if geometry is None else geometry
     if not geometry:
         # Sorting (x, y, first-seen index) gives the stable sort by (x, y),

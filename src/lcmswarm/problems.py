@@ -197,6 +197,8 @@ def check_cyc(
 
     labels: list[tuple[int, int]] = []  # (counter index or -1 for the base pattern, round)
     for i, config in enumerate(configs):
+        if i and config is configs[i - 1]:  # a round that changed nothing repeats its checks and label
+            continue
         for rid in ring_ids:
             if not points_close(config.position(rid), initial.position(rid), pos_tol):
                 return _reject(i, f"circle robot {rid} moved")

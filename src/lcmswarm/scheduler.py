@@ -103,6 +103,36 @@ class FairnessReport:
     violations: tuple[tuple[int, int, int], ...]  # (robot, gap, round observed)
 
 
+_NOBODY: frozenset[int] = frozenset()
+
+
+def _barred(name: str, prev: frozenset[int], full: frozenset[int]) -> frozenset[int]:
+    """The robots family `name` bars from the round after set `prev` (empty
+    before round 1): energy-restricted bars the robots that just acted, which
+    have no charge left, and rsynch bars them once its full prefix is over;
+    ssynch and fsynch bar nobody."""
+    if prev and (name == ENERGY_RESTRICTED or (name == RSYNCH and prev != full)):
+        return prev
+    return _NOBODY
+
+
+def _broken_rule(name: str, e: frozenset[int], prev: frozenset[int], full: frozenset[int]) -> str | None:
+    """The rule activation set `e` breaks in the round after `prev` under any
+    family but round-robin, or None."""
+    if name == FSYNCH:
+        return None if e == full else "not-full-set"
+    barred = _barred(name, prev, full)
+    if name == ENERGY_RESTRICTED:
+        if e & barred:
+            return "depleted-robot-activated"
+        return "idle-while-charged" if not e and barred != full else None
+    if not e:
+        return "empty-set"
+    if e & barred:
+        return "full-set-after-partial" if e == full else "overlap-consecutive"
+    return None
+
+
 def energy_ledger(prefix: SchedulePrefix) -> EnergyLedger:
     """Unroll the charge recurrence; flag rounds that activate depleted robots."""
     full = prefix.all_robots
@@ -111,83 +141,40 @@ def energy_ledger(prefix: SchedulePrefix) -> EnergyLedger:
     for i, e in enumerate(prefix.sets, start=1):
         if not e <= charged[-1]:
             violations.append((i, "depleted-robot-activated"))
-        charged.append(full - e)
+        charged.append(full - _barred(ENERGY_RESTRICTED, e, full))
     return EnergyLedger(tuple(charged), tuple(violations))
 
 
-def _validate_rsynch(prefix: SchedulePrefix) -> ValidityReport:
-    full = prefix.all_robots
-    sets = prefix.sets
-    p = 0
-    while p < len(sets) and sets[p] == full:
-        p += 1
-    for i in range(p, len(sets)):
-        e = sets[i]
-        if not e:
-            return ValidityReport(False, i + 1, "empty-set")
-        if e == full:
-            return ValidityReport(False, i + 1, "full-set-after-partial")
-        if i > p and sets[i - 1] & e:
-            return ValidityReport(False, i + 1, "overlap-consecutive")
-    return ValidityReport(True)
-
-
-def _validate_round_robin(prefix: SchedulePrefix, kind: SchedulerKind) -> ValidityReport:
-    full = prefix.all_robots
-    sets = prefix.sets
-    if kind.blocks is not None:
-        blocks = kind.blocks
-        if frozenset().union(*blocks) != full:
-            return ValidityReport(False, 1, "blocks-do-not-cover")
-    else:
-        blocks = None
-        for p in range(2, len(sets) + 1):
-            head = sets[:p]
-            if all(head) and sum(len(b) for b in head) == prefix.n and frozenset().union(*head) == full:
-                blocks = head
-                break
-        if blocks is None:
-            return ValidityReport(False, 1, "no-partition-period")
-    p = len(blocks)
-    for i, e in enumerate(sets):
-        if e != blocks[i % p]:
-            return ValidityReport(False, i + 1, "period-mismatch")
-    return ValidityReport(True)
-
-
 def validate(prefix: SchedulePrefix, kind: SchedulerKind | str) -> ValidityReport:
-    """Check a prefix against a scheduler family; report the first violation."""
+    """Check a prefix against a scheduler family; report the first violation.
+
+    Round-robin's period is its kind's blocks, or else the shortest head of
+    the prefix that partitions the swarm; every other family checks each
+    round against the one before."""
     if isinstance(kind, str):
         kind = SchedulerKind(kind)
     if prefix.n < 1:
         raise ValueError("need at least one robot")
     full = prefix.all_robots
-
-    if kind.name == SSYNCH:
-        for i, e in enumerate(prefix.sets, start=1):
-            if not e:
-                return ValidityReport(False, i, "empty-set")
-        return ValidityReport(True)
-
-    if kind.name == FSYNCH:
-        for i, e in enumerate(prefix.sets, start=1):
-            if e != full:
-                return ValidityReport(False, i, "not-full-set")
-        return ValidityReport(True)
-
-    if kind.name == RSYNCH:
-        return _validate_rsynch(prefix)
-
-    if kind.name == ENERGY_RESTRICTED:
-        ledger = energy_ledger(prefix)
-        for i, e in enumerate(prefix.sets, start=1):
-            if not e <= ledger.before_round(i):
-                return ValidityReport(False, i, "depleted-robot-activated")
-            if not e and ledger.before_round(i):
-                return ValidityReport(False, i, "idle-while-charged")
-        return ValidityReport(True)
-
-    return _validate_round_robin(prefix, kind)
+    sets = prefix.sets
+    period = kind.blocks
+    if kind.name == ROUND_ROBIN and period is None:
+        period = next((h for p in range(2, len(sets) + 1) if all(h := sets[:p])
+                       and sum(map(len, h)) == prefix.n and frozenset().union(*h) == full), None)
+        if period is None:
+            return ValidityReport(False, 1, "no-partition-period")
+    elif period is not None and frozenset().union(*period) != full:
+        return ValidityReport(False, 1, "blocks-do-not-cover")
+    prev = _NOBODY
+    for i, e in enumerate(sets):
+        if period:
+            rule = "period-mismatch" if e != period[i % len(period)] else None
+        else:
+            rule = _broken_rule(kind.name, e, prev, full)
+        if rule:
+            return ValidityReport(False, i + 1, rule)
+        prev = e
+    return ValidityReport(True)
 
 
 def phi(prefix: SchedulePrefix) -> SchedulePrefix:
@@ -269,10 +256,9 @@ def generate(
         p = len(kind.blocks)
         return SchedulePrefix(tuple(kind.blocks[i % p] for i in range(rounds)), n)
 
-    # ssynch samples from the whole swarm; energy-restricted, and rsynch after
-    # its full prefix, from the robots their previous draw left charged (all
-    # of them at the first draw).  That pool is empty only after an
-    # energy-restricted full activation, which forces an idle round.
+    # ssynch samples from the whole swarm, the other two families from the
+    # robots their previous draw does not bar.  That pool is empty only after
+    # an energy-restricted full activation, which forces an idle round.
     rsynch = kind.name == RSYNCH
     everyone = list(range(n)) if kind.name == SSYNCH else None
     p_full = min(rng.choice([0, 0, 1, 2, rng.randint(0, rounds)]), rounds) if rsynch else 0
@@ -280,7 +266,7 @@ def generate(
     last = [p_full] * n
     prev = frozenset()
     for i in range(p_full + 1, rounds + 1):
-        pool = everyone or sorted(full - prev)
+        pool = everyone or sorted(full - _barred(kind.name, prev, full))
         s = set(rng.sample(pool, rng.randint(1, len(pool)))) if pool else set()
         s |= {r for r in pool if i - last[r] >= window}
         if rsynch and len(s) == n:

@@ -348,6 +348,25 @@ def test_field_rules_are_config_errors(tmp_path, capsys, monkeypatch, command, f
     assert not (tmp_path / "t.trace").exists() and "pass" not in captured.out
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("flags, message", [
+    pytest.param(["--algo", "stay", "--scheduler", "round-robin", "--blocks", "0|1", "--n", "3"],
+                 "round-robin blocks must cover robots 0..n-1", id="blocks-cover"),
+    pytest.param(["--algo", "sim-rs-by-s", "--inner", "bogus", "--n", "3"],
+                 "unknown inner algorithm 'bogus'", id="inner"),
+])
+def test_blocks_that_miss_a_robot_and_unknown_inner_are_one_error(
+        tmp_path, capsys, monkeypatch, command, flags, message):
+    monkeypatch.chdir(tmp_path)
+    argv = [command, *flags, "--out", "t.trace"]
+    if command == "sweep":
+        argv += ["--seeds", "0:2", "--check", "rdv"]
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert not (tmp_path / "t.trace").exists()
+
+
 def test_positions_that_do_not_match_n_are_an_error(tmp_path, capsys):
     out = tmp_path / "t.trace"
     assert run_cli("run", "--algo", "stay", "--n", "3", "--positions", "0,0 1,1",

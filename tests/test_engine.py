@@ -149,6 +149,17 @@ class TestRunRound:
                 Rigidity(), random.Random(0),
             )
 
+    def test_emission_to_a_missing_light_variable_is_hard_error(self):
+        rogue = Algorithm(
+            "rogue", (2,), lambda snap: StepResult(light={1: 0}), ModelKind.FSTA
+        )
+        cfg = make_configuration([Point(0, 0)], palette=(2,))
+        with pytest.raises(PaletteError, match="^rogue: no light variable 1$"):
+            run_round(
+                cfg, frozenset({0}), rogue, ModelKind.FSTA, identity_frames(1),
+                Rigidity(), random.Random(0),
+            )
+
 
 class StubRng:
     """Adversary stub returning a fixed fraction."""

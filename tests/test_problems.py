@@ -199,14 +199,18 @@ class TestCheckCyc:
         """The trace with configurations lo..hi-1 cut out."""
         return dataclasses.replace(trace, rounds=trace.rounds[: lo - 1] + trace.rounds[hi - 1 :])
 
-    def _mover_nudged(self, trace, i):
+    def _nudged(self, trace, i, rid, dx):
+        """The trace with robot rid of configuration i moved dx along x."""
         config = trace.rounds[i - 1].config
         entries = list(config.entries)
-        rid, p, lt = entries[0]  # robot 0 starts at the center: the mover
-        entries[0] = (rid, Point(p.x + 1e-2, p.y), lt)
+        _, p, lt = entries[rid]
+        entries[rid] = (rid, Point(p.x + dx, p.y), lt)
         rounds = list(trace.rounds)
         rounds[i - 1] = dataclasses.replace(rounds[i - 1], config=dataclasses.replace(config, entries=tuple(entries)))
         return dataclasses.replace(trace, rounds=tuple(rounds))
+
+    def _mover_nudged(self, trace, i):
+        return self._nudged(trace, i, 0, 1e-2)  # robot 0 starts at the center: the mover
 
     def test_mover_off_center_or_target_rejected(self):
         trace = self._trace()
@@ -227,6 +231,34 @@ class TestCheckCyc:
         _, _, f2, _, f3 = self._stretches(trace)
         assert check_cyc(self._without(trace, f2, f3), 3) == Verdict(
             REJECT, f2, "counter showed 2, expected 1")
+
+    def test_verdict_is_the_same_when_no_configuration_repeats(self):
+        # A round that changes nothing returns the configuration before it,
+        # which check_cyc skips; fresh copies of every configuration must
+        # give every accept, reject and inconclusive trace the same verdict.
+        trace = self._trace()
+        configs = trace.configs()
+        assert any(a is b for a, b in zip(configs, configs[1:]))
+        f1, c1, f2, _, f3 = self._stretches(trace)
+        cases = [
+            trace,
+            self._trace(rounds=6),
+            self._nudged(trace, 6, 2, 1e-3),
+            self._mover_nudged(trace, f1),
+            self._mover_nudged(trace, c1),
+            self._without(trace, c1, f2),
+            self._without(trace, f2, f3),
+        ]
+        statuses = set()
+        for case in cases:
+            fresh = dataclasses.replace(case, rounds=tuple(
+                dataclasses.replace(r, config=dataclasses.replace(r.config)) for r in case.rounds))
+            configs = fresh.configs()
+            assert all(a is not b for a, b in zip(configs, configs[1:]))
+            verdict = check_cyc(case, 3)
+            assert check_cyc(fresh, 3) == verdict
+            statuses.add(verdict.status)
+        assert statuses == {OK, REJECT, INCONCLUSIVE}
 
 
 class TestCgeTargets:

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -10,8 +11,10 @@ from lcmswarm.scheduler import (
     ROUND_ROBIN,
     RSYNCH,
     SSYNCH,
+    EnergyLedger,
     SchedulePrefix,
     SchedulerKind,
+    ValidityReport,
     check_fair,
     default_fairness_window,
     energy_ledger,
@@ -97,6 +100,15 @@ class TestRoundRobin:
             round_robin([{A}, {A, B}])
         with pytest.raises(ValueError):
             round_robin([set()])
+
+
+def test_kind_and_block_rules_are_refused():
+    with pytest.raises(ValueError, match="^only round-robin takes partition blocks$"):
+        SchedulerKind(SSYNCH, (frozenset({A}), frozenset({B})))
+    with pytest.raises(ValueError, match="^round-robin blocks must be nonempty$"):
+        round_robin([{A}, set()])
+    with pytest.raises(ValueError, match="^round-robin blocks must cover the whole swarm$"):
+        generate(round_robin([{A}, {B}]), 3, 5, 0)
 
 
 class TestEnergy:
@@ -347,6 +359,165 @@ def test_generate_equals_oracle(kind):
             for seed in range(40):
                 assert generate(kind, n, rounds, seed) == oracle_generate(kind, n, rounds, seed), (
                     kind, n, rounds, seed)
+
+
+# `validate` and `energy_ledger` as they were before every family's rule was
+# stated once, copied verbatim apart from their names: the oracle that pins
+# each (ok, round, rule) report and each ledger.
+def oracle_energy_ledger(prefix: SchedulePrefix) -> EnergyLedger:
+    """Unroll the charge recurrence; flag rounds that activate depleted robots."""
+    full = prefix.all_robots
+    charged = [full]
+    violations = []
+    for i, e in enumerate(prefix.sets, start=1):
+        if not e <= charged[-1]:
+            violations.append((i, "depleted-robot-activated"))
+        charged.append(full - e)
+    return EnergyLedger(tuple(charged), tuple(violations))
+
+
+def _oracle_validate_rsynch(prefix: SchedulePrefix) -> ValidityReport:
+    full = prefix.all_robots
+    sets = prefix.sets
+    p = 0
+    while p < len(sets) and sets[p] == full:
+        p += 1
+    for i in range(p, len(sets)):
+        e = sets[i]
+        if not e:
+            return ValidityReport(False, i + 1, "empty-set")
+        if e == full:
+            return ValidityReport(False, i + 1, "full-set-after-partial")
+        if i > p and sets[i - 1] & e:
+            return ValidityReport(False, i + 1, "overlap-consecutive")
+    return ValidityReport(True)
+
+
+def _oracle_validate_round_robin(prefix: SchedulePrefix, kind: SchedulerKind) -> ValidityReport:
+    full = prefix.all_robots
+    sets = prefix.sets
+    if kind.blocks is not None:
+        blocks = kind.blocks
+        if frozenset().union(*blocks) != full:
+            return ValidityReport(False, 1, "blocks-do-not-cover")
+    else:
+        blocks = None
+        for p in range(2, len(sets) + 1):
+            head = sets[:p]
+            if all(head) and sum(len(b) for b in head) == prefix.n and frozenset().union(*head) == full:
+                blocks = head
+                break
+        if blocks is None:
+            return ValidityReport(False, 1, "no-partition-period")
+    p = len(blocks)
+    for i, e in enumerate(sets):
+        if e != blocks[i % p]:
+            return ValidityReport(False, i + 1, "period-mismatch")
+    return ValidityReport(True)
+
+
+def oracle_validate(prefix: SchedulePrefix, kind: SchedulerKind | str) -> ValidityReport:
+    """Check a prefix against a scheduler family; report the first violation."""
+    if isinstance(kind, str):
+        kind = SchedulerKind(kind)
+    if prefix.n < 1:
+        raise ValueError("need at least one robot")
+    full = prefix.all_robots
+
+    if kind.name == SSYNCH:
+        for i, e in enumerate(prefix.sets, start=1):
+            if not e:
+                return ValidityReport(False, i, "empty-set")
+        return ValidityReport(True)
+
+    if kind.name == FSYNCH:
+        for i, e in enumerate(prefix.sets, start=1):
+            if e != full:
+                return ValidityReport(False, i, "not-full-set")
+        return ValidityReport(True)
+
+    if kind.name == RSYNCH:
+        return _oracle_validate_rsynch(prefix)
+
+    if kind.name == ENERGY_RESTRICTED:
+        ledger = oracle_energy_ledger(prefix)
+        for i, e in enumerate(prefix.sets, start=1):
+            if not e <= ledger.before_round(i):
+                return ValidityReport(False, i, "depleted-robot-activated")
+            if not e and ledger.before_round(i):
+                return ValidityReport(False, i, "idle-while-charged")
+        return ValidityReport(True)
+
+    return _oracle_validate_round_robin(prefix, kind)
+
+
+def _subsets(n):
+    return [frozenset(c) for k in range(n + 1) for c in itertools.combinations(range(n), k)]
+
+
+def _oracle_kinds(n):
+    kinds = [SchedulerKind(name) for name in (FSYNCH, SSYNCH, RSYNCH, ENERGY_RESTRICTED, ROUND_ROBIN)]
+    kinds.append(round_robin([{0}, {n}]))  # blocks that do not cover: robot n does not exist
+    if n > 1:
+        kinds.append(round_robin([{0}, set(range(1, n))]))
+    return kinds
+
+
+RULES = {
+    "empty-set", "not-full-set", "full-set-after-partial", "overlap-consecutive",
+    "depleted-robot-activated", "idle-while-charged", "blocks-do-not-cover",
+    "no-partition-period", "period-mismatch",
+}
+
+
+def test_validate_equals_oracle():
+    # Every prefix up to length 6/5/4/3 at n = 1/2/3/4, under every family.
+    seen = set()
+    for n, max_len in [(1, 6), (2, 5), (3, 4), (4, 3)]:
+        kinds = _oracle_kinds(n)
+        subsets = _subsets(n)
+        for length in range(max_len + 1):
+            for sets in itertools.product(subsets, repeat=length):
+                p = SchedulePrefix(sets, n)
+                for kind in kinds:
+                    report = validate(p, kind)
+                    assert report == oracle_validate(p, kind), (p, kind)
+                    seen.add(report.rule)
+                assert energy_ledger(p) == oracle_energy_ledger(p), p
+    assert seen == RULES | {None}
+
+
+def test_validate_refuses_an_empty_swarm():
+    with pytest.raises(ValueError, match="need at least one robot"):
+        validate(SchedulePrefix((), 0), SSYNCH)
+
+
+def _valid_prefixes(kind, n, max_len):
+    """Every prefix of at most max_len rounds that `validate` accepts, grown a
+    round at a time: under rsynch and energy restriction a prefix of a valid
+    prefix is valid."""
+    subsets = _subsets(n)
+    layer = [()]
+    found = [()]
+    for _ in range(max_len):
+        layer = [s + (e,) for s in layer for e in subsets if validate(SchedulePrefix(s + (e,), n), kind)]
+        found += layer
+    return found
+
+
+@pytest.mark.parametrize("n, L", [(2, 8), (3, 6), (3, 8)])
+def test_phi_maps_energy_restricted_onto_rsynch(n, L):
+    # phi sends every valid energy-restricted prefix of at most L rounds into
+    # rsynch, and every rsynch prefix of at most L/2 rounds is such an image.
+    images = set()
+    for sets in _valid_prefixes(ENERGY_RESTRICTED, n, L):
+        out = phi(SchedulePrefix(sets, n))
+        assert validate(out, RSYNCH), sets
+        images.add(out.sets)
+    rsynch = _valid_prefixes(RSYNCH, n, L // 2)
+    assert len(rsynch) > L // 2
+    for sets in rsynch:
+        assert sets in images, sets
 
 
 @pytest.mark.parametrize("seed", range(30))
