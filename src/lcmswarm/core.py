@@ -3,12 +3,20 @@
 Everything here is an immutable value; all operations are pure functions.
 Positions are double-precision; POSITION_TOLERANCE is the default equality
 tolerance used by checkers throughout the package.
+
+Point, LocalFrame, LightTuple, ObservedLocation and Snapshot are named
+tuples: each checks its fields in __new__ (namedtuple's _make and _replace
+skip it), and the package's hot paths build them with one tuple.__new__
+call.  Their repr and hash are those of a frozen dataclass of the same
+fields, but a record also equals the plain tuple of its fields, unpacks into
+them, and orders like that tuple.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -48,32 +56,27 @@ class ChiralityError(ValueError):
     """Raised when an operation requiring chirality is invoked without it."""
 
 
-@dataclass(frozen=True, slots=True)
-class Point:
-    x: float
-    y: float
+_tnew = tuple.__new__
+_isfinite = math.isfinite
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite coordinates: ({self.x}, {self.y})")
+
+class Point(namedtuple("Point", "x y")):
+    __slots__ = ()
+
+    def __new__(cls, x: float, y: float) -> Point:
+        if not (_isfinite(x) and _isfinite(y)):
+            raise ValueError(f"non-finite coordinates: ({x}, {y})")
+        return _tnew(cls, (x, y))
 
 
 ORIGIN = Point(0.0, 0.0)
 
-_new = object.__new__
-_isfinite = math.isfinite
-_set_x, _set_y = Point.x.__set__, Point.y.__set__
-
 
 def _point(x: float, y: float) -> Point:
-    """Point(x, y) through its slots, skipping the dataclass __init__; the
-    same object and the same finiteness check."""
+    """Point(x, y) without the class call: the same check, one tuple.__new__."""
     if not (_isfinite(x) and _isfinite(y)):
         raise ValueError(f"non-finite coordinates: ({x}, {y})")
-    p = _new(Point)
-    _set_x(p, x)
-    _set_y(p, y)
-    return p
+    return _tnew(Point, (x, y))
 
 
 def add(p: Point, q: Point) -> Point:
@@ -107,8 +110,7 @@ def points_close(p: Point, q: Point, tol: float = POSITION_TOLERANCE) -> bool:
     return abs(p.x - q.x) <= tol and abs(p.y - q.y) <= tol
 
 
-@dataclass(frozen=True, slots=True)
-class LocalFrame:
+class LocalFrame(namedtuple("LocalFrame", "origin rotation scale reflecting")):
     """A robot's private coordinate system.
 
     The origin is the observing robot's current position; rotation, scale and
@@ -117,30 +119,21 @@ class LocalFrame:
     orientation-preserving (reflecting=False).
     """
 
-    origin: Point
-    rotation: float = 0.0
-    scale: float = 1.0
-    reflecting: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.scale > 0.0 and math.isfinite(self.scale)):
-            raise ValueError(f"frame scale must be positive, got {self.scale}")
-        if not math.isfinite(self.rotation):
+    def __new__(
+        cls, origin: Point, rotation: float = 0.0, scale: float = 1.0, reflecting: bool = False
+    ) -> LocalFrame:
+        if not (scale > 0.0 and _isfinite(scale)):
+            raise ValueError(f"frame scale must be positive, got {scale}")
+        if not _isfinite(rotation):
             raise ValueError("frame rotation must be finite")
-
-
-_set_origin, _set_rotation = LocalFrame.origin.__set__, LocalFrame.rotation.__set__
-_set_scale, _set_reflecting = LocalFrame.scale.__set__, LocalFrame.reflecting.__set__
+        return _tnew(cls, (origin, rotation, scale, reflecting))
 
 
 def _frame(origin: Point, rotation: float, scale: float, reflecting: bool) -> LocalFrame:
-    """LocalFrame through its slots, unchecked: only for a checked spec."""
-    frame = _new(LocalFrame)
-    _set_origin(frame, origin)
-    _set_rotation(frame, rotation)
-    _set_scale(frame, scale)
-    _set_reflecting(frame, reflecting)
-    return frame
+    """LocalFrame unchecked: only for a checked spec."""
+    return _tnew(LocalFrame, (origin, rotation, scale, reflecting))
 
 
 def to_local(frame: LocalFrame, p: Point) -> Point:
@@ -150,7 +143,7 @@ def to_local(frame: LocalFrame, p: Point) -> Point:
     across the local x-axis iff the frame is reflecting.  The frame origin
     always maps to (0, 0).
     """
-    x, y, _ = _local_coords(frame, ((p.x, p.y),))[0]
+    x, y, _ = _local_coords(frame, (p,))[0]
     return _point(x, y)
 
 
@@ -188,8 +181,13 @@ def from_local(frame: LocalFrame, p: Point) -> Point:
     return _point(0.0 + c * x - s * y + frame.origin.x, 0.0 + s * x + c * y + frame.origin.y)
 
 
-@dataclass(frozen=True, slots=True)
-class LightTuple:
+def _is_color(v, size: int) -> bool:
+    """Whether v is a color of a light variable with `size` colors: a plain
+    int in range(size), so never a bool, whose trace text is not a number."""
+    return type(v) is int and 0 <= v < size
+
+
+class LightTuple(namedtuple("LightTuple", "values palette")):
     """Joint value of a robot's declared light variables.
 
     values[i] is the color index of variable i and must lie in
@@ -197,21 +195,21 @@ class LightTuple:
     information and behaves like an unlit OBLOT robot.
     """
 
-    values: tuple[int, ...]
-    palette: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.values) != len(self.palette):
+    def __new__(cls, values: tuple[int, ...], palette: tuple[int, ...]) -> LightTuple:
+        if len(values) != len(palette):
             raise ValueError("light tuple arity does not match palette")
-        for v, size in zip(self.values, self.palette):
-            if not (isinstance(v, int) and 0 <= v < size):
+        for v, size in zip(values, palette):
+            if not _is_color(v, size):
                 raise ValueError(f"color {v} outside palette of size {size}")
+        return _tnew(cls, (values, palette))
 
     @classmethod
-    def off(cls, palette: tuple[int, ...]) -> "LightTuple":
+    def off(cls, palette: tuple[int, ...]) -> LightTuple:
         return cls((0,) * len(palette), palette)
 
-    def replace(self, assignments: dict[int, int]) -> "LightTuple":
+    def replace(self, assignments: dict[int, int]) -> LightTuple:
         """Return a copy with the given variables reassigned; others persist."""
         vals = list(self.values)
         for idx, v in assignments.items():
@@ -219,17 +217,9 @@ class LightTuple:
         return LightTuple(tuple(vals), self.palette)
 
 
-_set_values, _set_palette = LightTuple.values.__set__, LightTuple.palette.__set__
-
-
 def _light(values: tuple[int, ...], palette: tuple[int, ...]) -> LightTuple:
-    """LightTuple(values, palette) through its slots, skipping the dataclass
-    __init__ and its checks: only for values already checked against the
-    palette."""
-    lt = _new(LightTuple)
-    _set_values(lt, values)
-    _set_palette(lt, palette)
-    return lt
+    """LightTuple unchecked: only for values already checked against the palette."""
+    return _tnew(LightTuple, (values, palette))
 
 
 def palette_size(palette: tuple[int, ...]) -> int:
@@ -268,7 +258,7 @@ class Configuration:
 
 def _configuration(entries: tuple[tuple[int, Point, LightTuple], ...]) -> Configuration:
     """Configuration(entries) unchecked: only for ids already 0..n-1 in order."""
-    config = _new(Configuration)
+    config = object.__new__(Configuration)
     config.__dict__["entries"] = entries
     return config
 
@@ -286,8 +276,7 @@ def make_configuration(
     return Configuration(tuple((i, p, lt) for i, (p, lt) in enumerate(zip(positions, lights))))
 
 
-@dataclass(frozen=True, slots=True)
-class ObservedLocation:
+class ObservedLocation(namedtuple("ObservedLocation", "point count lights")):
     """One occupied location as seen by an observer, in its local frame.
 
     `lights` is a sorted multiset of light value-tuples, or None for models
@@ -295,13 +284,10 @@ class ObservedLocation:
     multiplicity (subject to the snapshot's multiplicity mode).
     """
 
-    point: Point
-    count: int
-    lights: tuple[tuple[int, ...], ...] | None
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Snapshot:
+class Snapshot(namedtuple("Snapshot", "observed own_light multiplicity_visible")):
     """A robot's model-filtered, locally-framed view of the configuration.
 
     The observer always sees itself at the local origin.  Its model's
@@ -309,9 +295,7 @@ class Snapshot:
     location's multiset, else None, holding its own light only if it sees it.
     """
 
-    observed: tuple[ObservedLocation, ...]
-    own_light: tuple[int, ...] | None
-    multiplicity_visible: bool
+    __slots__ = ()
 
     def location_at(self, p: Point, tol: float = POSITION_TOLERANCE) -> ObservedLocation | None:
         for loc in self.observed:
@@ -324,34 +308,12 @@ class Snapshot:
         return tuple(loc for loc in self.observed if not points_close(loc.point, ORIGIN))
 
 
-_set_point = ObservedLocation.point.__set__
-_set_count = ObservedLocation.count.__set__
-_set_lights = ObservedLocation.lights.__set__
-
-
 def _location(point: Point, count: int, lights) -> ObservedLocation:
-    """ObservedLocation(point, count, lights) through its slots, skipping the
-    dataclass __init__."""
-    loc = _new(ObservedLocation)
-    _set_point(loc, point)
-    _set_count(loc, count)
-    _set_lights(loc, lights)
-    return loc
-
-
-_set_observed = Snapshot.observed.__set__
-_set_own_light = Snapshot.own_light.__set__
-_set_visible = Snapshot.multiplicity_visible.__set__
+    return _tnew(ObservedLocation, (point, count, lights))
 
 
 def _snapshot(observed: tuple[ObservedLocation, ...], own_light, visible: bool) -> Snapshot:
-    """Snapshot(observed, own_light, visible) through its slots, skipping the
-    dataclass __init__."""
-    snap = _new(Snapshot)
-    _set_observed(snap, observed)
-    _set_own_light(snap, own_light)
-    _set_visible(snap, visible)
-    return snap
+    return _tnew(Snapshot, (observed, own_light, visible))
 
 
 _PACK_XY = struct.Struct("2d").pack
@@ -381,8 +343,8 @@ class _Grouping:
     light multiset and the robot count."""
 
     config: Configuration
-    keys: list[tuple[float, float]]
-    groups: dict[tuple[float, float], list[tuple[int, LightTuple]]]
+    keys: list[Point]
+    groups: dict[Point, list[tuple[int, LightTuple]]]
     lights: list[tuple[tuple[int, ...], ...]]
     strong: list[int]
 
@@ -397,9 +359,9 @@ def _grouping(config: Configuration) -> _Grouping:
     global _last_grouping
     last = _last_grouping  # read once, so a concurrent Look cannot swap it
     if last is None or last.config is not config:
-        groups: dict[tuple[float, float], list[tuple[int, LightTuple]]] = {}
+        groups: dict[Point, list[tuple[int, LightTuple]]] = {}
         for rid, p, lt in config.entries:
-            groups.setdefault((p.x, p.y), []).append((rid, lt))
+            groups.setdefault(p, []).append((rid, lt))
         members = groups.values()
         last = _last_grouping = _Grouping(
             config,
@@ -417,13 +379,14 @@ def snapshot(
     observer: int,
     frame: LocalFrame,
     multiplicity: Multiplicity = Multiplicity.STRONG,
-    geometry: list[tuple[float, float, int]] | None = None,
+    geometry: list[tuple[Point, int]] | None = None,
 ) -> Snapshot:
     """Perform the Look of `observer`: positions of all robots mapped through
     to_local, lights filtered per the model's visibility row.  An empty
-    `geometry` list is filled with the sorted (x, y, grouping index) triples
-    of the occupied locations in `frame`, and a filled one is read: it holds
-    while no robot moves, since a change of lights keeps the grouping's order."""
+    `geometry` list is filled with the (local point, grouping index) pairs of
+    the occupied locations in `frame`, sorted by point, and a filled one is
+    read: it holds while no robot moves, since a change of lights keeps the
+    grouping's order.  A non-finite local point raises and fills nothing."""
     if not 0 <= observer < config.n:
         raise ValueError(f"unknown observer id {observer}")
     g = _grouping(config)
@@ -433,8 +396,7 @@ def snapshot(
     elif model.sees_own:
         lights = g.lights
     else:
-        p = config.position(observer)
-        here = (p.x, p.y)
+        here = config.position(observer)
         members = g.groups[here]
         lights = list(g.lights)
         lights[g.keys.index(here)] = (
@@ -448,11 +410,11 @@ def snapshot(
     if not geometry:
         # Sorting (x, y, first-seen index) gives the stable sort by (x, y),
         # 0.0 == -0.0 ties included, without comparing objects.
-        geometry += sorted(_local_coords(frame, g.keys))
-    observed = tuple([_location(_point(x, y), counts[i], lights[i]) for x, y, i in geometry])
+        geometry += [(_point(x, y), i) for x, y, i in sorted(_local_coords(frame, g.keys))]
+    observed = tuple([_tnew(ObservedLocation, (pt, counts[i], lights[i])) for pt, i in geometry])
 
     own = config.light(observer).values if model.sees_own else None
-    return _snapshot(observed, own, multiplicity is not Multiplicity.NONE)
+    return _tnew(Snapshot, (observed, own, multiplicity is not Multiplicity.NONE))
 
 
 @dataclass(frozen=True)
@@ -491,10 +453,7 @@ def order_locations(points: list[Point] | tuple[Point, ...]) -> CircularOrdering
     with the centroid has no defined angle; it is placed right after the
     start (at most one such point can exist).
     """
-    distinct: dict[tuple[float, float], Point] = {}
-    for p in points:
-        distinct.setdefault((p.x, p.y), p)
-    locs = list(distinct.values())
+    locs = list(dict.fromkeys(points))
     if not locs:
         raise ValueError("need at least one location")
     if len(locs) == 1:
@@ -502,16 +461,16 @@ def order_locations(points: list[Point] | tuple[Point, ...]) -> CircularOrdering
 
     cx = sum(p.x for p in locs) / len(locs)
     cy = sum(p.y for p in locs) / len(locs)
-    start = min(locs, key=lambda p: (p.x, p.y))
+    start = min(locs)
 
-    central = [p for p in locs if p.x == cx and p.y == cy]
-    angular = [p for p in locs if not (p.x == cx and p.y == cy)]
-    ang = {(p.x, p.y): math.atan2(p.y - cy, p.x - cx) for p in angular}
-    start_ang = ang[(start.x, start.y)]
+    central = [p for p in locs if p == (cx, cy)]
+    angular = [p for p in locs if p != (cx, cy)]
+    ang = {p: math.atan2(p.y - cy, p.x - cx) for p in angular}
+    start_ang = ang[start]
 
     def clockwise_key(p: Point) -> float:
         # Angular distance travelled clockwise from the start location.
-        return (start_ang - ang[(p.x, p.y)]) % TWO_PI
+        return (start_ang - ang[p]) % TWO_PI
 
     ring = sorted(angular, key=clockwise_key)
     if central:

@@ -23,6 +23,7 @@ from .core import (
     Snapshot,
     _configuration,
     _frame,
+    _is_color,
     _light,
     _point,
     from_local,
@@ -165,7 +166,7 @@ def _check_result(result: StepResult, palette: tuple[int, ...], name: str) -> No
     for idx, value in result.light.items():
         if not 0 <= idx < len(palette):
             raise PaletteError(f"{name}: no light variable {idx}")
-        if not (isinstance(value, int) and 0 <= value < palette[idx]):
+        if not _is_color(value, palette[idx]):
             raise PaletteError(f"{name}: value {value} outside palette of size {palette[idx]}")
 
 

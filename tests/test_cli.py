@@ -1,14 +1,33 @@
 import contextlib
 import dataclasses
+import functools
 import io
+import random
+import struct
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from lcmswarm import cli
 from lcmswarm.algorithms import cyc_initial_config
 from lcmswarm.cli import ALGO_NAMES, CHECKS, RunConfig, _parser, main
-from lcmswarm.engine import read_trace, write_trace
-from lcmswarm.scheduler import KIND_NAMES, SSYNCH, generate, write_schedule
+from lcmswarm.core import (
+    Configuration,
+    LightTuple,
+    ObservedLocation,
+    Point,
+    Snapshot,
+    make_configuration,
+)
+from lcmswarm.engine import read_trace, run, write_trace
+from lcmswarm.scheduler import (
+    KIND_NAMES,
+    RSYNCH,
+    SSYNCH,
+    SchedulePrefix,
+    generate,
+    write_schedule,
+)
 from lcmswarm.simulators import monitor_properties
 
 
@@ -671,3 +690,114 @@ def test_the_one_parser_keeps_no_state_between_calls(inputs):
         assert call(argv)[0] != 0, argv
     assert call(check) == before
     assert _parser.cache_info().currsize == 1
+
+
+# --- Every protocol in the registry -------------------------------------------
+
+# One run of each algorithm the CLI builds, at an n it allows, on its host.
+REGISTRY_RUNS = {
+    "cyclic-cycles": dict(n=4),
+    "flag-scheme": dict(n=3),
+    "move-east": dict(n=3),
+    "sro": dict(n=2),
+    "stay": dict(n=3),
+    "tricolor": dict(n=3),
+    "sim-rs-by-s": dict(n=3, inner="tricolor"),
+    "sim-lumi-by-fcom": dict(n=3, inner="tricolor", scheduler=RSYNCH),
+}
+
+
+def test_registry_runs_cover_the_registry():
+    assert sorted(REGISTRY_RUNS) == sorted(ALGO_NAMES)
+
+
+def _assert_records(trace):
+    for config in trace.configs():
+        for _, p, lt in config.entries:
+            assert type(p) is Point and type(lt) is LightTuple, (p, lt)
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY_RUNS))
+def test_no_plain_tuple_stands_in_for_a_record(name, tmp_path, monkeypatch):
+    # A record equals the plain tuple of its fields, so only the exact type
+    # shows a construction path that builds a bare tuple instead.
+    looks = []
+    build = cli.build_algorithm
+
+    def recording_build(*args, **kwargs):  # inner algorithms are built through it too
+        algo = build(*args, **kwargs)
+
+        def step(snap):
+            looks.append(snap)
+            return algo.step(snap)
+
+        return dataclasses.replace(algo, step=step)
+
+    monkeypatch.setattr(cli, "build_algorithm", recording_build)
+    cfg = RunConfig(algo=name, rounds=30, **REGISTRY_RUNS[name])
+    trace = cli.prepare_run(cfg)(3)
+    _assert_records(trace)
+    if cfg.inner:  # the inner algorithm's Looks are recorded as well as the host's
+        assert len({len(snap.own_light or ()) for snap in looks}) == 2
+    for snap in looks:
+        assert type(snap) is Snapshot
+        for loc in snap.observed:
+            assert type(loc) is ObservedLocation and type(loc.point) is Point, loc
+    path = str(tmp_path / "round-trip.trace")
+    write_trace(trace, path)
+    again = read_trace(path)
+    assert again.initial == trace.initial and again.rounds == trace.rounds
+    _assert_records(again)
+
+
+RELABEL_ROUNDS = 60
+# Swarm sizes each registry protocol allows.
+RELABEL_NS = {
+    "cyclic-cycles": (3, 4, 5),
+    "flag-scheme": (2, 3, 5),
+    "move-east": (1, 3, 5),
+    "sro": (2,),
+    "stay": (1, 3, 5),
+    "tricolor": (1, 3, 5),
+    "sim-rs-by-s": (1, 2, 4),
+    "sim-lumi-by-fcom": (2, 3, 4),
+}
+
+
+@functools.cache
+def _relabel_case(name, n):
+    """(algorithm, initial configuration, explicit schedule, trace) of one
+    registry protocol at n robots: rigid moves, identity frames."""
+    cfg = dataclasses.replace(RunConfig(algo=name, **REGISTRY_RUNS[name]), n=n)
+    algo = cli.build_algorithm(cfg.algo, n=n, inner=cfg.inner)
+    if name == "cyclic-cycles":
+        config = cli.initial_configuration(cfg, algo)
+    else:
+        rng = random.Random(f"relabel:{name}:{n}")
+        positions = [Point(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(n)]
+        if n > 2:
+            positions[-1] = positions[0]  # co-located, so counts show
+        config = make_configuration(positions, palette=algo.palette)
+    prefix = generate(cfg.scheduler, n, RELABEL_ROUNDS, seed=5)
+    return algo, config, prefix, run(config, prefix, algo)
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY_RUNS))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_relabelling_the_robots_relabels_the_trace(name, data):
+    # Robots are anonymous: renaming them, in the initial configuration and
+    # in every activation set, renames every configuration and event map of
+    # the trace the same way, bit for bit.
+    n = data.draw(st.sampled_from(RELABEL_NS[name]))
+    algo, config, prefix, trace = _relabel_case(name, n)
+    perm = data.draw(st.permutations(range(n)))
+    entries = sorted((perm[rid], p, lt) for rid, p, lt in config.entries)
+    sets = tuple(frozenset(perm[rid] for rid in s) for s in prefix.sets)
+    relabelled = run(Configuration(tuple(entries)), SchedulePrefix(sets, n), algo)
+    assert len(relabelled.rounds) == len(trace.rounds) == RELABEL_ROUNDS
+    for k, (want, got) in enumerate(zip(trace.rounds, relabelled.rounds), start=1):
+        for rid, p, lt in want.config.entries:
+            _, q, mt = got.config.entries[perm[rid]]
+            assert struct.pack("dd", *q) == struct.pack("dd", *p) and mt == lt, (k, rid, perm)
+        assert got.events == {perm[rid]: ev for rid, ev in want.events.items()}, (k, perm)

@@ -1,10 +1,14 @@
+import copy
 import math
+import pickle
 import random
 import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dataclass_records as old
+import lcmswarm.core as core_ns
 from lcmswarm.algorithms import alg_tricolor
 from lcmswarm.core import (
     ChiralityError,
@@ -553,3 +557,147 @@ def test_from_local_overflow_still_raises(p, origin, rotation, k):
     for move in (seed_from_local, from_local):
         with pytest.raises(ValueError, match="non-finite coordinates"):
             move(frame, Point(*p))
+
+
+# --- The named-tuple records against the dataclasses they replaced ------------
+
+RECORD_KINDS = ("Point", "LocalFrame", "LightTuple", "ObservedLocation", "Snapshot")
+
+any_float = st.floats() | st.integers(-3, 3)  # nan and the infinities included
+finite = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-3, 3)
+multisets = st.none() | st.lists(
+    st.lists(st.integers(0, 3), max_size=2).map(tuple), max_size=3
+).map(lambda vals: tuple(sorted(vals)))
+
+
+@st.composite
+def light_fields(draw, valid=True):
+    palette = tuple(draw(st.lists(st.integers(1, 4), max_size=3)))
+    if valid:
+        return tuple(draw(st.integers(0, size - 1)) for size in palette), palette
+    values = draw(st.lists(st.integers(-1, 4) | st.sampled_from([0.0, 1.5]), max_size=3))
+    return tuple(values), palette
+
+
+def record_fields(kind, valid=True):
+    """A strategy for one record's fields, nested records as field tuples;
+    `valid=False` also draws values the record refuses."""
+    number = finite if valid else any_float
+    point = st.tuples(number, number)
+    if kind == "Point":
+        return point
+    if kind == "LocalFrame":
+        scale = st.floats(1e-300, 1e300) if valid else any_float
+        return st.tuples(st.tuples(finite, finite), number, scale, st.booleans())
+    if kind == "LightTuple":
+        return light_fields(valid)
+    location = st.tuples(point, st.integers(1, 5), multisets)
+    if kind == "ObservedLocation":
+        return location
+    own = st.none() | st.lists(st.integers(0, 3), max_size=2).map(tuple)
+    return st.tuples(st.lists(location, max_size=3).map(tuple), own, st.booleans())
+
+
+def build(ns, kind, fields, keywords=False):
+    """One record of module `ns` (lcmswarm.core or dataclass_records)."""
+    cls = getattr(ns, kind)
+    if kind in ("LocalFrame", "ObservedLocation"):
+        fields = (ns.Point(*fields[0]),) + fields[1:]
+    elif kind == "Snapshot":
+        fields = (tuple(build(ns, "ObservedLocation", f) for f in fields[0]),) + fields[1:]
+    if keywords:
+        return cls(**dict(zip(cls.__match_args__, fields)))
+    return cls(*fields)
+
+
+def outcome(ns, kind, fields):
+    try:
+        return repr(build(ns, kind, fields))
+    except ValueError as exc:  # the exact message is the contract
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("kind", RECORD_KINDS)
+@given(data=st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_records_accept_refuse_and_repr_as_the_dataclasses_did(kind, data):
+    fields = data.draw(record_fields(kind, valid=False))
+    assert outcome(core_ns, kind, fields) == outcome(old, kind, fields)
+
+
+@pytest.mark.parametrize("kind", RECORD_KINDS)
+@given(data=st.data())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_records_hash_compare_copy_and_freeze_as_the_dataclasses_did(kind, data):
+    a = data.draw(record_fields(kind))
+    b = data.draw(st.just(a) | record_fields(kind))
+    new_a, old_a = build(core_ns, kind, a), build(old, kind, a)
+    new_b, old_b = build(core_ns, kind, b), build(old, kind, b)
+    assert repr(new_a) == repr(old_a)
+    assert hash(new_a) == hash(old_a)
+    assert (new_a == new_b, new_a != new_b) == (old_a == old_b, old_a != old_b)
+    assert repr(build(core_ns, kind, a, keywords=True)) == repr(old_a)
+    for rec, twin in ((new_a, old_a), (old_a, new_a)):
+        for clone in (pickle.loads(pickle.dumps(rec)), copy.copy(rec), copy.deepcopy(rec)):
+            assert type(clone) is type(rec) and clone == rec and repr(clone) == repr(twin)
+        field = type(rec).__match_args__[0]
+        with pytest.raises(AttributeError):
+            setattr(rec, field, getattr(rec, field))
+        with pytest.raises(AttributeError):
+            delattr(rec, field)
+    with pytest.raises(AttributeError):  # the dataclasses raised TypeError here
+        new_a.extra = 1
+
+
+@given(record_fields("LightTuple"), st.data())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_light_tuple_methods_as_the_dataclass_did(fields, data):
+    values, palette = fields
+    new_lt, old_lt = LightTuple(values, palette), old.LightTuple(values, palette)
+    assert repr(LightTuple.off(palette)) == repr(old.LightTuple.off(palette))
+    idx = data.draw(st.sampled_from(range(len(palette)))) if palette else None
+    assignments = {} if idx is None else {idx: data.draw(st.integers(0, palette[idx] - 1))}
+    assert repr(new_lt.replace(assignments)) == repr(old_lt.replace(assignments))
+
+
+@given(record_fields("Snapshot"), st.tuples(finite, finite), st.floats(0.0, 2.0))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_snapshot_methods_as_the_dataclass_did(fields, xy, tol):
+    new_snap, old_snap = build(core_ns, "Snapshot", fields), build(old, "Snapshot", fields)
+    assert repr(new_snap.others()) == repr(old_snap.others())
+    assert repr(new_snap.location_at(Point(*xy), tol)) == repr(
+        old_snap.location_at(old.Point(*xy), tol))
+    assert repr(new_snap.location_at(Point(*xy))) == repr(old_snap.location_at(old.Point(*xy)))
+
+
+def test_local_frame_defaults_as_the_dataclass_did():
+    frame, was = LocalFrame(Point(1.0, -2.0)), old.LocalFrame(old.Point(1.0, -2.0))
+    assert repr(frame) == repr(was)
+    assert (frame.rotation, frame.scale, frame.reflecting) == (0.0, 1.0, False)
+    assert repr(LocalFrame(origin=Point(0, 0), scale=2.0)) == repr(
+        old.LocalFrame(origin=old.Point(0, 0), scale=2.0))
+
+
+@given(st.sampled_from(RECORD_KINDS), st.data())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_a_record_is_the_tuple_of_its_fields(kind, data):
+    # The deliberate difference: a record equals, hashes, unpacks and orders
+    # as the plain tuple of its fields; a dataclass equalled only its kind.
+    raw = data.draw(record_fields(kind))
+    rec, was = build(core_ns, kind, raw), build(old, kind, raw)
+    fields = tuple(getattr(rec, name) for name in type(rec).__match_args__)
+    assert rec == fields and hash(rec) == hash(fields) and not rec != fields
+    assert (*rec,) == fields and len(rec) == len(fields)
+    assert was != tuple(getattr(was, name) for name in type(was).__match_args__)
+    x, y = Point(1.0, 2.0)
+    assert (x, y) == (1.0, 2.0)
+    assert sorted([Point(1.0, 0.0), Point(0.0, 5.0), Point(0.0, -1.0)]) == [
+        (0.0, -1.0), (0.0, 5.0), (1.0, 0.0)]
+
+
+def test_a_bool_is_not_a_color():
+    assert old.LightTuple((True,), (2,)).values == (True,)  # the dataclass took it
+    with pytest.raises(ValueError, match=r"^color True outside palette of size 2$"):
+        LightTuple((True,), (2,))
+    with pytest.raises(ValueError, match=r"^color False outside palette of size 2$"):
+        LightTuple((0, False), (2, 2))

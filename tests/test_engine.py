@@ -149,6 +149,16 @@ class TestRunRound:
                 Rigidity(), random.Random(0),
             )
 
+    def test_a_bool_light_value_is_hard_error(self):
+        # A bool is an int, but write_trace would write it as "True", which
+        # read_trace refuses.
+        rogue = Algorithm(
+            "rogue", (2,), lambda snap: StepResult(light={0: True}), ModelKind.FSTA
+        )
+        cfg = make_configuration([Point(0, 0)], palette=(2,))
+        with pytest.raises(PaletteError, match="^rogue: value True outside palette of size 2$"):
+            run(cfg, "fsynch", rogue, rounds=1)
+
     def test_emission_to_a_missing_light_variable_is_hard_error(self):
         rogue = Algorithm(
             "rogue", (2,), lambda snap: StepResult(light={1: 0}), ModelKind.FSTA
