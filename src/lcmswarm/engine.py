@@ -376,7 +376,8 @@ def write_trace(trace: Trace, path: str) -> None:
 
     Floats are written as repr, the shortest text that parses back to the same
     double, as replay and late-stage geometry checks need (12 fixed digits lose
-    deeply shrunk segments)."""
+    deeply shrunk segments).  A robot's line is reused while its position and
+    light stay the same objects and no round gives it events."""
     h = trace.header
     head = (
         f"model={h.model.value} kind={h.kind} n={h.n} seed={h.seed} "
@@ -390,15 +391,23 @@ def write_trace(trace: Trace, path: str) -> None:
     lines = [head]
     light_text: dict[tuple[int, ...], str] = {}  # each distinct light formatted once
     rounds = [(r.config, r.eset, r.events) for r in trace.rounds]
+    last_entries, last_block, last_events = (), [], {}
     for k, (config, eset, events) in enumerate([(trace.initial, (), {})] + rounds):
         lines.append(f"round={k} act=" + " ".join(map(str, sorted(eset))))
-        for rid, p, lt in config.entries:
-            text = light_text.get(lt.values)
-            if text is None:
-                text = light_text[lt.values] = ";".join(map(str, lt.values))
-            if rid in events:
-                text += " ev=" + ",".join(events[rid])
-            lines.append(f"id={rid} pos={p.x!r},{p.y!r} light={text}")
+        if len(last_block) != len(config.entries):  # round 0, or n changed: nothing to reuse
+            last_entries = last_block = [(None, None, None)] * len(config.entries)
+        block = []
+        for (rid, p, lt), (_, was_p, was_lt), line in zip(config.entries, last_entries, last_block):
+            if was_p is not p or was_lt is not lt or rid in events or rid in last_events:
+                text = light_text.get(lt.values)
+                if text is None:
+                    text = light_text[lt.values] = ";".join(map(str, lt.values))
+                line = f"id={rid} pos={p.x!r},{p.y!r} light={text}"
+                if rid in events:
+                    line += " ev=" + ",".join(events[rid])
+            block.append(line)
+        lines += block
+        last_entries, last_block, last_events = config.entries, block, events
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -409,7 +418,9 @@ _ROBOT_LINE = re.compile(r"id=(\S*) pos=([^\s,]*),([^\s,]*) light=(\S*)(?: ev=(\
 
 def read_trace(path: str) -> Trace:
     """Parse a trace file in one pass; a malformed one raises ValueError naming
-    its line.  Each distinct light text is checked against the palette once."""
+    its line.  Each distinct light and act= text is checked once; a robot line
+    equal, as text, to its slot's line in the round before reuses its entry and
+    events, and a block of such lines reuses the round before's configuration."""
     with open(path) as fh:
         lines = [(no, ln) for no, ln in enumerate(fh.read().split("\n"), start=1) if ln.strip()]
     if not lines:
@@ -432,6 +443,8 @@ def read_trace(path: str) -> Trace:
     )
 
     lights: dict[str, LightTuple] = {}
+    acts: dict[str, frozenset[int]] = {}
+    slots: list = [(None, None, None)] * n  # each slot's last line, its entry and its events
     rounds: list[TraceRound] = []
     i = 1
     while i < len(lines):
@@ -441,36 +454,46 @@ def read_trace(path: str) -> Trace:
         head, _, act = line.partition(" act=")
         try:
             k = int(head.split("=", 1)[1])
-            eset = frozenset(int(t) for t in act.split())
+            eset = acts[act] if act in acts else frozenset(int(t) for t in act.split())
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad round line: {exc}") from exc
         if k != len(rounds):
             raise ValueError(f"{path}:{lineno}: expected round {len(rounds)}, got round={k}")
-        if eset and (min(eset) < 0 or max(eset) >= n):
-            bad = min(eset) if min(eset) < 0 else max(eset)
-            raise ValueError(f"{path}:{lineno}: activation of unknown robot {bad} (n={n})")
+        if act not in acts:
+            if eset and (min(eset) < 0 or max(eset) >= n):
+                bad = min(eset) if min(eset) < 0 else max(eset)
+                raise ValueError(f"{path}:{lineno}: activation of unknown robot {bad} (n={n})")
+            acts[act] = eset
         if i + n >= len(lines):
             raise ValueError(f"{path}:{lineno}: truncated round {k}")
         entries = []
         events: dict[int, tuple[str, ...]] = {}
-        for rowno, row in lines[i + 1 : i + 1 + n]:
-            match = _ROBOT_LINE.fullmatch(row)
-            try:
-                if match is None:
-                    raise ValueError(f"not id=<i> pos=<x>,<y> light=<v;...>[ ev=<e,...>]: {row!r}")
-                rid, x, y, text, ev = match.groups()
-                rid = int(rid)
-                if text not in lights:
-                    lights[text] = LightTuple(tuple(int(t) for t in text.split(";") if t), palette)
-                entries.append((rid, _point(float(x), float(y)), lights[text]))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{rowno}: bad robot line: {exc}") from exc
+        repeated = k > 0
+        for slot, (rowno, row) in enumerate(lines[i + 1 : i + 1 + n]):
+            seen, entry, ev = slots[slot]
+            if row != seen:
+                repeated = False
+                match = _ROBOT_LINE.fullmatch(row)
+                try:
+                    if match is None:
+                        raise ValueError(f"not id=<i> pos=<x>,<y> light=<v;...>[ ev=<e,...>]: {row!r}")
+                    rid, x, y, text, ev = match.groups()
+                    if text not in lights:
+                        lights[text] = LightTuple(tuple(int(t) for t in text.split(";") if t), palette)
+                    entry = int(rid), _point(float(x), float(y)), lights[text]
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{rowno}: bad robot line: {exc}") from exc
+                ev = None if ev is None else tuple(ev.split(","))
+                slots[slot] = row, entry, ev
+            entries.append(entry)
             if ev is not None:
-                events[rid] = tuple(ev.split(","))
-        try:
-            rounds.append(TraceRound(eset, Configuration(tuple(entries)), events))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+                events[entry[0]] = ev
+        if not repeated:
+            try:
+                config = Configuration(tuple(entries))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        rounds.append(TraceRound(eset, config, events))
         i += 1 + n
     if not rounds:
         raise ValueError(f"{path}: trace must start with round=0")

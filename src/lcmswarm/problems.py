@@ -114,6 +114,8 @@ def check_sro(trace: Trace, tol: float = 1e-9) -> Verdict:
     rounds = [0]
     distinct = [(configs[0].position(0), configs[0].position(1))]
     for i, c in enumerate(configs[1:], start=1):
+        if c is configs[i - 1]:
+            continue  # the same configuration again adds no pattern
         a, b = c.position(0), c.position(1)
         pa, pb = distinct[-1]
         ref = max(distance(pa, pb), 1e-300)

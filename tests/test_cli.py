@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import io
 import random
+import re
 import struct
 
 import pytest
@@ -709,6 +710,18 @@ REGISTRY_RUNS = {
 
 def test_registry_runs_cover_the_registry():
     assert sorted(REGISTRY_RUNS) == sorted(ALGO_NAMES)
+
+
+# The command line refuses these in validate_run_config; build_algorithm is
+# also a library entry point and refuses them itself.
+@pytest.mark.parametrize("name, message", [
+    ("sim-rs-by-s", "sim-rs-by-s needs --inner"),
+    ("sim-lumi-by-fcom", "sim-lumi-by-fcom needs --inner"),
+    ("bogus", f"unknown algorithm 'bogus'; choose from {', '.join(ALGO_NAMES)}"),
+])
+def test_build_algorithm_refuses_what_it_cannot_build(name, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cli.build_algorithm(name, n=3)
 
 
 def _assert_records(trace):

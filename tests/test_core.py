@@ -230,6 +230,16 @@ def test_circular_order_square_ring():
     assert ring.locations[ring.suc(ring.index_of(Point(0, 1)))] == Point(1, 0)
 
 
+def test_circular_order_needs_a_location():
+    with pytest.raises(ValueError, match="^need at least one location$"):
+        order_locations([])
+
+
+def test_make_configuration_needs_one_light_per_position():
+    with pytest.raises(ValueError, match="^positions and lights differ in length$"):
+        make_configuration([Point(0, 0), Point(1, 0)], [LightTuple.off(())])
+
+
 def test_circular_order_singleton():
     ring = order_locations([Point(5, 5)])
     assert ring.m == 1 and ring.suc(0) == 0 and ring.pred(0) == 0

@@ -9,6 +9,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lcmswarm.engine as engine_ns
 from lcmswarm.algorithms import (
     alg_cyclic_cycles,
     alg_move_east,
@@ -612,6 +613,87 @@ class TestTraceFiles:
         with pytest.raises(ValueError, match=":5: robot ids must be exactly"):
             read_trace(str(path))
 
+    # A robot line equal to its slot's line in the round before reuses that
+    # line's records, and a block of repeated lines its configuration.
+
+    def _read_back(self, tmp_path, trace):
+        path = tmp_path / "t.trace"
+        write_trace(trace, str(path))
+        back = read_trace(str(path))
+        assert back == trace
+        return back
+
+    def test_a_repeated_line_gives_the_same_point_and_light(self, tmp_path):
+        configs = self._read_back(tmp_path, signed_zero_trace()).configs()
+        for before, after in zip(configs, configs[1:]):
+            assert after.position(1) is before.position(1)  # robot 1 never moves
+            assert after.light(1) is before.light(1)
+            assert after.light(0) is before.light(0)  # one light text, one record
+            assert after is not before
+
+    def test_a_line_that_differs_only_in_the_sign_of_zero_keeps_its_bits(self, tmp_path):
+        configs = self._read_back(tmp_path, signed_zero_trace()).configs()
+        signs = [math.copysign(1.0, c.position(0).x) for c in configs]
+        assert signs == [-1.0, 1.0] * (len(configs) // 2)
+
+    def test_a_repeated_block_gives_the_same_configuration(self, tmp_path):
+        back = self._read_back(tmp_path, one_configuration_trace({}))
+        assert all(c is back.initial for c in back.configs())
+
+    def test_each_round_has_its_own_events(self, tmp_path):
+        back = self._read_back(tmp_path, one_configuration_trace({1: ("ran",)}))
+        assert all(r.config is back.rounds[0].config for r in back.rounds)
+        assert len({id(r.events) for r in back.rounds}) == len(back.rounds)
+        back.rounds[0].events[0] = ("forged",)
+        assert all(r.events == {1: ("ran",)} for r in back.rounds[1:])
+
+    @pytest.mark.parametrize("target, source, named", [
+        (6, 5, 5),  # right after the identical line, in the next slot
+        (9, 5, 8),  # a later round's slot 1 repeats an earlier slot 0
+        (8, 6, 8),  # slot 0 takes the line slot 1 keeps repeating
+    ])
+    def test_a_line_copied_from_another_slot_is_still_named(self, tmp_path, target, source, named):
+        path = tmp_path / "t.trace"
+        write_trace(signed_zero_trace(), str(path))
+        lines = path.read_text().splitlines()
+        assert lines[target] != lines[source] and lines[6] == lines[9]
+        lines[target] = lines[source]
+        path.write_text("\n".join(lines) + "\n")
+        assert _outcome(read_trace, str(path)) == _outcome(oracle_read_trace, str(path)) == named
+
+    def test_a_bad_line_after_repeated_ones_is_named(self, tmp_path):
+        path = tmp_path / "t.trace"
+        write_trace(signed_zero_trace(), str(path))
+        lines = path.read_text().splitlines()
+        lines[12] = lines[12].replace("pos=4.0", "pos=nan")  # robot 1 of round 3
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=":13: bad robot line: non-finite"):
+            read_trace(str(path))
+
+
+def signed_zero_trace(rounds=5):
+    """Robot 0's x alternates between -0.0 and 0.0, new objects every round;
+    robot 1 keeps one position and light object throughout."""
+    palette = (3,)
+    lights = LightTuple((0,), palette), LightTuple((2,), palette)
+    still = Point(4.0, -2.0)
+    configs = [make_configuration([Point(0.0 if k % 2 else -0.0, 1.5), still], list(lights))
+               for k in range(rounds + 1)]
+    header = TraceHeader(ModelKind.LUMI, "explicit", 2, 0, None, palette, "hand")
+    every = frozenset({0, 1})
+    return Trace(header, configs[0], tuple(TraceRound(every, c) for c in configs[1:]))
+
+
+def one_configuration_trace(events, rounds=4):
+    """One Configuration object in every round, each round with a copy of
+    `events`."""
+    palette = (3,)
+    config = make_configuration([Point(-0.0, 0.0), Point(1.0, 2.5)],
+                                [LightTuple((1,), palette), LightTuple((0,), palette)])
+    header = TraceHeader(ModelKind.LUMI, "explicit", 2, 0, None, palette)
+    return Trace(header, config, tuple(TraceRound(frozenset({1}), config, dict(events))
+                                       for _ in range(rounds)))
+
 
 # --- Golden grid: traces pinned byte for byte ---------------------------------
 #
@@ -900,6 +982,103 @@ def test_reader_names_the_same_line_as_the_replaced_reader(tmp_path):
     assert files == 2 * (5 * 4 + 15 * 5)  # 5 rounds of 3 robots
     path.write_text("\n\n".join(lines) + "\n \n")  # only blank lines added
     assert read_trace(str(path)) == oracle_read_trace(str(path))
+
+
+def _changed_lines(path, n):
+    """How many robot lines of a trace file differ from their slot's line in
+    the round before; every line of round 0 counts."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    blocks = [lines[i + 1 : i + 1 + n] for i in range(1, len(lines), n + 1)]
+    return sum(row != seen for block, seen_block in zip(blocks, [[None] * n] + blocks)
+               for row, seen in zip(block, seen_block))
+
+
+def test_reading_parses_only_the_lines_that_changed(tmp_path, monkeypatch):
+    trace = run(make_configuration([Point(0.25, -1.0), Point(3.0, 2.0)]), "rsynch", alg_sro(),
+                rounds=200, seed=5)
+    path = str(tmp_path / "sro.trace")
+    write_trace(trace, path)
+    calls, point = [], engine_ns._point
+
+    def counting_point(x, y):
+        calls.append((x, y))
+        return point(x, y)
+
+    monkeypatch.setattr(engine_ns, "_point", counting_point)
+    assert read_trace(path) == trace
+    changed = _changed_lines(path, 2)
+    assert len(calls) == changed
+    assert changed < 201  # most of the 2 x 201 robot lines repeat
+
+
+# --- Trace files against the writer they replaced -----------------------------
+
+
+def oracle_write_trace(trace: Trace, path: str) -> None:
+    """write_trace before it reused unchanged robot lines, verbatim: its bytes
+    are the reference."""
+    h = trace.header
+    head = (
+        f"model={h.model.value} kind={h.kind} n={h.n} seed={h.seed} "
+        f"delta={'rigid' if h.delta is None else repr(h.delta)} "
+        f"palette={';'.join(map(str, h.palette))}"
+    )
+    if h.algo:
+        head += f" algo={h.algo}"
+    if h.inner:
+        head += f" inner={h.inner}"
+    lines = [head]
+    light_text: dict[tuple[int, ...], str] = {}  # each distinct light formatted once
+    rounds = [(r.config, r.eset, r.events) for r in trace.rounds]
+    for k, (config, eset, events) in enumerate([(trace.initial, (), {})] + rounds):
+        lines.append(f"round={k} act=" + " ".join(map(str, sorted(eset))))
+        for rid, p, lt in config.entries:
+            text = light_text.get(lt.values)
+            if text is None:
+                text = light_text[lt.values] = ";".join(map(str, lt.values))
+            if rid in events:
+                text += " ev=" + ",".join(events[rid])
+            lines.append(f"id={rid} pos={p.x!r},{p.y!r} light={text}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _assert_writers_agree(trace, tmp_path):
+    """write_trace and the oracle write the same bytes for a trace and for
+    the trace read back from them, whose records are shared."""
+    got, want = tmp_path / "got.trace", tmp_path / "want.trace"
+    oracle_write_trace(trace, str(want))
+    for written in (trace, read_trace(str(want))):
+        write_trace(written, str(got))
+        assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_GRID))
+def test_writer_matches_the_replaced_writer_on_every_grid_trace(name, tmp_path):
+    for cell, trace in grid_runs(name):
+        if not isinstance(trace, ValueError):
+            _assert_writers_agree(trace, tmp_path)
+
+
+def test_writer_matches_the_replaced_writer_where_lines_repeat(tmp_path):
+    # Robot 1 never moves; it has events in some rounds and none in the next.
+    events = [{}, {1: ("ran",)}, {}, {0: ("a", "b"), 1: ("ran",)}, {1: ("ran",)}, {}]
+    same = one_configuration_trace({}, rounds=len(events))
+    toggled = dataclasses.replace(same, rounds=tuple(
+        dataclasses.replace(r, events=ev) for r, ev in zip(same.rounds, events)))
+    for trace in (signed_zero_trace(), same, one_configuration_trace({1: ("ran",)}), toggled):
+        _assert_writers_agree(trace, tmp_path)
+    # A hand-made trace may change its robot count between rounds, keeping
+    # the other robots' objects; no line is dropped.
+    config = same.initial
+    grown = make_configuration([p for _, p, _ in config.entries] + [Point(9.0, 9.0)],
+                               [lt for _, _, lt in config.entries] + [config.light(0)])
+    changing = dataclasses.replace(same, rounds=(TraceRound(frozenset(), grown),) + same.rounds)
+    got, want = tmp_path / "got.trace", tmp_path / "want.trace"
+    write_trace(changing, str(got))
+    oracle_write_trace(changing, str(want))
+    assert got.read_bytes() == want.read_bytes()
 
 
 # --- Step results reused while nothing a robot can see has changed ------------

@@ -12,14 +12,17 @@ from lcmswarm.algorithms import (
     alg_sro,
     cyc_initial_config,
 )
-from lcmswarm.core import ModelKind, Point, make_configuration
-from lcmswarm.engine import Trace, TraceHeader, TraceRound, run
+from lcmswarm.core import ModelKind, Point, distance, make_configuration, sub
+from lcmswarm.engine import Rigidity, Trace, TraceHeader, TraceRound, read_trace, run, write_trace
 from lcmswarm.problems import (
     INCONCLUSIVE,
     OK,
     REJECT,
     DiagonalSquare,
     Verdict,
+    _check_tol,
+    _ok,
+    _reject,
     cge_target_map,
     cge_targets,
     check_cge,
@@ -130,6 +133,75 @@ class TestCheckSro:
         rounds[10] = dataclasses.replace(rounds[10], config=dataclasses.replace(target, entries=tuple(entries)))
         tampered = dataclasses.replace(trace, rounds=tuple(rounds))
         assert check_sro(tampered, 1e-9).status == REJECT
+
+
+def oracle_check_sro(trace: Trace, tol: float = 1e-9) -> Verdict:
+    """check_sro before it skipped a configuration repeated as the same
+    object, verbatim: its verdicts are the reference."""
+    _check_tol(tol)
+    if trace.initial.n != 2:
+        raise ValueError("shrinking rotation is a two-robot problem")
+    configs = trace.configs()
+    rounds = [0]
+    distinct = [(configs[0].position(0), configs[0].position(1))]
+    for i, c in enumerate(configs[1:], start=1):
+        a, b = c.position(0), c.position(1)
+        pa, pb = distinct[-1]
+        ref = max(distance(pa, pb), 1e-300)
+        if distance(a, pa) > tol * ref or distance(b, pb) > tol * ref:
+            distinct.append((a, b))
+            rounds.append(i)
+
+    for i in range(1, len(distinct)):
+        (pa, pb), (a, b) = distinct[i - 1], distinct[i]
+        v_old = sub(pb, pa)
+        v_new = sub(b, a)
+        len_old = math.hypot(v_old.x, v_old.y)
+        len_new = math.hypot(v_new.x, v_new.y)
+        span = max(1.0, abs(pa.x), abs(pa.y), abs(pb.x), abs(pb.y))
+        if len_old <= 1000.0 * tol * span:
+            return _ok()  # converged below the resolvable scale
+        ratio = len_new / len_old
+        angle = math.atan2(
+            v_old.x * v_new.y - v_old.y * v_new.x, v_old.x * v_new.x + v_old.y * v_new.y
+        )
+        quarter = abs(angle + math.pi / 2.0) <= tol and abs(ratio - 1.0) <= tol
+        eighth = abs(angle + math.pi / 4.0) <= tol and abs(ratio - 1.0 / math.sqrt(2.0)) <= tol
+        if not (quarter or eighth):
+            return _reject(
+                rounds[i],
+                f"transition is neither a quarter turn nor a shrunk eighth turn "
+                f"(angle {angle:.6g}, ratio {ratio:.6g})",
+            )
+        if i >= 2:
+            qa, qb = distinct[i - 2]
+            square = DiagonalSquare(qa, qb)
+            slack = tol * max(distance(qa, qb), 1.0)
+            if not (square.contains(a, slack) and square.contains(b, slack)):
+                return _reject(rounds[i], "configuration escaped the grandparent square")
+    return _ok()
+
+
+@pytest.mark.parametrize("delta, status", [(None, OK), (0.3, REJECT)])
+def test_check_sro_matches_the_oracle(delta, status, tmp_path):
+    # Under non-rigid moves sro leaves the spiral, so the reject path is
+    # compared too.  A trace read back shares each repeated configuration.
+    path = str(tmp_path / "sro.trace")
+    shared = 0
+    for seed in range(50):
+        rng = random.Random(f"sro:{seed}")
+        cfg = make_configuration([Point(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(2)])
+        trace = run(cfg, "rsynch", alg_sro(), rounds=100, seed=seed, rigidity=Rigidity(delta))
+        write_trace(trace, path)
+        back = read_trace(path)
+        configs = back.configs()
+        shared += sum(after is before for before, after in zip(configs, configs[1:]))
+        want = oracle_check_sro(trace)
+        assert want.status == status, seed
+        for checked in (trace, back):
+            got = check_sro(checked)
+            assert (got.status, got.round, got.reason) == (want.status, want.round, want.reason)
+    assert shared > 0
 
 
 class TestCheckCyc:

@@ -425,6 +425,12 @@ class TestFidelity:
         trace, _ = _healthy_trace(family)
         assert verify_inner_fidelity(trace, alg_tricolor()) == []
 
+    def test_a_non_rigid_trace_is_refused(self):
+        trace, _ = _healthy_trace("rs")
+        non_rigid = dataclasses.replace(trace, header=dataclasses.replace(trace.header, delta=0.3))
+        with pytest.raises(ValueError, match="^fidelity replay requires a rigid-movement trace$"):
+            verify_inner_fidelity(non_rigid, alg_tricolor())
+
     @pytest.mark.parametrize("family", ["rs", "lumi"])
     def test_moved_robot_diverges(self, family):
         trace, _ = _healthy_trace(family)
