@@ -193,7 +193,7 @@ def cyc_initial_config(n: int, radius: float = 1.0) -> Configuration:
     return make_configuration(positions, palette=CYC_PALETTE)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class _CycReading:
     """What the observed positions alone tell one cyclic-circles observer.
 
@@ -208,12 +208,15 @@ class _CycReading:
     i_am_mover: bool
     mover_at_center: bool
     origin_at_center: bool
-    targets: dict[int, tuple[Point, bool]]  # counter value: (mover's target, mover there)
 
 
 # Distinct geometries whose reading one cyclic-circles algorithm keeps.  Over
 # 20 seeds of a full counter cycle under ssynch, n=5 sees 38 and n=9 sees 160.
 _CYC_READINGS = 1024
+# Step results one algorithm keeps; 600 counter cycles at n=5 see 1,545 inputs.
+_CYC_STEPS = 4096
+_NO_STEP = StepResult()
+_FINAL_STEP = StepResult(light={CYC_STATUS: STATUS_FINAL})
 
 
 def _cyc_reader(n: int) -> Callable[[bytes], _CycReading]:
@@ -235,7 +238,6 @@ def _cyc_reader(n: int) -> Callable[[bytes], _CycReading]:
             points_close(view.mover, ORIGIN, pos_tol),
             points_close(view.mover, view.center, pos_tol),
             points_close(ORIGIN, view.center, pos_tol),
-            {},
         )
 
     return read_geometry
@@ -254,9 +256,10 @@ def alg_cyclic_cycles(
     robot also displays a carry bit and a copy of its successor's b bit so
     that its successor, unable to see its own light, can still learn it.
 
-    Compute is pure and the same geometry recurs all through a counter
-    cycle, so each activation looks up its geometry's reading (_cyc_reader)
-    and only reads the lights itself.
+    Compute is pure and few inputs recur, so a step looks up its geometry's
+    reading (_cyc_reader, hashed by identity), then the result kept for it and
+    the light pattern.  Only a miss decides; a raise keeps nothing, and a full
+    store (_CYC_STEPS) is emptied.  Results are shared: never mutate one.
     """
     if n < 3:
         raise ValueError("cyclic circles needs at least 3 robots")
@@ -271,26 +274,17 @@ def alg_cyclic_cycles(
         uy = (view.vacancy.y - view.center.y) / view.radius
         return Point(view.center.x + frac * view.radius * ux, view.center.y + frac * view.radius * uy)
 
-    def final_target(reading: _CycReading, idx: int) -> tuple[Point, bool]:
-        kept = reading.targets.get(idx)
-        if kept is None:
-            target = final_point(reading.view, idx)
-            mover = ORIGIN if reading.i_am_mover else reading.view.mover
-            kept = reading.targets[idx] = target, points_close(mover, target, reading.pos_tol)
-        return kept
+    results: dict[tuple[_CycReading, tuple], StepResult] = {}
+    multisets: dict[tuple, tuple] = {}  # one kept copy of each location's lights
 
-    def step(snap: Snapshot) -> StepResult:
-        observed = snap.observed
-        if any(loc.count != 1 for loc in observed):
-            raise MalformedPatternError("cyclic circles expects one robot per location")
-        reading = read_geometry(_points_key(observed))
-        ring_lights = [None if k is None else observed[k].lights[0] for k in reading.slots]
+    def decide(reading: _CycReading, lights: tuple) -> StepResult:
+        ring_lights = [None if k is None else lights[k][0] for k in reading.slots]
 
         if reading.i_am_mover:
             statuses = [lt[CYC_STATUS] for lt in ring_lights]
-            bits = [lt[CYC_B] for lt in ring_lights]
-            idx = sum(b << k for k, b in enumerate(bits))
-            target, at_target = final_target(reading, idx)
+            idx = sum(lt[CYC_B] << k for k, lt in enumerate(ring_lights))
+            target = final_point(reading.view, idx)
+            at_target = points_close(ORIGIN, target, reading.pos_tol)
             if all(s == STATUS_CENTER for s in statuses) and not at_target:
                 return StepResult(light={CYC_STATUS: STATUS_FINAL}, destination=target)
             if all(s == STATUS_FINAL for s in statuses) and not reading.origin_at_center:
@@ -303,11 +297,11 @@ def alg_cyclic_cycles(
                     },
                     destination=reading.view.center,
                 )
-            return StepResult()
+            return _NO_STEP
 
         my_slot = next(k for k, lt in enumerate(ring_lights) if lt is None)
         i = my_slot + 1  # counter chain position, 1-based
-        mover_light = observed[reading.mover].lights[0]
+        mover_light = lights[reading.mover][0]
         pred_light = mover_light if i == 1 else ring_lights[my_slot - 1]
         suc_light = mover_light if i == n - 1 else ring_lights[my_slot + 1]
 
@@ -315,10 +309,11 @@ def alg_cyclic_cycles(
         bits = [pred_light[CYC_SUC_B] if k == my_slot else lt[CYC_B]
                 for k, lt in enumerate(ring_lights)]
         idx = sum(b << k for k, b in enumerate(bits))
-        _, mover_at_target = final_target(reading, idx)
+        target = final_point(reading.view, idx)
+        mover_at_target = points_close(reading.view.mover, target, reading.pos_tol)
 
         if mover_at_target and mover_light[CYC_STATUS] == STATUS_FINAL:
-            return StepResult(light={CYC_STATUS: STATUS_FINAL})
+            return _FINAL_STEP
         before_center = all(
             lt[CYC_STATUS] == STATUS_CENTER for lt in ring_lights[: my_slot] if lt
         ) and mover_light[CYC_STATUS] == STATUS_CENTER
@@ -334,7 +329,21 @@ def alg_cyclic_cycles(
                     CYC_STATUS: STATUS_CENTER,
                 }
             )
-        return StepResult()
+        return _NO_STEP
+
+    def step(snap: Snapshot) -> StepResult:
+        observed = snap.observed
+        if any(loc.count != 1 for loc in observed):
+            raise MalformedPatternError("cyclic circles expects one robot per location")
+        key = read_geometry(_points_key(observed)), tuple([loc.lights for loc in observed])
+        result = results.get(key)
+        if result is None:
+            result = decide(*key)
+            if len(results) >= _CYC_STEPS:
+                results.clear()
+                multisets.clear()
+            results[key[0], tuple([multisets.setdefault(m, m) for m in key[1]])] = result
+        return result
 
     return Algorithm(
         "cyclic-cycles", CYC_PALETTE, step, ModelKind.FCOM,

@@ -77,8 +77,9 @@ class DiagonalSquare:
         hx, hy = (self.b.x - self.a.x) / 2.0, (self.b.y - self.a.y) / 2.0
         return (self.a, Point(m.x - hy, m.y + hx), self.b, Point(m.x + hy, m.y - hx))
 
-    def contains(self, p: Point, tol: float) -> bool:
-        vs = self.vertices()
+    def contains(self, p: Point, tol: float, vs: tuple[Point, ...] | None = None) -> bool:
+        """Whether p is in the square, within tol; vs, if given, is vertices()."""
+        vs = vs or self.vertices()
         sign = 0
         for i in range(4):
             q, r = vs[i], vs[(i + 1) % 4]
@@ -147,8 +148,8 @@ def check_sro(trace: Trace, tol: float = 1e-9) -> Verdict:
         if i >= 2:
             qa, qb = distinct[i - 2]
             square = DiagonalSquare(qa, qb)
-            slack = tol * max(distance(qa, qb), 1.0)
-            if not (square.contains(a, slack) and square.contains(b, slack)):
+            vs, slack = square.vertices(), tol * max(distance(qa, qb), 1.0)
+            if not (square.contains(a, slack, vs) and square.contains(b, slack, vs)):
                 return _reject(rounds[i], "configuration escaped the grandparent square")
     return _ok()
 

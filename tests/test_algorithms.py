@@ -1,3 +1,6 @@
+import dataclasses
+import inspect
+import itertools
 import math
 import random
 import struct
@@ -13,6 +16,7 @@ from lcmswarm.algorithms import (
     STATUS_CENTER,
     STATUS_FINAL,
     _CYC_READINGS,
+    _CYC_STEPS,
     _DECODE_TOL,
     CycView,
     FlagScheme,
@@ -257,6 +261,10 @@ class TestCyclicCycles:
             for rid in range(1, 4):
                 assert r.config.position(rid) == trace.initial.position(rid)
 
+    def test_initial_config_needs_three_robots(self):
+        with pytest.raises(ValueError, match="^cyclic circles needs at least 3 robots$"):
+            cyc_initial_config(2)
+
     def test_d_rel_must_stay_inside_the_circle(self):
         algo = alg_cyclic_cycles(3, d_rel=lambda i: 1.5)
         with pytest.raises(ValueError, match="fraction"):
@@ -291,6 +299,29 @@ class TestDecode:
         with pytest.raises(MalformedPatternError):
             decode_cyc_pattern([Point(0, 0)], 3)
 
+    @pytest.mark.parametrize("mover", [Point(0.0, 0.3), Point(-0.3, 0.0)], ids=["beside", "behind"])
+    def test_mover_off_the_vacancy_radius_is_malformed(self, mover):
+        # The ring alone fits, but the mover is neither at the center nor on
+        # the radius toward the vacancy (at angle 0).
+        pts = [mover] + [p for _, p, _ in cyc_initial_config(4).entries][1:]
+        with pytest.raises(MalformedPatternError, match="^no circle-with-vacancy interpretation fits$"):
+            decode_cyc_pattern(pts, 4)
+
+    def test_two_fitting_interpretations_are_ambiguous(self, monkeypatch):
+        # No exact geometry is known to fit twice, so every candidate is made
+        # to fit: the decoder must refuse to choose.
+        import lcmswarm.algorithms as algorithms
+
+        real = algorithms._try_interpretation
+        monkeypatch.setattr(
+            algorithms, "_try_interpretation",
+            lambda mover, circle, center, n: real(mover, circle, center, n)
+            or CycView(mover, center, 1.0, center, tuple(circle)),
+        )
+        pts = [p for _, p, _ in cyc_initial_config(4).entries]
+        with pytest.raises(MalformedPatternError, match="^ambiguous circle pattern$"):
+            decode_cyc_pattern(pts, 4)
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_fewer_than_three_robots_is_malformed(self, n):
         pts = [Point(0, 0), Point(1, 0)][:n]
@@ -308,6 +339,11 @@ def cyc_snapshot(points):
     """An FCOM snapshot of one robot at each point, the observer at the first."""
     observed = [ObservedLocation(p, 1, () if k == 0 else ((0, 0, 0, 0),)) for k, p in enumerate(points)]
     return Snapshot(tuple(observed), None, True)
+
+
+def kept_results(algo):
+    """The step results one cyclic-circles algorithm keeps, by input."""
+    return inspect.getclosurevars(algo.step).nonlocals["results"]
 
 
 class TestCycReadingCache:
@@ -409,6 +445,80 @@ class TestCycReadingCache:
             assert read.cache_info().currsize <= _CYC_READINGS
         info = read.cache_info()
         assert (info.misses, info.currsize) == (_CYC_READINGS + 100, _CYC_READINGS)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_one_instance_over_two_seeds_matches_the_oracle_and_mostly_hits(self, n):
+        # The instance runs both seeds and then steps every robot of every
+        # configuration again; every result of the second pass is checked.
+        algo, oracle = alg_cyclic_cycles(n), oracle_cyc_step(n)
+        calls = 0
+
+        def counted(snap):
+            nonlocal calls
+            calls += 1
+            return algo.step(snap)
+
+        counting = dataclasses.replace(algo, step=counted)
+        for seed in (3, 4):
+            trace = run(cyc_initial_config(n), SSYNCH, counting, rounds=50 * 2 ** (n - 1), seed=seed)
+            for config in trace.configs():
+                for rid in range(n):
+                    snap = snapshot(ModelKind.FCOM, config, rid, LocalFrame(config.position(rid)))
+                    got = counted(snap)
+                    assert result_bits(got) == result_bits(oracle(snap))
+                    assert algo.step(snap) is got  # a hit hands out the kept object
+        stored = len(kept_results(algo))
+        assert stored < _CYC_STEPS  # never emptied, so each miss stored one result
+        assert (calls - stored) / calls > 0.9
+
+    def test_more_patterns_than_the_bound_stay_within_it_and_match_the_oracle(self):
+        # Each robot in turn sees the next pattern of the four others' lights
+        # (its own it cannot see): the store fills to the bound, is emptied,
+        # and refills.
+        n = 5
+        algo, oracle = alg_cyclic_cycles(n), oracle_cyc_step(n)
+        kept = kept_results(algo)
+        positions = [p for _, p, _ in cyc_initial_config(n).entries]
+        values = list(itertools.product(range(2), repeat=4))
+        sizes = []
+        for k in range(_CYC_STEPS + 50):
+            rid, pattern = k % n, k // n
+            digits = [pattern >> 4 * d & 15 for d in range(n - 1)]
+            lights = [LightTuple(values[digits.pop()] if r != rid else values[0], CYC_PALETTE)
+                      for r in range(n)]
+            config = make_configuration(positions, lights, CYC_PALETTE)
+            snap = snapshot(ModelKind.FCOM, config, rid, LocalFrame(positions[rid]))
+            assert result_bits(algo.step(snap)) == result_bits(oracle(snap))
+            sizes.append(len(kept))
+        assert sizes[_CYC_STEPS - 1 :] == [_CYC_STEPS] + list(range(1, 51))
+
+    @pytest.mark.parametrize("frac", [1.5, 0.0], ids=["outside", "zero"])
+    def test_a_bad_d_rel_raises_every_time_and_keeps_nothing(self, frac):
+        n = 4
+        algo = alg_cyclic_cycles(n, d_rel=lambda _i: frac)
+        config = cyc_initial_config(n)
+        for _ in range(3):
+            for rid in range(n):
+                snap = snapshot(ModelKind.FCOM, config, rid, LocalFrame(config.position(rid)))
+                with pytest.raises(ValueError, match="must be a radius fraction in"):
+                    algo.step(snap)
+        assert kept_results(algo) == {}
+
+    def test_co_located_robots_raise_every_time_and_keep_nothing(self):
+        # Once with the same points and lights kept from a valid input, once
+        # on a fresh instance: two robots at one location always raise, so
+        # the count check must come before any lookup.
+        n = 4
+        config = cyc_initial_config(n)
+        snap = snapshot(ModelKind.FCOM, config, 1, LocalFrame(config.position(1)))
+        doubled = snap._replace(observed=(snap.observed[0]._replace(count=2),) + snap.observed[1:])
+        warm, fresh = alg_cyclic_cycles(n), alg_cyclic_cycles(n)
+        warm.step(snap)
+        for algo, size in ((warm, 1), (fresh, 0)):
+            for _ in range(3):
+                with pytest.raises(MalformedPatternError, match="^cyclic circles expects one robot per location$"):
+                    algo.step(doubled)
+            assert len(kept_results(algo)) == size
 
 
 class TestClassify:

@@ -204,6 +204,25 @@ def test_check_sro_matches_the_oracle(delta, status, tmp_path):
     assert shared > 0
 
 
+BIG, HALF = 1.2e308, 4e307  # finite, but BIG + BIG overflows
+
+
+@pytest.mark.parametrize("frames", [
+    [[(0, 0), (1, 1)], [(1e308, 0), (-1e308, 0)]],
+    [[(BIG, -HALF), (BIG, HALF)], [(BIG - HALF, 0), (BIG + HALF, 0)], [(BIG, HALF), (BIG, -HALF)]],
+], ids=["difference", "grandparent-midpoint"])
+def test_check_sro_raises_where_the_oracle_raises_on_overflow(frames):
+    # The first trace's second segment, b - a, overflows.  The second makes
+    # two valid quarter turns, and its grandparent square's midpoint overflows.
+    trace = synthetic_trace(frames)
+    with pytest.raises(ValueError) as want:
+        oracle_check_sro(trace)
+    with pytest.raises(ValueError) as got:
+        check_sro(trace)
+    assert str(got.value) == str(want.value)
+    assert "finite" in str(got.value)
+
+
 class TestCheckCyc:
     def _trace(self, n=3, rounds=None, seed=0):
         rounds = rounds or 40 * 2 ** (n - 1)
