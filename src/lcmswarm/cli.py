@@ -25,13 +25,17 @@ from .algorithms import (
 )
 from .core import Point, make_configuration
 from .engine import Algorithm, ConstraintError, Rigidity, Trace, read_trace, run, write_trace
-from .problems import INCONCLUSIVE, OK, REJECT, check_cge, check_cyc, check_rdv, check_sro
+from .problems import check_cge, check_cyc, check_rdv, check_sro
 from .scheduler import (
+    INCONCLUSIVE,
     KIND_NAMES,
+    OK,
+    REJECT,
     ROUND_ROBIN,
     RSYNCH,
     SSYNCH,
     SchedulerKind,
+    Verdict,
     check_fair,
     default_fairness_window,
     read_schedule,
@@ -311,60 +315,60 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 1
 
 
-def _verdict(verdict) -> tuple[str, str]:
-    if verdict.status == OK:
-        return OK, "ok"
-    if verdict.status == REJECT:
-        return REJECT, f"reject at round {verdict.round}: {verdict.reason}"
-    return INCONCLUSIVE, f"inconclusive: {verdict.reason}"
-
-
-def _problem(checker):
-    return lambda trace, tol, d_rel: _verdict(checker(trace, tol=tol))
-
-
-def _check_cyc(trace: Trace, tol: float, d_rel: float | None) -> tuple[str, str]:
+def _check_cyc(trace: Trace, tol: float, d_rel: float | None) -> Verdict:
     d_fn = (lambda _i: d_rel) if d_rel is not None else None
-    return _verdict(check_cyc(trace, trace.initial.n, d_rel=d_fn, tol=tol))
+    return check_cyc(trace, trace.initial.n, d_rel=d_fn, tol=tol)
 
 
-def _check_monitors(trace: Trace, tol: float, d_rel: float | None) -> tuple[str, str]:
+def _check_monitors(trace: Trace, tol: float, d_rel: float | None) -> Verdict:
     violations = monitor_properties(trace)
     if violations:
-        return REJECT, f"{len(violations)} violations; first: {violations[0]}"
-    return OK, "ok"
+        return Verdict(REJECT, reason=f"{len(violations)} violations; first: {violations[0]}")
+    return Verdict(OK)
 
 
-def _check_induced(trace: Trace, tol: float, d_rel: float | None) -> tuple[str, str]:
+def _check_induced(trace: Trace, tol: float, d_rel: float | None) -> Verdict:
     induced = extract_induced_schedule(trace)
     target = RSYNCH if trace.header.algo == "sim-rs-by-s" else SSYNCH
     report = validate(induced, target)
-    if not report.ok:
-        return REJECT, f"invalid {target} at induced round {report.round}: {report.rule}"
+    if not report:
+        return Verdict(REJECT, reason=f"invalid {target} at induced round {report.round}: {report.rule}")
     fairness = check_fair(induced, default_fairness_window(trace.initial.n))
-    if not fairness.ok:
+    if not fairness:
         robot, gap, rnd = fairness.violations[0]
-        return REJECT, f"robot {robot} starved for {gap} induced rounds (at {rnd})"
-    return OK, f"valid fair {target} schedule of {len(induced)} rounds"
+        return Verdict(REJECT, reason=f"robot {robot} starved for {gap} induced rounds (at {rnd})")
+    return Verdict(OK, reason=f"valid fair {target} schedule of {len(induced)} rounds")
 
 
 class Check(NamedTuple):
     """Algorithms whose traces a checker reads (none: any) and its function."""
 
     families: tuple[str, ...]
-    run: Callable[[Trace, float, float | None], tuple[str, str]]
+    run: Callable[[Trace, float, float | None], Verdict]
 
 
 # Problem checkers read any trace; monitors read meta-simulator traces.
 CHECKS = {
-    "rdv": Check((), _problem(check_rdv)),
-    "sro": Check((), _problem(check_sro)),
+    "rdv": Check((), lambda trace, tol, d_rel: check_rdv(trace, tol=tol)),
+    "sro": Check((), lambda trace, tol, d_rel: check_sro(trace, tol=tol)),
     "cyc": Check((), _check_cyc),
-    "cge": Check((), _problem(check_cge)),
+    "cge": Check((), lambda trace, tol, d_rel: check_cge(trace, tol=tol)),
     "p-props": Check(("sim-rs-by-s",), _check_monitors),
     "step-lemmas": Check(("sim-lumi-by-fcom",), _check_monitors),
     "induced": Check(("sim-rs-by-s", "sim-lumi-by-fcom"), _check_induced),
 }
+EXIT_CODES = {OK: 0, REJECT: 1, INCONCLUSIVE: 2}
+
+
+def _detail(verdict: Verdict) -> str:
+    """What check and sweep print after a check's name.  A reject names its
+    trace round when it has one; the monitors' rejects say where in their
+    reasons."""
+    if verdict.status == INCONCLUSIVE:
+        return f"inconclusive: {verdict.reason}"
+    if verdict.round is not None:
+        return f"reject at round {verdict.round}: {verdict.reason}"
+    return verdict.reason or "ok"
 
 
 def _refuse_other_families(name: str, algo: str) -> None:
@@ -399,12 +403,12 @@ def cmd_check(args: argparse.Namespace) -> int:
     name = args.problem or args.monitor
     try:
         _refuse_other_families(name, trace.header.algo)
-        status, detail = CHECKS[name].run(trace, args.tol, args.d_rel)
+        verdict = CHECKS[name].run(trace, args.tol, args.d_rel)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"{name}: {detail}")
-    return {OK: 0, REJECT: 1, INCONCLUSIVE: 2}[status]
+    print(f"{name}: {_detail(verdict)}")
+    return EXIT_CODES[verdict.status]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -435,16 +439,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for seed in seeds:
         # A refused run is a configuration error, not this seed's failure.
         try:
-            trace = execute(seed)
-            status, detail = check.run(trace, args.tol, cfg.d_rel)
-            message = f"{args.check}: {detail}"
+            verdict = check.run(execute(seed), args.tol, cfg.d_rel)
+            message = f"{args.check}: {_detail(verdict)}"
         except ConstraintError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         except (ValueError, RuntimeError) as exc:
-            status, message = REJECT, f"error: {exc}"
-        outcomes[status] += 1
-        if status == REJECT and first_bad is None:
+            verdict, message = Verdict(REJECT), f"error: {exc}"
+        outcomes[verdict.status] += 1
+        if verdict.status == REJECT and first_bad is None:
             first_bad = (seed, message)
     print(
         f"seeds {seeds.start}..{seeds.stop - 1}: "

@@ -15,20 +15,7 @@ from typing import Callable
 from .algorithms import CYC_B, CYC_STATUS, STATUS_CENTER, STATUS_FINAL, decode_cyc_pattern
 from .core import Configuration, Point, distance, midpoint, points_close, sub
 from .engine import Trace
-
-OK = "ok"
-REJECT = "reject"
-INCONCLUSIVE = "inconclusive"
-
-
-@dataclass(frozen=True)
-class Verdict:
-    status: str
-    round: int | None = None
-    reason: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.status == OK
+from .scheduler import INCONCLUSIVE, OK, REJECT, Verdict
 
 
 def _ok() -> Verdict:
@@ -183,15 +170,9 @@ def check_cyc(
             raise ValueError(f"d({idx}) = {frac} must be a radius fraction in (0, 1)")
     initial = trace.initial
     view = decode_cyc_pattern([p for _, p, _ in initial.entries], n)
-
-    def rid_at(p: Point) -> int:
-        for rid, q, _ in initial.entries:
-            if points_close(q, p, tol * view.radius):
-                return rid
-        raise ValueError("initial pattern decode lost a robot")
-
-    mover = rid_at(view.mover)
-    ring_ids = [rid_at(p) for p in view.ring]
+    rid_of = {id(p): rid for rid, p, _ in initial.entries}  # the view holds these very points
+    mover = rid_of[id(view.mover)]
+    ring_ids = [rid_of[id(p)] for p in view.ring]
     pos_tol = max(tol, 1e-12) * view.radius
     unit = Point(
         (view.vacancy.x - view.center.x) / view.radius,

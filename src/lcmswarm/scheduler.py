@@ -2,7 +2,8 @@
 
 Covers validity checking for five scheduler kinds, the energy ledger of
 one-cycle-per-charge robots, the mapping that deletes forced idle rounds,
-a bounded-window fairness proxy, and seeded schedule generators.
+a bounded-window fairness proxy, and seeded schedule generators.  It also
+defines `Verdict`, the one result type of every check in the package.
 """
 
 from __future__ import annotations
@@ -17,6 +18,31 @@ ROUND_ROBIN = "round-robin"
 ENERGY_RESTRICTED = "energy-restricted-ssynch"
 
 KIND_NAMES = (FSYNCH, SSYNCH, RSYNCH, ROUND_ROBIN, ENERGY_RESTRICTED)
+
+OK = "ok"
+REJECT = "reject"
+INCONCLUSIVE = "inconclusive"
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """What a check found: ok, reject, or inconclusive (a liveness goal that a
+    finite prefix can neither establish nor refute).  A reject may name its
+    first violating round, a reason, the rule broken, and every violation
+    found.  A verdict is truthy only when it is ok."""
+
+    status: str
+    round: int | None = None
+    reason: str | None = None
+    rule: str | None = None
+    violations: tuple = ()
+
+    @property
+    def ok(self) -> bool:
+        return self.status == OK
+
+    def __bool__(self) -> bool:
+        return self.ok
 
 
 @dataclass(frozen=True)
@@ -69,16 +95,6 @@ class SchedulePrefix:
 
 
 @dataclass(frozen=True)
-class ValidityReport:
-    ok: bool
-    round: int | None = None  # 1-based first violating round
-    rule: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-@dataclass(frozen=True)
 class EnergyLedger:
     """Per-round sets of full-energy robots.
 
@@ -94,13 +110,6 @@ class EnergyLedger:
     def before_round(self, i: int) -> frozenset[int]:
         """Charged set at the start of 1-based round i."""
         return self.charged[i - 1]
-
-
-@dataclass(frozen=True)
-class FairnessReport:
-    ok: bool
-    window: int
-    violations: tuple[tuple[int, int, int], ...]  # (robot, gap, round observed)
 
 
 _NOBODY: frozenset[int] = frozenset()
@@ -145,8 +154,9 @@ def energy_ledger(prefix: SchedulePrefix) -> EnergyLedger:
     return EnergyLedger(tuple(charged), tuple(violations))
 
 
-def validate(prefix: SchedulePrefix, kind: SchedulerKind | str) -> ValidityReport:
-    """Check a prefix against a scheduler family; report the first violation.
+def validate(prefix: SchedulePrefix, kind: SchedulerKind | str) -> Verdict:
+    """Check a prefix against a scheduler family; a reject names the first
+    violating round (1-based) and its rule.
 
     Round-robin's period is its kind's blocks, or else the shortest head of
     the prefix that partitions the swarm; every other family checks each
@@ -162,9 +172,9 @@ def validate(prefix: SchedulePrefix, kind: SchedulerKind | str) -> ValidityRepor
         period = next((h for p in range(2, len(sets) + 1) if all(h := sets[:p])
                        and sum(map(len, h)) == prefix.n and frozenset().union(*h) == full), None)
         if period is None:
-            return ValidityReport(False, 1, "no-partition-period")
+            return Verdict(REJECT, 1, rule="no-partition-period")
     elif period is not None and frozenset().union(*period) != full:
-        return ValidityReport(False, 1, "blocks-do-not-cover")
+        return Verdict(REJECT, 1, rule="blocks-do-not-cover")
     prev = _NOBODY
     for i, e in enumerate(sets):
         if period:
@@ -172,9 +182,9 @@ def validate(prefix: SchedulePrefix, kind: SchedulerKind | str) -> ValidityRepor
         else:
             rule = _broken_rule(kind.name, e, prev, full)
         if rule:
-            return ValidityReport(False, i + 1, rule)
+            return Verdict(REJECT, i + 1, rule=rule)
         prev = e
-    return ValidityReport(True)
+    return Verdict(OK)
 
 
 def phi(prefix: SchedulePrefix) -> SchedulePrefix:
@@ -192,11 +202,12 @@ def phi(prefix: SchedulePrefix) -> SchedulePrefix:
     return SchedulePrefix(tuple(e for e in prefix.sets if e), prefix.n)
 
 
-def check_fair(prefix: SchedulePrefix, window: int) -> FairnessReport:
+def check_fair(prefix: SchedulePrefix, window: int) -> Verdict:
     """Bounded-window fairness proxy.
 
-    Flags every robot whose gap between consecutive activations, since the
-    start, or through the end of the prefix exceeds `window` rounds.
+    Rejects with a (robot, gap, round observed) violation for every robot
+    whose gap between consecutive activations, since the start, or through
+    the end of the prefix exceeds `window` rounds.
     Fairness of an infinite sequence is undecidable from a prefix; this is
     the explicit finite surrogate used everywhere in the harness.
     """
@@ -215,7 +226,7 @@ def check_fair(prefix: SchedulePrefix, window: int) -> FairnessReport:
         gap = end - last[r]
         if gap > window:
             violations.append((r, gap, end))
-    return FairnessReport(not violations, window, tuple(violations))
+    return Verdict(REJECT if violations else OK, violations=tuple(violations))
 
 
 def default_fairness_window(n: int) -> int:

@@ -20,6 +20,7 @@ and monitor_properties work off those annotations.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -544,198 +545,6 @@ def verify_inner_fidelity(trace: Trace, inner: Algorithm, tol: float = 1e-9) -> 
     return violations
 
 
-def _mega_cycle_violations(trace: Trace, executed: int) -> list[str]:
-    """Check that between mega-cycle boundaries every robot executes the inner
-    algorithm exactly once.  A cycle closes when every executed flag (light
-    variable `executed`) is up and reopens once they have all been cleared."""
-    n = trace.initial.n
-    violations = []
-    counts = {r: 0 for r in range(n)}
-    draining = False
-    for i, (execs, rec) in enumerate(zip(_inner_executions(trace), trace.rounds)):
-        flags = [rec.config.light(r).values[executed] for r in range(n)]  # post-round
-        if draining and execs:
-            violations.append(f"round {i + 1}: inner execution between mega-cycles")
-        for rid in execs:
-            counts[rid] += 1
-            if counts[rid] > 1:
-                violations.append(f"round {i + 1}: robot {rid} executed twice in a mega-cycle")
-        if not draining and all(flags):
-            missing = [r for r, c in counts.items() if c != 1]
-            if missing:
-                violations.append(f"round {i + 1}: mega-cycle closed without robots {missing}")
-            draining = True
-        elif draining and not any(flags):
-            counts = {r: 0 for r in range(n)}
-            draining = False
-    return violations
-
-
-def _monitor_rs_by_s(trace: Trace, layout: RsBySLayout) -> list[str]:
-    STEP, EXEC, CHARGED = layout.step, layout.executed, layout.charged
-    configs = trace.configs()
-    n = trace.initial.n
-    violations: list[str] = []
-
-    def flags(config, rid):
-        t = config.light(rid).values
-        return t[STEP], t[EXEC], t[CHARGED]
-
-    events_by_round = _inner_executions(trace)
-    last_singleton = None
-    last_exec_set: frozenset[int] = frozenset()
-    for i, config in enumerate(configs):
-        state = [flags(config, r) for r in range(n)]
-        steps = frozenset(s for s, _, _ in state)
-        if steps not in RS_STEP_SETS:
-            violations.append(f"round {i}: step configuration {sorted(steps)} is not allowed")
-            continue
-        if i > 0 and events_by_round[i - 1]:
-            last_exec_set = events_by_round[i - 1]
-        if len(steps) != 1:
-            continue
-        (step_val,) = steps
-        pairs = [(c, e) for _, e, c in state]
-        charged = [c for _, _, c in state]
-        executed = [e for _, e, _ in state]
-        if step_val == RS_STEP_1:
-            if any(p != (CH_C, 0) for p in pairs):
-                violations.append(f"round {i}: step-1 robots must all be charged and unexecuted")
-        elif step_val == RS_STEP_2:
-            if CH_M in charged:
-                violations.append(f"round {i}: just-moved charge flag inside step 2")
-            if CH_E not in charged:
-                violations.append(f"round {i}: step 2 lacks a discharged robot")
-            if any(c == CH_E and e == 0 for c, e in zip(charged, executed)):
-                if any(executed):
-                    violations.append(f"round {i}: stale discharged robot outside a fresh mega-cycle")
-            if all(c == CH_E for c in charged) and not all(executed):
-                violations.append(f"round {i}: fully discharged swarm with unexecuted robots")
-            if all(c == CH_E and e == 1 for c, e in zip(charged, executed)):
-                if last_singleton not in (RS_STEP_1, RS_STEP_2):
-                    violations.append(f"round {i}: full execution without a preceding step 1")
-        elif step_val == RS_STEP_3:
-            if any(p not in ((CH_C, 0), (CH_E, 1)) for p in pairs):
-                violations.append(f"round {i}: step-3 flags outside the reset/executed pair")
-        elif step_val == RS_STEP_4:
-            moved = frozenset(r for r, (_, e, c) in enumerate(state) if c == CH_M)
-            if any(c == CH_M and e == 0 for c, e in zip(charged, executed)):
-                violations.append(f"round {i}: moved-but-unexecuted robot in step 4")
-            if not moved or len(moved) >= n:
-                violations.append(f"round {i}: step-4 movers must be a nonempty proper subset")
-            elif moved != last_exec_set:
-                violations.append(f"round {i}: step-4 movers differ from the last inner execution")
-        elif step_val == RS_STEP_5:
-            if any(c == CH_M and e == 0 for c, e in zip(charged, executed)):
-                violations.append(f"round {i}: moved-but-unexecuted robot in step 5")
-            if any(c == CH_E and e == 0 for c, e in zip(charged, executed)):
-                violations.append(f"round {i}: discharged-but-unexecuted robot in step 5")
-            spent = frozenset(r for r, (_, e, c) in enumerate(state) if c in (CH_M, CH_E))
-            if not spent or len(spent) >= n:
-                violations.append(f"round {i}: step-5 spent robots must be a nonempty proper subset")
-        elif step_val == RS_STEP_M:
-            if CH_M in charged:
-                violations.append(f"round {i}: just-moved charge flag inside step m")
-            ready = sum(1 for c in charged if c == CH_C)
-            if ready == 0 or ready >= n:
-                violations.append(f"round {i}: step-m charged robots must be a nonempty proper subset")
-        last_singleton = step_val
-
-    violations.extend(_mega_cycle_violations(trace, EXEC))
-    return violations
-
-
-def _monitor_lumi_by_fcom(trace: Trace, layout: LumiByFcomLayout) -> list[str]:
-    k, ell = layout.k, layout.ell
-    COUNTS, STEP, EXEC = layout.counts, layout.step, layout.executed
-    SUC_EXEC, CHECKED, SUC_CHECKED = layout.suc_executed, layout.checked, layout.suc_checked
-    inner_palette = layout.inner
-    configs = trace.configs()
-    n = trace.initial.n
-    violations: list[str] = []
-
-    def actual_suc_state(config: Configuration, rid: int) -> tuple[list[int], int]:
-        """The copy a robot should display of its successor location."""
-        ring = order_locations([p for _, p, _ in config.entries])
-        suc_loc = ring.locations[ring.suc(ring.index_of(config.position(rid)))]
-        lights = [lt.values for _, p, lt in config.entries if points_close(p, suc_loc)]
-        return _successor_copy(lights, layout)
-
-    # Own-color reconstruction: every event value must match the executing
-    # robot's actual inner color before the round.
-    for i, r in enumerate(trace.rounds):
-        pre = configs[i]
-        for rid, evs in r.events.items():
-            for ev in evs:
-                if ev.startswith("own-color:"):
-                    claimed = int(ev.split(":", 1)[1])
-                    actual = flat_color(pre.light(rid).values[:k], inner_palette)
-                    if claimed != actual:
-                        violations.append(
-                            f"round {i + 1}: robot {rid} reconstructed color {claimed}, actual {actual}"
-                        )
-
-    for i, config in enumerate(configs):
-        steps = frozenset(config.light(r).values[STEP] for r in range(n))
-        if steps not in FC_STEP_SETS:
-            violations.append(f"round {i}: step configuration {sorted(steps)} is not allowed")
-
-    # The step-transition guarantees, checked at every individual change.  A robot
-    # may do its phase's work in the very round it joins the phase (the
-    # all-but-one deviant), so the assertions are anchored to transitions,
-    # not to the first uniform configuration.
-    for i in range(1, len(configs)):
-        pre, post = configs[i - 1], configs[i]
-        for rid in range(n):
-            s_old = pre.light(rid).values[STEP]
-            s_new = post.light(rid).values[STEP]
-            t = post.light(rid).values
-            if s_old == FC_STEP_1 and s_new == FC_STEP_2:
-                # Finished copying: flags up and the displayed copy must match
-                # the successor location's ground truth.
-                if t[CHECKED] != 1 or t[SUC_CHECKED] != 1:
-                    violations.append(f"round {i}: robot {rid} left copying with flags down")
-                counts, mask = actual_suc_state(post, rid)
-                got = [t[COUNTS + c] for c in range(ell)]
-                if got != counts:
-                    violations.append(
-                        f"round {i}: robot {rid} successor-color copy {got} != actual {counts}"
-                    )
-                if t[SUC_EXEC] != mask:
-                    violations.append(
-                        f"round {i}: robot {rid} successor-executed copy {t[SUC_EXEC]} != {mask}"
-                    )
-            elif s_old == FC_STEP_2 and s_new == FC_STEP_M:
-                stale = [q for q in range(n) if pre.light(q).values[EXEC] != 1]
-                if stale:
-                    violations.append(
-                        f"round {i}: robot {rid} closed the mega-cycle with {stale} unexecuted"
-                    )
-            elif s_old == FC_STEP_M and s_new == FC_STEP_2:
-                if not _shows(t, layout.executed_reset):
-                    violations.append(f"round {i}: robot {rid} left flag reset without resetting")
-                stale = [
-                    q for q in range(n)
-                    if q != rid and pre.light(q).values[EXEC] != 0
-                ]
-                if stale:
-                    violations.append(
-                        f"round {i}: robot {rid} reopened simulation with {stale} not reset"
-                    )
-            elif s_old == FC_STEP_3 and s_new == FC_STEP_1:
-                stale = [
-                    q for q in range(n)
-                    if q != rid and not _shows(pre.light(q).values, layout.checking_reset)
-                ]
-                if stale:
-                    violations.append(
-                        f"round {i}: robot {rid} left flag clearing while {stale} were stale"
-                    )
-
-    violations.extend(_mega_cycle_violations(trace, EXEC))
-    return violations
-
-
 def derive_rs_layout(palette: tuple[int, ...]) -> RsBySLayout:
     if len(palette) < 3 or palette[-3:] != (6, 2, 3):
         raise ValueError("palette does not look like a sim-rs-by-s layout")
@@ -755,16 +564,165 @@ def derive_fcom_layout(palette: tuple[int, ...]) -> LumiByFcomLayout:
     raise ValueError("cannot derive the inner palette from this layout")
 
 
-def monitor_properties(trace: Trace) -> list[str]:
-    """Run the meta-simulator monitors appropriate for the trace.
+def _rs_flag_rules(step: int, pairs: list[tuple[int, int]], last_singleton: int | None,
+                   last_exec_set: frozenset[int]) -> Iterator[str]:
+    """The sim-rs-by-s flag invariants that a configuration whose robots all
+    show step `step` breaks, given each robot's (charged, executed) flags."""
+    n = len(pairs)
+    charged = [c for c, _ in pairs]
+    if step == RS_STEP_1:
+        if any(p != (CH_C, 0) for p in pairs):
+            yield "step-1 robots must all be charged and unexecuted"
+    elif step == RS_STEP_2:
+        if CH_M in charged:
+            yield "just-moved charge flag inside step 2"
+        if CH_E not in charged:
+            yield "step 2 lacks a discharged robot"
+        if (CH_E, 0) in pairs and any(e for _, e in pairs):
+            yield "stale discharged robot outside a fresh mega-cycle"
+        if all(c == CH_E for c in charged) and not all(e for _, e in pairs):
+            yield "fully discharged swarm with unexecuted robots"
+        if all(p == (CH_E, 1) for p in pairs) and last_singleton not in (RS_STEP_1, RS_STEP_2):
+            yield "full execution without a preceding step 1"
+    elif step == RS_STEP_3:
+        if any(p not in ((CH_C, 0), (CH_E, 1)) for p in pairs):
+            yield "step-3 flags outside the reset/executed pair"
+    elif step == RS_STEP_4:
+        if (CH_M, 0) in pairs:
+            yield "moved-but-unexecuted robot in step 4"
+        moved = frozenset(r for r, c in enumerate(charged) if c == CH_M)
+        if not moved or len(moved) >= n:
+            yield "step-4 movers must be a nonempty proper subset"
+        elif moved != last_exec_set:
+            yield "step-4 movers differ from the last inner execution"
+    elif step == RS_STEP_5:
+        if (CH_M, 0) in pairs:
+            yield "moved-but-unexecuted robot in step 5"
+        if (CH_E, 0) in pairs:
+            yield "discharged-but-unexecuted robot in step 5"
+        spent = sum(c in (CH_M, CH_E) for c in charged)
+        if not spent or spent >= n:
+            yield "step-5 spent robots must be a nonempty proper subset"
+    elif step == RS_STEP_M:
+        if CH_M in charged:
+            yield "just-moved charge flag inside step m"
+        ready = charged.count(CH_C)
+        if ready == 0 or ready >= n:
+            yield "step-m charged robots must be a nonempty proper subset"
 
-    For sim-rs-by-s: the per-step flag invariants and the allowed step
-    configurations.  For sim-lumi-by-fcom: the step-transition conclusions,
-    own-color reconstruction, and flag hygiene.  Both check that every
-    completed mega-cycle executes every robot exactly once.
+
+def _fcom_transition_rules(layout: LumiByFcomLayout, post: Configuration, before, after) -> Iterator[str]:
+    """The sim-lumi-by-fcom step-transition conclusions a round breaks, from
+    every robot's light before and after it.  A robot may do its phase's work
+    in the very round it joins the phase (the all-but-one deviant), so they
+    are anchored to each robot's step change, not to the first uniform
+    configuration."""
+    STEP, EXEC = layout.step, layout.executed
+    for rid, (u, t) in enumerate(zip(before, after)):
+        change = u[STEP], t[STEP]
+        if change == (FC_STEP_1, FC_STEP_2):
+            # Finished copying: flags up and the displayed copy must match the
+            # successor location's ground truth.
+            if t[layout.checked] != 1 or t[layout.suc_checked] != 1:
+                yield f"robot {rid} left copying with flags down"
+            ring = order_locations([p for _, p, _ in post.entries])
+            suc_loc = ring.locations[ring.suc(ring.index_of(post.position(rid)))]
+            counts, mask = _successor_copy(
+                [lt.values for _, p, lt in post.entries if points_close(p, suc_loc)], layout)
+            got = list(t[layout.counts:layout.counts + layout.ell])
+            if got != counts:
+                yield f"robot {rid} successor-color copy {got} != actual {counts}"
+            if t[layout.suc_executed] != mask:
+                yield f"robot {rid} successor-executed copy {t[layout.suc_executed]} != {mask}"
+        elif change == (FC_STEP_2, FC_STEP_M):
+            stale = [q for q, u in enumerate(before) if u[EXEC] != 1]
+            if stale:
+                yield f"robot {rid} closed the mega-cycle with {stale} unexecuted"
+        elif change == (FC_STEP_M, FC_STEP_2):
+            if not _shows(t, layout.executed_reset):
+                yield f"robot {rid} left flag reset without resetting"
+            stale = [q for q, u in enumerate(before) if q != rid and u[EXEC] != 0]
+            if stale:
+                yield f"robot {rid} reopened simulation with {stale} not reset"
+        elif change == (FC_STEP_3, FC_STEP_1):
+            stale = [q for q, u in enumerate(before)
+                     if q != rid and not _shows(u, layout.checking_reset)]
+            if stale:
+                yield f"robot {rid} left flag clearing while {stale} were stale"
+
+
+def monitor_properties(trace: Trace) -> list[str]:
+    """Run the meta-simulator monitors appropriate for the trace, in one walk
+    over its rounds.
+
+    Both wrappers: every configuration shows a step configuration that the
+    step graph allows, and every completed mega-cycle executes every robot
+    exactly once.  A cycle closes when every executed flag is up and reopens
+    once they have all been cleared.  sim-rs-by-s adds the flag invariants of
+    each configuration with a single step on display; sim-lumi-by-fcom adds
+    own-color reconstruction and the step-transition conclusions.  The
+    violations come grouped by rule, in that order: own colors, step
+    configurations and flag invariants, step transitions, mega-cycles.
     """
-    if trace.header.algo == "sim-rs-by-s":
-        return _monitor_rs_by_s(trace, derive_rs_layout(trace.header.palette))
-    if trace.header.algo == "sim-lumi-by-fcom":
-        return _monitor_lumi_by_fcom(trace, derive_fcom_layout(trace.header.palette))
-    raise ValueError(f"trace algorithm {trace.header.algo!r} has no monitors")
+    algo = trace.header.algo
+    if algo == "sim-rs-by-s":
+        layout, allowed = derive_rs_layout(trace.header.palette), RS_STEP_SETS
+    elif algo == "sim-lumi-by-fcom":
+        layout, allowed = derive_fcom_layout(trace.header.palette), FC_STEP_SETS
+    else:
+        raise ValueError(f"trace algorithm {algo!r} has no monitors")
+    rs = algo == "sim-rs-by-s"
+    n, STEP, EXEC = trace.initial.n, layout.step, layout.executed
+    colors, states, changes, cycles = [], [], [], []  # violations, by rule group
+    counts, draining = [0] * n, False  # inner executions in the open mega-cycle
+    last_singleton, last_exec_set = None, frozenset()  # rs-by-s's history
+    before: list[tuple[int, ...]] = []
+    before_row: list[int] = []
+    for i, config in enumerate(trace.configs()):
+        after = [lt.values for _, _, lt in config.entries]
+        row = [t[STEP] for t in after]
+        steps = frozenset(row)
+        if steps not in allowed:
+            states.append(f"round {i}: step configuration {sorted(steps)} is not allowed")
+        execs: frozenset[int] = frozenset()
+        if i:
+            events = trace.rounds[i - 1].events
+            execs = frozenset(rid for rid, evs in events.items() if "inner-exec" in evs)
+            if draining and execs:
+                cycles.append(f"round {i}: inner execution between mega-cycles")
+            for rid in execs:
+                counts[rid] += 1
+                if counts[rid] > 1:
+                    cycles.append(f"round {i}: robot {rid} executed twice in a mega-cycle")
+            flags = [t[EXEC] for t in after]
+            if not draining and all(flags):
+                missing = [r for r, c in enumerate(counts) if c != 1]
+                if missing:
+                    cycles.append(f"round {i}: mega-cycle closed without robots {missing}")
+                draining = True
+            elif draining and not any(flags):
+                counts, draining = [0] * n, False
+        if rs and steps in allowed:
+            last_exec_set = execs or last_exec_set
+            if len(steps) == 1:
+                (step,) = steps
+                pairs = [(t[layout.charged], t[EXEC]) for t in after]
+                states.extend(f"round {i}: {v}"
+                              for v in _rs_flag_rules(step, pairs, last_singleton, last_exec_set))
+                last_singleton = step
+        elif not rs and i:
+            # Each claimed own color must be the executing robot's actual
+            # inner color before the round.
+            for rid, evs in events.items():
+                for ev in evs:
+                    if ev.startswith("own-color:"):
+                        claimed = int(ev.split(":", 1)[1])
+                        actual = flat_color(before[rid][:layout.k], layout.inner)
+                        if claimed != actual:
+                            colors.append(f"round {i}: robot {rid} reconstructed color "
+                                          f"{claimed}, actual {actual}")
+            if row != before_row:
+                changes.extend(f"round {i}: {v}"
+                               for v in _fcom_transition_rules(layout, config, before, after))
+        before, before_row = after, row
+    return colors + states + changes + cycles

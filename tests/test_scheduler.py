@@ -8,13 +8,15 @@ from hypothesis import given, settings, strategies as st
 from lcmswarm.scheduler import (
     ENERGY_RESTRICTED,
     FSYNCH,
+    OK,
+    REJECT,
     ROUND_ROBIN,
     RSYNCH,
     SSYNCH,
     EnergyLedger,
     SchedulePrefix,
     SchedulerKind,
-    ValidityReport,
+    Verdict,
     check_fair,
     default_fairness_window,
     energy_ledger,
@@ -374,6 +376,10 @@ def oracle_energy_ledger(prefix: SchedulePrefix) -> EnergyLedger:
             violations.append((i, "depleted-robot-activated"))
         charged.append(full - e)
     return EnergyLedger(tuple(charged), tuple(violations))
+
+
+def ValidityReport(ok: bool, round: int | None = None, rule: str | None = None) -> Verdict:
+    return Verdict(OK if ok else REJECT, round, rule=rule)
 
 
 def _oracle_validate_rsynch(prefix: SchedulePrefix) -> ValidityReport:
