@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .core import (
     ORIGIN,
@@ -256,6 +256,35 @@ def run_round(
     return _configuration(tuple(entries)), events
 
 
+def _execute(config: Configuration, sets: Iterable[frozenset[int]], algo: Algorithm, model: ModelKind,
+             frames: dict[int, FrameSpec], rigidity: Rigidity, seed: int,
+             multiplicity: Multiplicity) -> Iterator[TraceRound]:
+    """The one round loop of run and replay: execute each activation set in
+    turn from `config`, with one movement RNG seeded from `seed` and one store
+    of kept Looks and step results, and yield each round as it is made."""
+    rng = random.Random(seed)
+    store: dict = {}
+    for eset in sets:
+        config, events = run_round(config, eset, algo, model, frames, rigidity, rng, multiplicity, store)
+        yield TraceRound(eset, config, events)
+
+
+def _divergences(
+    recorded: Iterable[TraceRound], produced: Iterable[TraceRound], tol: float
+) -> Iterator[tuple[int, int, str]]:
+    """The one round-by-round comparison of replay and fidelity: yield
+    (round, robot, "position" | "light"), rounds counted from 1, for each
+    robot whose produced position is farther than tol from the recorded one
+    or whose light differs.  `produced` is drawn one round at a time, so a
+    caller that stops reading stops a lazy execution there too."""
+    for k, (want, got) in enumerate(zip(recorded, produced), start=1):
+        for (rid, pos, light), (_, want_pos, want_light) in zip(got.config.entries, want.config.entries):
+            if not points_close(pos, want_pos, tol):
+                yield k, rid, "position"
+            if light != want_light:
+                yield k, rid, "light"
+
+
 def run(
     config0: Configuration,
     schedule: SchedulePrefix | SchedulerKind | str,
@@ -314,17 +343,9 @@ def run(
         raise ConstraintError("chirality requires every frame to preserve orientation")
     _check_palette(config0, algo)
 
-    rng = random.Random(seed)
     header = TraceHeader(model, kind_name, n, seed, rigidity.delta, algo.palette, algo.name)
-    config = config0
-    store: dict = {}
-    trace_rounds = []
-    for k in range(rounds):
-        config, events = run_round(
-            config, prefix.sets[k], algo, model, frames, rigidity, rng, multiplicity, store
-        )
-        trace_rounds.append(TraceRound(prefix.sets[k], config, events))
-    return Trace(header, config0, tuple(trace_rounds))
+    rounds_run = _execute(config0, prefix.sets, algo, model, frames, rigidity, seed, multiplicity)
+    return Trace(header, config0, tuple(rounds_run))
 
 
 def replay(
@@ -355,20 +376,9 @@ def replay(
     _check_palette(trace.initial, algo)
 
     frames = _frames(frames, trace.initial.n)
-    rng = random.Random(h.seed)
-    config = trace.initial
-    store: dict = {}
-    for recorded in trace.rounds:
-        config, _ = run_round(
-            config, recorded.eset, algo, h.model, frames, rigidity, rng, multiplicity, store
-        )
-        for rid, pos, light in config.entries:
-            want_pos = recorded.config.position(rid)
-            if not points_close(pos, want_pos, tol):
-                return False
-            if light != recorded.config.light(rid):
-                return False
-    return True
+    produced = _execute(trace.initial, (r.eset for r in trace.rounds), algo, h.model, frames,
+                        rigidity, h.seed, multiplicity)
+    return next(_divergences(trace.rounds, produced, tol), None) is None
 
 
 def write_trace(trace: Trace, path: str) -> None:

@@ -99,20 +99,15 @@ def check_sro(trace: Trace, tol: float = 1e-9) -> Verdict:
     if trace.initial.n != 2:
         raise ValueError("shrinking rotation is a two-robot problem")
     configs = trace.configs()
-    rounds = [0]
-    distinct = [(configs[0].position(0), configs[0].position(1))]
+    grand, last = None, (configs[0].position(0), configs[0].position(1))  # the last two patterns
     for i, c in enumerate(configs[1:], start=1):
         if c is configs[i - 1]:
             continue  # the same configuration again adds no pattern
         a, b = c.position(0), c.position(1)
-        pa, pb = distinct[-1]
+        pa, pb = last
         ref = max(distance(pa, pb), 1e-300)
-        if distance(a, pa) > tol * ref or distance(b, pb) > tol * ref:
-            distinct.append((a, b))
-            rounds.append(i)
-
-    for i in range(1, len(distinct)):
-        (pa, pb), (a, b) = distinct[i - 1], distinct[i]
+        if not (distance(a, pa) > tol * ref or distance(b, pb) > tol * ref):
+            continue  # within tol of the last pattern
         v_old = sub(pb, pa)
         v_new = sub(b, a)
         len_old = math.hypot(v_old.x, v_old.y)
@@ -128,16 +123,17 @@ def check_sro(trace: Trace, tol: float = 1e-9) -> Verdict:
         eighth = abs(angle + math.pi / 4.0) <= tol and abs(ratio - 1.0 / math.sqrt(2.0)) <= tol
         if not (quarter or eighth):
             return _reject(
-                rounds[i],
+                i,
                 f"transition is neither a quarter turn nor a shrunk eighth turn "
                 f"(angle {angle:.6g}, ratio {ratio:.6g})",
             )
-        if i >= 2:
-            qa, qb = distinct[i - 2]
+        if grand is not None:
+            qa, qb = grand
             square = DiagonalSquare(qa, qb)
             vs, slack = square.vertices(), tol * max(distance(qa, qb), 1.0)
             if not (square.contains(a, slack, vs) and square.contains(b, slack, vs)):
-                return _reject(rounds[i], "configuration escaped the grandparent square")
+                return _reject(i, "configuration escaped the grandparent square")
+        grand, last = last, (a, b)
     return _ok()
 
 
@@ -179,7 +175,11 @@ def check_cyc(
         (view.vacancy.y - view.center.y) / view.radius,
     )
 
-    labels: list[tuple[int, int]] = []  # (counter index or -1 for the base pattern, round)
+    # Labels (a counter index, or -1 for the base pattern) alternate between
+    # the base pattern (even places) and counter values (odd places); each new
+    # label is checked as it comes.  No label repeats the one before it, so
+    # once the even places hold the base pattern, the odd places cannot.
+    places, last_label = 0, None  # labels so far, and the last one
     for i, config in enumerate(configs):
         if i and config is configs[i - 1]:  # a round that changed nothing repeats its checks and label
             continue
@@ -205,18 +205,14 @@ def check_cyc(
             label = idx
         else:
             continue
-        if not labels or labels[-1][0] != label:
-            labels.append((label, i))
-
-    # Labels alternate between the base pattern (even places) and counter
-    # values (odd places).  No label repeats the one before it, so once the
-    # even places hold the base pattern, the odd places cannot.
-    for j, (label, rnd) in enumerate(labels):
-        if j % 2 == 0 and label != -1:
-            return _reject(rnd, "pattern sequence must alternate starting from the base pattern")
-        if j % 2 == 1 and label != (j // 2) % k:
-            return _reject(rnd, f"counter showed {label}, expected {(j // 2) % k}")
-    oscillations = len(labels) // 2
+        if label == last_label:
+            continue
+        if places % 2 == 0 and label != -1:
+            return _reject(i, "pattern sequence must alternate starting from the base pattern")
+        if places % 2 == 1 and label != (places // 2) % k:
+            return _reject(i, f"counter showed {label}, expected {(places // 2) % k}")
+        places, last_label = places + 1, label
+    oscillations = places // 2
     if oscillations >= k:
         return _ok()
     return _inconclusive(f"observed {oscillations} of {k} oscillations")

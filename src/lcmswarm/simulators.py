@@ -35,12 +35,11 @@ from .core import (
     _location,
     _points_key,
     _snapshot,
-    make_configuration,
     order_locations,
     palette_size,
     points_close,
 )
-from .engine import Algorithm, Rigidity, StepResult, Trace, run
+from .engine import Algorithm, Rigidity, StepResult, Trace, TraceRound, _divergences, run
 from .scheduler import RSYNCH, SSYNCH, SchedulePrefix
 
 
@@ -498,51 +497,27 @@ def extract_induced_schedule(trace: Trace) -> SchedulePrefix:
     return SchedulePrefix(tuple(s for s in _inner_executions(trace) if s), trace.initial.n)
 
 
-def inner_initial_config(trace: Trace, inner: Algorithm) -> Configuration:
-    """Project the trace's initial configuration onto the inner protocol."""
-    k = len(inner.palette)
-    positions = []
-    lights = []
-    for rid in range(trace.initial.n):
-        positions.append(trace.initial.position(rid))
-        lights.append(LightTuple(trace.initial.light(rid).values[:k], inner.palette))
-    return make_configuration(positions, lights)
-
-
 def verify_inner_fidelity(trace: Trace, inner: Algorithm, tol: float = 1e-9) -> list[str]:
-    """Replay the inner protocol directly under the induced schedule and
-    compare, event round by event round, every robot's position and inner
-    light against the simulator's record.  Returns human-readable mismatches.
-    """
+    """Replay the trace's inner projection (its initial configuration and each
+    round with an inner execution, inner light values only) against a direct
+    LUMI run of the inner protocol under the induced schedule; returns one
+    human-readable message per diverging position or inner light."""
     if trace.header.delta is not None:
         raise ValueError("fidelity replay requires a rigid-movement trace")
     induced = extract_induced_schedule(trace)
     k = len(inner.palette)
-    violations: list[str] = []
-    if not induced.sets:
-        return violations
-    direct = run(
-        inner_initial_config(trace, inner),
-        induced,
-        inner,
-        model=ModelKind.LUMI,
-        rigidity=Rigidity(),
-        seed=trace.header.seed,
-    )
-    event_rounds = [i for i, execs in enumerate(_inner_executions(trace)) if execs]
-    for j, round_idx in enumerate(event_rounds):
-        sim_config = trace.rounds[round_idx].config
-        ref_config = direct.rounds[j].config
-        for rid in range(trace.initial.n):
-            if not points_close(sim_config.position(rid), ref_config.position(rid), tol):
-                violations.append(
-                    f"inner round {j + 1}: robot {rid} position diverges at trace round {round_idx + 1}"
-                )
-            if sim_config.light(rid).values[:k] != ref_config.light(rid).values:
-                violations.append(
-                    f"inner round {j + 1}: robot {rid} inner light diverges at trace round {round_idx + 1}"
-                )
-    return violations
+
+    def project(config: Configuration) -> Configuration:
+        return Configuration(tuple((rid, p, LightTuple(lt.values[:k], inner.palette))
+                                   for rid, p, lt in config.entries))
+
+    at = [i for i, execs in enumerate(_inner_executions(trace)) if execs]  # 0-based trace rounds
+    projection = [TraceRound(eset, project(trace.rounds[i].config)) for eset, i in zip(induced.sets, at)]
+    direct = run(project(trace.initial), induced, inner, model=ModelKind.LUMI, rigidity=Rigidity(),
+                 seed=trace.header.seed)
+    return [f"inner round {j}: robot {rid} {'inner light' if kind == 'light' else kind} "
+            f"diverges at trace round {at[j - 1] + 1}"
+            for j, rid, kind in _divergences(projection, direct.rounds, tol)]
 
 
 def derive_rs_layout(palette: tuple[int, ...]) -> RsBySLayout:

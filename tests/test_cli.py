@@ -15,12 +15,13 @@ from lcmswarm.cli import ALGO_NAMES, CHECKS, RunConfig, _parser, main
 from lcmswarm.core import (
     Configuration,
     LightTuple,
+    ModelKind,
     ObservedLocation,
     Point,
     Snapshot,
     make_configuration,
 )
-from lcmswarm.engine import read_trace, run, write_trace
+from lcmswarm.engine import Trace, TraceHeader, read_trace, run, write_trace
 from lcmswarm.scheduler import (
     KIND_NAMES,
     RSYNCH,
@@ -138,6 +139,19 @@ def test_monitor_through_cli(tmp_path, capsys):
     assert run_cli("check", "--monitor", "induced", "--trace", str(out)) == 0
     # Wrong monitor family is an operator error, not a reject.
     assert run_cli("check", "--monitor", "step-lemmas", "--trace", str(out)) == 2
+
+
+def test_monitor_refuses_a_palette_that_fits_no_layout(tmp_path, capsys):
+    # The palette ends as a sim-lumi-by-fcom palette does, but no inner
+    # palette and successor counters make up the rest of it.
+    palette = (2, 3, 4, 2, 4, 2, 2)
+    header = TraceHeader(ModelKind.FCOM, "rsynch", 2, 0, None, palette, "sim-lumi-by-fcom")
+    initial = make_configuration([Point(0, 0), Point(1, 0)], palette=palette)
+    out = tmp_path / "odd.trace"
+    write_trace(Trace(header, initial, ()), str(out))
+    capsys.readouterr()
+    assert run_cli("check", "--monitor", "step-lemmas", "--trace", str(out)) == 2
+    assert capsys.readouterr() == ("", "error: cannot derive the inner palette from this layout\n")
 
 
 def forged_sim_trace(tmp_path, execs):

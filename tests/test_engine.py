@@ -470,6 +470,26 @@ class TestReplay:
             replay(dataclasses.replace(trace, initial=wider), alg_tricolor())
 
 
+def test_replay_stops_at_the_first_diverging_round(monkeypatch):
+    # The one round loop is lazy: a trace tampered with at round 3 of 15
+    # is re-executed for three rounds, a clean one for all fifteen.
+    trace = run(make_configuration([Point(0, 0), Point(1, 1)]), "rsynch", alg_sro(), rounds=15, seed=11)
+    config = trace.rounds[2].config
+    (rid, p, lt), rest = config.entries[0], config.entries[1:]
+    rounds = list(trace.rounds)
+    rounds[2] = dataclasses.replace(rounds[2], config=dataclasses.replace(
+        config, entries=((rid, Point(p.x + 1e-3, p.y), lt),) + rest))
+    tampered = dataclasses.replace(trace, rounds=tuple(rounds))
+    calls = []
+    real = engine_ns.run_round
+    monkeypatch.setattr(engine_ns, "run_round", lambda *a: calls.append(1) or real(*a))
+    assert not replay(tampered, alg_sro())
+    assert len(calls) == 3
+    calls.clear()
+    assert replay(trace, alg_sro())
+    assert len(calls) == 15
+
+
 class TestTraceFiles:
     def test_round_trip_is_identical(self, tmp_path):
         cfg = make_configuration([Point(0, 0), Point(1, 1)])

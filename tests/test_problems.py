@@ -5,6 +5,7 @@ import random
 import pytest
 
 from lcmswarm.algorithms import (
+    CYC_B,
     CYC_STATUS,
     STATUS_CENTER,
     STATUS_FINAL,
@@ -12,7 +13,7 @@ from lcmswarm.algorithms import (
     alg_sro,
     cyc_initial_config,
 )
-from lcmswarm.core import ModelKind, Point, distance, make_configuration, sub
+from lcmswarm.core import Configuration, ModelKind, Point, distance, make_configuration, sub
 from lcmswarm.engine import Rigidity, Trace, TraceHeader, TraceRound, read_trace, run, write_trace
 from lcmswarm.problems import (
     INCONCLUSIVE,
@@ -223,6 +224,23 @@ def test_check_sro_raises_where_the_oracle_raises_on_overflow(frames):
     assert "finite" in str(got.value)
 
 
+@pytest.mark.parametrize("nudge, status", [(0.0, OK), (1e-5, REJECT)])
+def test_check_sro_skips_idle_rounds_before_convergence(nudge, status):
+    # A configuration repeated as the same object, and then as a fresh copy,
+    # adds no pattern while the spiral is still turning; a clean run and one
+    # perturbed after the idle rounds keep the oracle's verdict.
+    trace = run(make_configuration([Point(0, 0), Point(1, 1)]), "rsynch", alg_sro(), rounds=20, seed=8)
+    rounds = list(trace.rounds)
+    (rid, p, lt), rest = rounds[10].config.entries[0], rounds[10].config.entries[1:]
+    rounds[10] = dataclasses.replace(rounds[10], config=Configuration(((rid, Point(p.x + nudge, p.y), lt),) + rest))
+    idle = rounds[3]
+    copy = dataclasses.replace(idle, config=Configuration(idle.config.entries))
+    variant = dataclasses.replace(trace, rounds=tuple(rounds[:4] + [idle, copy] + rounds[4:]))
+    want = oracle_check_sro(variant)
+    assert want.status == status
+    assert check_sro(variant) == want
+
+
 class TestCheckCyc:
     def _trace(self, n=3, rounds=None, seed=0):
         rounds = rounds or 40 * 2 ** (n - 1)
@@ -350,6 +368,32 @@ class TestCheckCyc:
             assert check_cyc(fresh, 3) == verdict
             statuses.add(verdict.status)
         assert statuses == {OK, REJECT, INCONCLUSIVE}
+
+
+def test_check_cyc_reports_the_first_violating_round():
+    # A counter bit flipped at the first uniform-final round breaks the label
+    # rule there; a circle robot moved much later must not be reported first.
+    trace = run(cyc_initial_config(3), "ssynch", alg_cyclic_cycles(3), rounds=160, seed=0)
+    assert check_cyc(trace, 3).status == OK
+
+    def changed(trace, i, rid, change):
+        config = trace.rounds[i - 1].config
+        entries = list(config.entries)
+        entries[rid] = (rid, *change(*entries[rid][1:]))
+        rounds = list(trace.rounds)
+        rounds[i - 1] = dataclasses.replace(rounds[i - 1], config=Configuration(tuple(entries)))
+        return dataclasses.replace(trace, rounds=tuple(rounds))
+
+    configs = trace.configs()
+    first_final = next(i for i, c in enumerate(configs)
+                       if all(c.light(r).values[CYC_STATUS] == STATUS_FINAL for r in range(3)))
+    assert first_final == 2
+    flipped = changed(trace, 2, 1, lambda p, lt: (p, lt.replace({CYC_B: 1 - lt.values[CYC_B]})))
+    both = changed(flipped, 150, 2, lambda p, lt: (Point(p.x + 0.5, p.y), lt))
+    moved = changed(trace, 150, 2, lambda p, lt: (Point(p.x + 0.5, p.y), lt))
+    assert check_cyc(moved, 3) == Verdict(REJECT, 150, "circle robot 2 moved")
+    assert check_cyc(flipped, 3) == Verdict(REJECT, 2, "counter showed 1, expected 0")
+    assert check_cyc(both, 3) == Verdict(REJECT, 2, "counter showed 1, expected 0")
 
 
 class TestCgeTargets:

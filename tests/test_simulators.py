@@ -451,6 +451,19 @@ class TestFidelity:
         ]
 
 
+@pytest.mark.parametrize("family", ["rs", "lumi"])
+def test_fidelity_lists_a_robots_position_before_its_inner_light(family):
+    trace, _ = _healthy_trace(family)
+    r, rid = _inner_execs(trace)[0]
+    colour = trace.rounds[r - 1].config.light(rid).values[0]
+    both = _with_entry(trace, r, rid,
+                       lambda p, lt: (Point(p.x + 1.0, p.y), lt.replace({0: (colour + 1) % 3})))
+    assert verify_inner_fidelity(both, alg_tricolor()) == [
+        f"inner round 1: robot {rid} position diverges at trace round {r}",
+        f"inner round 1: robot {rid} inner light diverges at trace round {r}",
+    ]
+
+
 def fcom_tuple(layout, inner, counts, step, executed, suc_exec, checked, suc_checked):
     vals = tuple(inner) + tuple(counts) + (step, executed, suc_exec, checked, suc_checked)
     return LightTuple(vals, layout.palette)
@@ -510,6 +523,46 @@ class TestDetermineOwnColor:
         snap = self._snapshot(layout, [self.RED], pred_counts=[1, 0, 0])
         with pytest.raises(SimulationFault, match="singleton"):
             wrap.step(snap)
+
+
+class TestUnlistedStepPairs:
+    """A step pair that is neither a catch-up pair nor a settled {2, m} pair
+    leaves the robot as it is; the predecessor copy must be unanimous."""
+
+    O, A, B = TestDetermineOwnColor.O, TestDetermineOwnColor.A, TestDetermineOwnColor.B
+
+    def test_rs_by_s_step_pair_1_4_is_a_no_op(self):
+        wrap = sim_rs_by_s(alg_tricolor())
+        own = LightTuple((0, RS_STEP_1, 0, CH_C), wrap.palette).values
+        other = LightTuple((1, RS_STEP_4, 1, CH_M), wrap.palette).values
+        snap = Snapshot((ObservedLocation(self.O, 1, (own,)), ObservedLocation(self.A, 1, (other,))),
+                        own, True)
+        assert wrap.step(snap) == StepResult()
+
+    def _fcom_snapshot(self, layout, suc, pred):
+        observed = (
+            ObservedLocation(self.O, 1, ()),
+            ObservedLocation(self.B, 1, (suc.values,)),
+            ObservedLocation(self.A, len(pred), tuple(t.values for t in pred)),
+        )
+        return Snapshot(observed, None, True)
+
+    def test_lumi_by_fcom_step_pair_1_m_is_a_no_op(self):
+        wrap = sim_lumi_by_fcom(alg_tricolor(), 3)
+        layout = LumiByFcomLayout((3,), 3)
+        zero = [0] * layout.ell
+        suc = fcom_tuple(layout, (1,), zero, FC_STEP_1, 0, EXEC_SET_FALSE, 0, 0)
+        pred = fcom_tuple(layout, (0,), zero, FC_STEP_M, 1, EXEC_SET_TRUE, 1, 1)
+        assert wrap.step(self._fcom_snapshot(layout, suc, [pred])) == StepResult()
+
+    def test_predecessors_that_disagree_on_a_copied_light_raise(self):
+        wrap = sim_lumi_by_fcom(alg_tricolor(), 4)
+        layout = LumiByFcomLayout((3,), 4)
+        suc = fcom_tuple(layout, (1,), [0] * layout.ell, FC_STEP_2, 0, EXEC_SET_FALSE, 1, 1)
+        pred = [fcom_tuple(layout, (0,), counts, FC_STEP_2, 0, EXEC_SET_FALSE, 1, 1)
+                for counts in ([1, 0, 0], [0, 1, 0])]
+        with pytest.raises(SimulationFault, match="^predecessor-location robots disagree on a copied light$"):
+            wrap.step(self._fcom_snapshot(layout, suc, pred))
 
 
 def _geometry(*xy):
