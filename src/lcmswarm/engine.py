@@ -14,6 +14,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from .core import (
     ORIGIN,
+    _PACK_XY,
     Configuration,
     LightTuple,
     LocalFrame,
@@ -64,10 +65,11 @@ class Algorithm:
     Step functions receive only a Snapshot; they never see robot ids, round
     numbers, or anything else, which enforces anonymity and uniformity by
     construction.  A step must be a pure function of its snapshot: `run`
-    reuses a robot's step result while nothing it can see has changed.  The
-    remaining fields are run constraints, which `run` checks before round 1;
-    only `rigid` is left to the command line, since pinned traces run sro
-    under non-rigid movement.
+    reuses a robot's step result while nothing it can see has changed, and
+    under rigid movement each instance reuses whole rounds across its runs
+    (see ConfigGraph).  The remaining fields are run constraints, which `run`
+    checks before round 1; only `rigid` is left to the command line, since
+    pinned traces run sro under non-rigid movement.
     """
 
     name: str
@@ -79,6 +81,7 @@ class Algorithm:
     min_robots: int = 1
     rigid: bool = False  # its guarantees need rigid movement
     host: str | None = None  # scheduler family its activation sets must belong to
+    _graphs: dict[tuple, ConfigGraph] = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -256,16 +259,88 @@ def run_round(
     return _configuration(tuple(entries)), events
 
 
+# Robot entries (n per state of n robots) kept by the graphs of every algorithm
+# in this process: over 600 cyc-n5 runs, 85 % of rounds come from the graph,
+# against 88 % with no bound.  A state is a list indexed by the activation
+# set's bit mask, so a run of more than _GRAPH_ROBOTS robots keeps no graph.
+_GRAPH_ENTRIES = 4096
+_GRAPH_ROBOTS = 6
+
+
+class ConfigGraph:
+    """The rounds that rigid runs of one algorithm instance took under one
+    model, frame set and multiplicity, each a function of the configuration's
+    value and the activation set.  Configurations are interned (hash-consed) by
+    each position's bit pattern, so -0.0 stays apart from 0.0, and each
+    robot's light values; one becomes a state when the run before visited it
+    too and all graphs keep at most _GRAPH_ENTRIES entries with it.  A state is
+    [config] + nexts, where nexts[mask] is the state that activating bit mask
+    `mask` leads to, or (that state, its events), written in one store."""
+
+    kept = 0  # robot entries that the states of every graph keep
+
+    def __init__(self):
+        self.states: dict[tuple[bytes, tuple], list] = {}
+        self.masks: dict[frozenset[int], int] = {}
+        self.visited: set[int] = set()  # key hashes of this run's configurations
+        self.before: set[int] = set()  # and of the run before's
+
+    def __del__(self):  # an algorithm's graphs give their entries back with it
+        type(self).kept -= sum(state[0].n for state in self.states.values())
+
+    def intern(self, config: Configuration) -> list | None:
+        """The state of `config`, admitted now if it may be, or None."""
+        entries = config.entries
+        key = (b"".join([_PACK_XY(p.x, p.y) for _, p, _ in entries]),
+               tuple([lt.values for _, _, lt in entries]))
+        state = self.states.get(key)
+        if state is None:
+            seen = hash(key)
+            if seen in self.before and ConfigGraph.kept + config.n <= _GRAPH_ENTRIES:
+                state = self.states[key] = [config] + [None] * (1 << config.n)
+                ConfigGraph.kept += config.n
+            else:
+                self.visited.add(seen)
+        return state
+
+
 def _execute(config: Configuration, sets: Iterable[frozenset[int]], algo: Algorithm, model: ModelKind,
              frames: dict[int, FrameSpec], rigidity: Rigidity, seed: int,
-             multiplicity: Multiplicity) -> Iterator[TraceRound]:
+             multiplicity: Multiplicity, graph: ConfigGraph | None = None) -> Iterator[TraceRound]:
     """The one round loop of run and replay: execute each activation set in
     turn from `config`, with one movement RNG seeded from `seed` and one store
-    of kept Looks and step results, and yield each round as it is made."""
+    of kept Looks and step results, and yield each round as it is made.  A
+    round that `graph` holds is read from it, with no Look, Compute or Move; a
+    run whose initial configuration has no state looks nothing up."""
     rng = random.Random(seed)
     store: dict = {}
+    state = None
+    if graph:
+        graph.before, graph.visited = graph.visited, set()
+        state = graph.intern(config)
+    keyed = state is not None  # whether this run looks its configurations up
     for eset in sets:
-        config, events = run_round(config, eset, algo, model, frames, rigidity, rng, multiplicity, store)
+        if state is not None:
+            mask = graph.masks.get(eset)
+            if mask is None:
+                mask = graph.masks[eset] = sum(1 << rid for rid in eset)
+            after = state[1 + mask]
+            if after is not None:
+                after, events = after if type(after) is tuple else (after, {})
+                if after is not state:
+                    store.clear()
+                    state, config = after, after[0]
+                yield TraceRound(eset, config, dict(events))
+                continue
+        new, events = run_round(config, eset, algo, model, frames, rigidity, rng, multiplicity, store)
+        if keyed:
+            after = state if new is config else graph.intern(new)
+            if after is not None:
+                new = after[0]
+                if state is not None:
+                    state[1 + mask] = (after, dict(events)) if events else after
+            state = after
+        config = new
         yield TraceRound(eset, config, events)
 
 
@@ -344,7 +419,10 @@ def run(
     _check_palette(config0, algo)
 
     header = TraceHeader(model, kind_name, n, seed, rigidity.delta, algo.palette, algo.name)
-    rounds_run = _execute(config0, prefix.sets, algo, model, frames, rigidity, seed, multiplicity)
+    graph = None
+    if rigidity.rigid and n <= _GRAPH_ROBOTS:  # repr tells a -0.0 rotation apart
+        graph = algo._graphs.setdefault((model, multiplicity, repr(list(frames.values()))), ConfigGraph())
+    rounds_run = _execute(config0, prefix.sets, algo, model, frames, rigidity, seed, multiplicity, graph)
     return Trace(header, config0, tuple(rounds_run))
 
 

@@ -1336,3 +1336,145 @@ class TestReuse:
             algo, seen = _counting(dataclasses.replace(ALGOS_WITH_EVENTS["east-toggles"],
                                                        model=model))
             assert replay(trace, algo) and len(seen) == steps == want[6], model
+
+
+# --- Rounds reused across runs: the configuration graph ----------------------
+
+# Every registry protocol, each wrapper over each utility inner protocol:
+# (algorithm name, inner, n, scheduler, rounds).
+GRAPH_CASES = [
+    ("sro", None, 2, "rsynch", 40),
+    ("stay", None, 3, "ssynch", 40),
+    ("move-east", None, 3, "ssynch", 40),
+    ("tricolor", None, 3, "ssynch", 40),
+    ("flag-scheme", None, 3, "ssynch", 40),
+    ("cyclic-cycles", None, 4, "ssynch", 120),
+] + [(wrapper, inner, 3, host, 80)
+     for wrapper, host in (("sim-rs-by-s", "ssynch"), ("sim-lumi-by-fcom", "rsynch"))
+     for inner in ("stay", "move-east", "tricolor")]
+
+# The runs each seed makes on one instance: two frame sets, and weak
+# multiplicity, so each instance keeps three graphs.  Odd seeds take them in
+# reverse, so a variant also follows itself, and a graph shared between
+# variants would keep rounds the next variant then reads.
+GRAPH_VARIANTS = [
+    ("identity", Multiplicity.STRONG),
+    ("rotated", Multiplicity.STRONG),
+    ("identity", Multiplicity.WEAK),
+]
+
+
+@pytest.fixture
+def graph_budget(monkeypatch):
+    """Room for `entries` robot entries beyond what live graphs already keep."""
+    def give(entries):
+        monkeypatch.setattr(engine_ns, "_GRAPH_ENTRIES", engine_ns.ConfigGraph.kept + entries)
+    return give
+
+
+def _counted_rounds(monkeypatch):
+    calls = []
+    real = engine_ns.run_round
+    monkeypatch.setattr(engine_ns, "run_round", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+@pytest.mark.parametrize("name, inner, n, kind, rounds", GRAPH_CASES,
+                         ids=[f"{c[0]}/{c[1]}" if c[1] else c[0] for c in GRAPH_CASES])
+def test_a_shared_instance_writes_the_traces_of_fresh_ones(name, inner, n, kind, rounds, tmp_path,
+                                                           monkeypatch, graph_budget):
+    from lcmswarm.cli import build_algorithm
+
+    graph_budget(4096)
+    calls = _counted_rounds(monkeypatch)
+    shared = build_algorithm(name, n=n, inner=inner)
+    positions = [Point(50.0 * i, 7.0 * (i % 2)) for i in range(n)]
+    if n > 2:
+        positions[-1] = positions[0]  # co-located, so multiplicity shows
+    config = (cyc_initial_config(n) if name == "cyclic-cycles"
+              else make_configuration(positions, palette=shared.palette))
+    path = str(tmp_path / "t.trace")
+    written, executed = {}, {}
+    for way in ("fresh", "shared"):
+        calls.clear()
+        for seed in range(20):
+            for frames, multiplicity in GRAPH_VARIANTS[::1 - seed % 2 * 2]:
+                algo = shared if way == "shared" else build_algorithm(name, n=n, inner=inner)
+                trace = run(config, kind, algo, rounds=rounds, seed=seed,
+                            frames=_grid_frames(frames, n), multiplicity=multiplicity)
+                write_trace(trace, path)
+                with open(path, "rb") as fh:
+                    got = fh.read()
+                assert written.setdefault((seed, frames, multiplicity), got) == got, (seed, frames)
+        executed[way] = len(calls)
+    assert executed["shared"] < executed["fresh"]
+    assert len(shared._graphs) == len(GRAPH_VARIANTS)
+
+
+def _toggle(snap):
+    """Turns its own light on and off; never moves."""
+    return StepResult(light={0: 1 - snap.own_light[0]})
+
+
+def test_a_signed_zero_start_is_not_the_unsigned_one(tmp_path, graph_budget):
+    graph_budget(4096)
+    toggle = Algorithm("toggle", (2,), _toggle, ModelKind.LUMI)
+    shared = dataclasses.replace(toggle)
+    path = str(tmp_path / "t.trace")
+
+    def written(config, algo):
+        write_trace(run(config, "fsynch", algo, rounds=6, seed=0), path)
+        with open(path) as fh:
+            return fh.read()
+
+    plus = make_configuration([Point(0.0, 1.0), Point(2.0, 1.0)], palette=(2,))
+    minus = make_configuration([Point(-0.0, 1.0), Point(2.0, 1.0)], palette=(2,))
+    for _ in range(3):  # the unsigned start and its rounds become states
+        assert written(plus, shared) == written(plus, dataclasses.replace(toggle))
+    for _ in range(3):
+        got = written(minus, shared)
+        assert got == written(minus, dataclasses.replace(toggle))
+        assert got.count("pos=-0.0,1.0") == 7
+
+
+def _overflow(snap):
+    """Counts its own light up, past the palette at the third step."""
+    return StepResult(light={0: snap.own_light[0] + 1})
+
+
+def test_a_round_that_raises_is_never_kept(monkeypatch, graph_budget):
+    graph_budget(4096)
+    calls = _counted_rounds(monkeypatch)
+    algo = Algorithm("overflow", (3,), _overflow, ModelKind.LUMI)
+    config = make_configuration([Point(0.0, 0.0), Point(1.0, 0.0)], palette=(3,))
+    executed = []
+    for _ in range(4):
+        calls.clear()
+        with pytest.raises(PaletteError, match="value 3 outside palette of size 3"):
+            run(config, "fsynch", algo, rounds=6, seed=0)
+        executed.append(len(calls))
+    # The second run admits the start, the third the first two rounds'
+    # configurations; the fourth reads those rounds and executes round 3.
+    assert executed == [3, 3, 3, 1]
+
+
+def test_drifting_runs_stay_within_the_budget(tmp_path, graph_budget):
+    graph_budget(40)
+    before = engine_ns.ConfigGraph.kept
+    shared = alg_tricolor()
+    config = make_configuration([Point(0.0, 0.0), Point(3.0, 1.0)], palette=(3,))
+    path = str(tmp_path / "t.trace")
+    kept = []
+    for seed in range(40):
+        traces = [run(config, "rsynch", algo, rounds=30, seed=seed) for algo in (shared, alg_tricolor())]
+        texts = []
+        for trace in traces:
+            write_trace(trace, path)
+            with open(path, "rb") as fh:
+                texts.append(fh.read())
+        assert texts[0] == texts[1], seed
+        kept.append(engine_ns.ConfigGraph.kept - before)
+        assert kept[-1] <= 40
+    assert kept.index(40) < 10  # full well before the last runs
+    del shared
+    assert engine_ns.ConfigGraph.kept == before  # a freed instance gives its entries back
