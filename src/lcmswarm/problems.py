@@ -179,32 +179,35 @@ def check_cyc(
     # the base pattern (even places) and counter values (odd places); each new
     # label is checked as it comes.  No label repeats the one before it, so
     # once the even places hold the base pattern, the odd places cannot.
+    # Each changed configuration is read in one pass over its entries, where a
+    # circle robot that never moved keeps its very point.
+    home = [p for _, p, _ in initial.entries]
     places, last_label = 0, None  # labels so far, and the last one
     for i, config in enumerate(configs):
         if i and config is configs[i - 1]:  # a round that changed nothing repeats its checks and label
             continue
-        for rid in ring_ids:
-            if not points_close(config.position(rid), initial.position(rid), pos_tol):
+        entries = config.entries
+        status, mixed = entries[0][2].values[CYC_STATUS], False
+        for rid, p, lt in entries:
+            if (q := home[rid]) is not p and rid != mover and not points_close(p, q, pos_tol):
+                rid = next(r for r in ring_ids if not points_close(entries[r][1], home[r], pos_tol))
                 return _reject(i, f"circle robot {rid} moved")
-        statuses = [config.light(rid).values[CYC_STATUS] for rid in range(n)]
-        bits = [config.light(rid).values[CYC_B] for rid in ring_ids]
-        idx = sum(b << j for j, b in enumerate(bits))
-        mover_pos = config.position(mover)
-        if all(s == STATUS_CENTER for s in statuses):
-            if not points_close(mover_pos, view.center, pos_tol):
+            mixed |= lt.values[CYC_STATUS] != status
+        if mixed or status not in (STATUS_CENTER, STATUS_FINAL):
+            continue
+        if status == STATUS_CENTER:
+            if not points_close(entries[mover][1], view.center, pos_tol):
                 return _reject(i, "uniform center status while the mover is away from the center")
             label = -1
-        elif all(s == STATUS_FINAL for s in statuses):
-            frac = d_fn(idx)
+        else:
+            label = sum(entries[rid][2].values[CYC_B] << j for j, rid in enumerate(ring_ids))
+            frac = d_fn(label)
             target = Point(
                 view.center.x + frac * view.radius * unit.x,
                 view.center.y + frac * view.radius * unit.y,
             )
-            if not points_close(mover_pos, target, pos_tol):
+            if not points_close(entries[mover][1], target, pos_tol):
                 return _reject(i, "uniform final status while the mover is off its target")
-            label = idx
-        else:
-            continue
         if label == last_label:
             continue
         if places % 2 == 0 and label != -1:

@@ -267,26 +267,45 @@ def generate(
         p = len(kind.blocks)
         return SchedulePrefix(tuple(kind.blocks[i % p] for i in range(rounds)), n)
 
-    # ssynch samples from the whole swarm, the other two families from the
-    # robots their previous draw does not bar.  That pool is empty only after
-    # an energy-restricted full activation, which forces an idle round.
+    # ssynch draws from the whole swarm, the other two families from the
+    # robots their previous set does not bar.  That pool is empty only after
+    # an energy-restricted full activation, which forces an idle round.  A
+    # draw is randint(1, m) then sample(pool, k), inline up to sample's set
+    # method (above 21 robots): the same _randbelow calls in the same order.
+    # A set is a bit mask; each mask's frozenset and next pool are built once.
     rsynch = kind.name == RSYNCH
-    everyone = list(range(n)) if kind.name == SSYNCH else None
     p_full = min(rng.choice([0, 0, 1, 2, rng.randint(0, rounds)]), rounds) if rsynch else 0
     sets = [full] * p_full
     last = [p_full] * n
-    prev = frozenset()
+    below = rng._randbelow
+    full_mask = (1 << n) - 1
+    everyone = pool = list(range(n))
+    seen = {}
     for i in range(p_full + 1, rounds + 1):
-        pool = everyone or sorted(full - _barred(kind.name, prev, full))
-        s = set(rng.sample(pool, rng.randint(1, len(pool)))) if pool else set()
-        s |= {r for r in pool if i - last[r] >= window}
-        if rsynch and len(s) == n:
-            removable = sorted(r for r in s if i - last[r] < window)
-            s.discard(removable[0] if removable else min(s))
+        mask = 0
+        if m := len(pool):
+            k = 1 + below(m)
+            if m > 21:
+                mask = sum(1 << r for r in rng.sample(pool, k))
+            else:
+                left = pool.copy()
+                for j in range(m - 1, m - 1 - k, -1):
+                    x = below(j + 1)
+                    mask |= 1 << left[x]
+                    left[x] = left[j]
+        due = i - window
+        for r in pool:
+            if last[r] <= due:
+                mask |= 1 << r
+        if rsynch and mask == full_mask:  # only in its first draw, when no robot is due yet
+            mask ^= 1  # robot 0 sits this round out
+        if (known := seen.get(mask)) is None:
+            s = frozenset(r for r in everyone if mask >> r & 1)
+            known = seen[mask] = (s, sorted(full - _barred(kind.name, s, full)))
+        s, pool = known
         for r in s:
             last[r] = i
-        prev = frozenset(s)
-        sets.append(prev)
+        sets.append(s)
     return SchedulePrefix(tuple(sets), n)
 
 

@@ -1,19 +1,23 @@
 import dataclasses
 import math
 import random
+import re
+from typing import Callable
 
 import pytest
 
 from lcmswarm.algorithms import (
     CYC_B,
+    CYC_PALETTE,
     CYC_STATUS,
     STATUS_CENTER,
     STATUS_FINAL,
     alg_cyclic_cycles,
     alg_sro,
     cyc_initial_config,
+    decode_cyc_pattern,
 )
-from lcmswarm.core import Configuration, ModelKind, Point, distance, make_configuration, sub
+from lcmswarm.core import Configuration, ModelKind, Point, distance, make_configuration, points_close, sub
 from lcmswarm.engine import Rigidity, Trace, TraceHeader, TraceRound, read_trace, run, write_trace
 from lcmswarm.problems import (
     INCONCLUSIVE,
@@ -22,6 +26,7 @@ from lcmswarm.problems import (
     DiagonalSquare,
     Verdict,
     _check_tol,
+    _inconclusive,
     _ok,
     _reject,
     cge_target_map,
@@ -394,6 +399,162 @@ def test_check_cyc_reports_the_first_violating_round():
     assert check_cyc(moved, 3) == Verdict(REJECT, 150, "circle robot 2 moved")
     assert check_cyc(flipped, 3) == Verdict(REJECT, 2, "counter showed 1, expected 0")
     assert check_cyc(both, 3) == Verdict(REJECT, 2, "counter showed 1, expected 0")
+
+
+# check_cyc before it read each changed configuration in one pass over its
+# entries, copied verbatim apart from its name: the oracle that pins each
+# (status, round, reason) verdict.
+def oracle_check_cyc(
+    trace: Trace,
+    n: int,
+    d_rel: Callable[[int], float] | None = None,
+    tol: float = 1e-9,
+) -> Verdict:
+    """Project the trace onto its uniform-status rounds and verify the pattern
+    alternation and the counter sequence.
+
+    The circle robots must never move.  Rounds where the status lights are
+    mixed are transitional and ignored.  The verdict is ok only after a full
+    counter cycle of 2^(n-1) oscillations; a shorter clean prefix is
+    inconclusive.
+    """
+    _check_tol(tol)
+    if trace.initial.n != n:
+        raise ValueError(f"trace has {trace.initial.n} robots, expected {n}")
+    d_fn = d_rel or (lambda _i: 0.5)
+    k = 2 ** (n - 1)
+    configs = trace.configs()
+    for idx in range(min(k, len(configs))):  # each counter value the trace can reach
+        if not 0.0 < (frac := d_fn(idx)) < 1.0:
+            raise ValueError(f"d({idx}) = {frac} must be a radius fraction in (0, 1)")
+    initial = trace.initial
+    view = decode_cyc_pattern([p for _, p, _ in initial.entries], n)
+    rid_of = {id(p): rid for rid, p, _ in initial.entries}  # the view holds these very points
+    mover = rid_of[id(view.mover)]
+    ring_ids = [rid_of[id(p)] for p in view.ring]
+    pos_tol = max(tol, 1e-12) * view.radius
+    unit = Point(
+        (view.vacancy.x - view.center.x) / view.radius,
+        (view.vacancy.y - view.center.y) / view.radius,
+    )
+
+    # Labels (a counter index, or -1 for the base pattern) alternate between
+    # the base pattern (even places) and counter values (odd places); each new
+    # label is checked as it comes.  No label repeats the one before it, so
+    # once the even places hold the base pattern, the odd places cannot.
+    places, last_label = 0, None  # labels so far, and the last one
+    for i, config in enumerate(configs):
+        if i and config is configs[i - 1]:  # a round that changed nothing repeats its checks and label
+            continue
+        for rid in ring_ids:
+            if not points_close(config.position(rid), initial.position(rid), pos_tol):
+                return _reject(i, f"circle robot {rid} moved")
+        statuses = [config.light(rid).values[CYC_STATUS] for rid in range(n)]
+        bits = [config.light(rid).values[CYC_B] for rid in ring_ids]
+        idx = sum(b << j for j, b in enumerate(bits))
+        mover_pos = config.position(mover)
+        if all(s == STATUS_CENTER for s in statuses):
+            if not points_close(mover_pos, view.center, pos_tol):
+                return _reject(i, "uniform center status while the mover is away from the center")
+            label = -1
+        elif all(s == STATUS_FINAL for s in statuses):
+            frac = d_fn(idx)
+            target = Point(
+                view.center.x + frac * view.radius * unit.x,
+                view.center.y + frac * view.radius * unit.y,
+            )
+            if not points_close(mover_pos, target, pos_tol):
+                return _reject(i, "uniform final status while the mover is off its target")
+            label = idx
+        else:
+            continue
+        if label == last_label:
+            continue
+        if places % 2 == 0 and label != -1:
+            return _reject(i, "pattern sequence must alternate starting from the base pattern")
+        if places % 2 == 1 and label != (places // 2) % k:
+            return _reject(i, f"counter showed {label}, expected {(places // 2) % k}")
+        places, last_label = places + 1, label
+    oscillations = places // 2
+    if oscillations >= k:
+        return _ok()
+    return _inconclusive(f"observed {oscillations} of {k} oscillations")
+
+
+def _forged_cyc(trace, rng):
+    """Forgeries of `trace` for each reject rule of check_cyc, each at a
+    random configuration: robots moved (one, or two at once), a status or
+    counter bit flipped, and a stretch of rounds cut out; and one that no rule
+    rejects, every point rebuilt and moved far less than the tolerance."""
+    n = trace.initial.n
+
+    def changed(change):
+        i = rng.randrange(1, len(trace.rounds) + 1)
+        config = trace.rounds[i - 1].config
+        entries = list(config.entries)
+        change(entries)
+        rounds = list(trace.rounds)
+        rounds[i - 1] = dataclasses.replace(rounds[i - 1], config=Configuration(tuple(entries)))
+        return dataclasses.replace(trace, rounds=tuple(rounds))
+
+    def nudged(*rids, dx=1e-3):
+        def change(entries):
+            for rid in rids:
+                _, p, lt = entries[rid]
+                entries[rid] = (rid, Point(p.x + dx, p.y), lt)
+        return change
+
+    def flipped(var):
+        def change(entries):
+            rid = rng.randrange(n)
+            _, p, lt = entries[rid]
+            entries[rid] = (rid, p, lt.replace({var: 1 - lt.values[var]}))
+        return change
+
+    lo = rng.randrange(1, len(trace.rounds))
+    hi = rng.randrange(lo + 1, len(trace.rounds) + 1)
+    return [
+        changed(nudged(rng.randrange(n))),
+        changed(nudged(*rng.sample(range(n), 2))),
+        changed(nudged(*range(n), dx=1e-13)),
+        changed(flipped(CYC_STATUS)),
+        changed(flipped(CYC_B)),
+        dataclasses.replace(trace, rounds=trace.rounds[: lo - 1] + trace.rounds[hi - 1 :]),
+    ]
+
+
+def test_check_cyc_equals_oracle():
+    # Real traces at n = 3, 4 and 5, full and short, with the default and a
+    # non-default mover distance and tolerance, and forgeries of each: every
+    # verdict, its round and its reason equal the oracle's.  Odd seeds deal
+    # the robots' places at random, so the mover need not be robot 0 and the
+    # ring need not run in id order.
+    rng = random.Random(19)
+    late = lambda i: 0.3 + 0.1 * (i % 4)  # noqa: E731
+    seen = set()
+    for n in (3, 4, 5):
+        rounds = 40 * 2 ** (n - 1)
+        places = [p for _, p, _ in cyc_initial_config(n).entries]
+        for d_rel, tol in ((None, 1e-9), (late, 1e-6)):
+            alg = alg_cyclic_cycles(n) if d_rel is None else alg_cyclic_cycles(n, d_rel=d_rel)
+            for seed in range(40 if d_rel is None else 10):
+                if seed % 2:
+                    rng.shuffle(places)
+                initial = make_configuration(places, palette=CYC_PALETTE)
+                trace = run(initial, "ssynch", alg, rounds=rounds, seed=seed)
+                short = dataclasses.replace(trace, rounds=trace.rounds[: rounds // 8])
+                for case in [trace, short] + _forged_cyc(trace, rng):
+                    for fn in (None, late):
+                        want = oracle_check_cyc(case, n, d_rel=fn, tol=tol)
+                        assert check_cyc(case, n, d_rel=fn, tol=tol) == want, (n, seed)
+                        seen.add(want.status if want.status != REJECT else re.sub(r"\d+", "#", want.reason))
+    assert seen == {
+        OK, INCONCLUSIVE, "circle robot # moved",
+        "uniform center status while the mover is away from the center",
+        "uniform final status while the mover is off its target",
+        "pattern sequence must alternate starting from the base pattern",
+        "counter showed #, expected #",
+    }, seen
 
 
 class TestCgeTargets:

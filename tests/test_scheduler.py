@@ -361,6 +361,25 @@ def test_generate_equals_oracle(kind):
             for seed in range(40):
                 assert generate(kind, n, rounds, seed) == oracle_generate(kind, n, rounds, seed), (
                     kind, n, rounds, seed)
+    # Pools above 21 robots, where random.sample switches from its pool-swap
+    # loop to its set method.
+    for n in (21, 22, 30):
+        for rounds in (1, 7, 111):
+            for seed in range(6):
+                assert generate(kind, n, rounds, seed) == oracle_generate(kind, n, rounds, seed), (
+                    kind, n, rounds, seed)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_equal_sets_of_a_prefix_are_one_object(kind):
+    # Each distinct activation set is built once per prefix, so its hash is
+    # computed once however many rounds repeat it.
+    for n in (3, 5, 22):
+        for seed in range(10):
+            sets = generate(kind, n, 200, seed).sets
+            first = {}
+            assert all(first.setdefault(e, e) is e for e in sets), (kind, n, seed)
+            assert len(first) < len(sets)
 
 
 # `validate` and `energy_ledger` as they were before every family's rule was
