@@ -82,6 +82,7 @@ class Algorithm:
     rigid: bool = False  # its guarantees need rigid movement
     host: str | None = None  # scheduler family its activation sets must belong to
     _graphs: dict[tuple, ConfigGraph] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _lights: dict[tuple, LightTuple] = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -208,7 +209,9 @@ def run_round(
     replay check both); new values are checked once, by _check_result, and
     committed unchecked.  `store` keeps each robot's frame and Look geometry
     until a robot moves, and its step result until a light it can see changes
-    value; a round that moves no robot and changes no light returns `config`."""
+    value; a round that moves no robot and changes no light returns `config`.
+    A robot whose position and light stay the same objects keeps its entry,
+    and each new light value is one LightTuple per instance (`algo._lights`)."""
     for rid in eset:
         if not 0 <= rid < config.n:
             raise ValueError(f"activation of unknown robot {rid}")
@@ -230,7 +233,8 @@ def run_round(
     entries = []
     events: dict[int, tuple[str, ...]] = {}
     moved, lit = False, []
-    for rid, pos, light in config.entries:
+    for entry in config.entries:
+        rid, pos, light = entry
         if rid in eset:
             frame, _, result = store[rid]
             if result.destination.x or result.destination.y:  # the local origin is `pos`
@@ -242,12 +246,17 @@ def run_round(
                 values = list(light.values)
                 for idx, value in result.light.items():
                     values[idx] = value
-                if tuple(values) != light.values:
-                    light = _light(tuple(values), light.palette)
+                values = tuple(values)
+                if values != light.values:
+                    light = algo._lights.get(values)
+                    if light is None:
+                        light = algo._lights[values] = _light(values, algo.palette)
                     lit.append(rid)
+            if pos is not entry[1] or light is not entry[2]:
+                entry = rid, pos, light
             if result.events:
                 events[rid] = result.events
-        entries.append((rid, pos, light))
+        entries.append(entry)
     if moved:
         store.clear()
     elif lit:  # drop each kept result that sees a changed light
@@ -260,10 +269,11 @@ def run_round(
 
 
 # Robot entries (n per state of n robots) kept by the graphs of every algorithm
-# in this process: over 600 cyc-n5 runs, 85 % of rounds come from the graph,
-# against 88 % with no bound.  A state is a list indexed by the activation
+# in this process.  Over 4,000 cyc-n5 runs the graph holds all 1,397 states it
+# reaches and reads 99.9 % of the last 1,000 runs' rounds, against 90.1 % at
+# 4,096; a state costs about 1 KB.  A state is a list indexed by the activation
 # set's bit mask, so a run of more than _GRAPH_ROBOTS robots keeps no graph.
-_GRAPH_ENTRIES = 4096
+_GRAPH_ENTRIES = 8192
 _GRAPH_ROBOTS = 6
 
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .algorithms import CYC_B, CYC_STATUS, STATUS_CENTER, STATUS_FINAL, decode_cyc_pattern
+from .algorithms import CYC_B, CYC_PALETTE, CYC_STATUS, STATUS_CENTER, STATUS_FINAL, decode_cyc_pattern
 from .core import Configuration, Point, distance, midpoint, points_close, sub
 from .engine import Trace
 from .scheduler import INCONCLUSIVE, OK, REJECT, Verdict
@@ -166,6 +166,9 @@ def check_cyc(
             raise ValueError(f"d({idx}) = {frac} must be a radius fraction in (0, 1)")
     initial = trace.initial
     view = decode_cyc_pattern([p for _, p, _ in initial.entries], n)
+    if trace.header.palette != CYC_PALETTE:
+        raise ValueError(f"trace palette {trace.header.palette} differs from "
+                         f"the cyclic-cycles palette {CYC_PALETTE}")
     rid_of = {id(p): rid for rid, p, _ in initial.entries}  # the view holds these very points
     mover = rid_of[id(view.mover)]
     ring_ids = [rid_of[id(p)] for p in view.ring]

@@ -442,6 +442,23 @@ def test_check_cyc_on_two_robots_names_the_cause(tmp_path, capsys):
     assert capsys.readouterr().err == "error: cyclic circles needs at least 3 robots\n"
 
 
+# Three robots that decode as the cyclic-cycles pattern (circle robots on a
+# unit circle, the mover at its centre), run by algorithms of other palettes.
+CYC_PATTERN_POSITIONS = ("0.0,0.0 -0.4999999999999998,-0.8660254037844387 "
+                         "-0.5000000000000004,0.8660254037844384")
+
+
+@pytest.mark.parametrize("algo, palette", [("stay", "()"), ("tricolor", "(3,)")])
+def test_check_cyc_refuses_a_trace_of_another_palette(tmp_path, capsys, algo, palette):
+    trace = tmp_path / f"{algo}.trace"
+    assert run_cli("run", "--algo", algo, "--scheduler", "fsynch", "--n", "3", "--rounds", "5",
+                   "--positions", CYC_PATTERN_POSITIONS, "--out", str(trace)) == 0
+    capsys.readouterr()
+    assert run_cli("check", "--problem", "cyc", "--trace", str(trace)) == 2
+    assert capsys.readouterr().err == (
+        f"error: trace palette {palette} differs from the cyclic-cycles palette (2, 2, 2, 2)\n")
+
+
 @pytest.mark.parametrize("bad, message", [
     ("round=2 act=x", "bad round line: invalid literal for int()"),
     ("round=q", "bad round line: invalid literal for int()"),

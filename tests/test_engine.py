@@ -1,10 +1,12 @@
 import dataclasses
+import gc
 import hashlib
 import itertools
 import math
 import os
 import random
 import re
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1338,6 +1340,72 @@ class TestReuse:
             assert replay(trace, algo) and len(seen) == steps == want[6], model
 
 
+# --- Entries and light values that a round shares with the one before --------
+
+def _east_while_dark(snap):
+    """Moves east while its own light is off; lights up where it sees a
+    robot east of it."""
+    east = any(loc.point.x > 0.0 for loc in snap.observed)
+    return StepResult(light={0: 1} if east else {},
+                      destination=Point(1.0, 0.0) if snap.own_light[0] == 0 else Point(0.0, 0.0))
+
+
+EAST_WHILE_DARK = Algorithm("east-while-dark", (2,), _east_while_dark, ModelKind.LUMI)
+
+
+def _commit(config, eset, algo=EAST_WHILE_DARK):
+    return run_round(config, frozenset(eset), algo, algo.model, identity_frames(config.n), Rigidity(),
+                     random.Random(0))[0]
+
+
+class TestSharedEntries:
+    def _config(self, lit):
+        positions = [Point(0.0, 0.0), Point(0.0, 2.0), Point(5.0, 0.0)]
+        return make_configuration(positions, [LightTuple((v,), (2,)) for v in lit], palette=(2,))
+
+    @pytest.mark.parametrize("lit, eset, changed", [
+        ((1, 0, 1), {0, 1, 2}, {1}),  # robot 1 moves and lights up; 0 and 2 re-assign their light
+        ((1, 1, 0), {0, 1, 2}, {2}),  # robot 2 moves only
+        ((1, 0, 1), {1}, {1}),
+        ((0, 1, 1), {0, 2}, {0}),  # robot 0 moves and lights up; robot 2 is stepped and stays
+    ])
+    def test_a_robot_that_did_not_change_keeps_its_entry(self, lit, eset, changed):
+        before = self._config(lit)
+        after = _commit(before, eset)
+        for rid, (old, new) in enumerate(zip(before.entries, after.entries)):
+            assert (new is old) == (rid not in changed), rid
+            if rid in changed:
+                assert new[1] is not old[1] or new[2] is not old[2]
+
+    def test_one_light_value_is_one_object_across_robots_and_rounds(self):
+        algo = dataclasses.replace(EAST_WHILE_DARK)
+        config = self._config((0, 0, 0))
+        lights = []
+        for eset in ({0}, {1}, {0, 1, 2}, {2}):
+            config = _commit(config, eset, algo)
+            lights += [lt for _, _, lt in config.entries if lt.values == (1,)]
+        assert len(lights) > 3 and all(lt is lights[0] for lt in lights)
+        assert algo._lights == {(1,): lights[0]}  # bounded by the palette's colours
+
+    def test_instances_keep_their_own_table_and_free_it(self):
+        first, second = (dataclasses.replace(EAST_WHILE_DARK) for _ in range(2))
+        config = self._config((0, 0, 0))
+        lit = [_commit(config, {0}, algo).light(0) for algo in (first, second)]
+        assert lit[0] == lit[1] and lit[0] is not lit[1]
+        assert first._lights is not second._lights
+        assert gc.get_referrers(first._lights) in ([first], [vars(first)])  # held by its instance alone
+        gone = weakref.ref(first)
+        del first
+        assert gone() is None  # freed at once, its table with it
+
+    def test_a_light_set_to_its_value_returns_the_configuration(self):
+        config = self._config((1, 1, 1))
+        for eset in ({0}, {1}, {0, 1}):  # each sees a robot east of it and sets the light it shows
+            assert _commit(config, eset) is config
+        config = self._config((1, 1, 0))
+        assert _commit(config, {0, 1}) is config
+
+
 # --- Rounds reused across runs: the configuration graph ----------------------
 
 # Every registry protocol, each wrapper over each utility inner protocol:
@@ -1478,3 +1546,33 @@ def test_drifting_runs_stay_within_the_budget(tmp_path, graph_budget):
     assert kept.index(40) < 10  # full well before the last runs
     del shared
     assert engine_ns.ConfigGraph.kept == before  # a freed instance gives its entries back
+
+
+def _live_graph_entries():
+    gc.collect()
+    return sum(state[0].n for obj in gc.get_objects() if type(obj) is engine_ns.ConfigGraph
+               for state in obj.states.values())
+
+
+def test_the_budget_counts_exactly_the_entries_live_graphs_keep(graph_budget):
+    graph_budget(600)
+    before = engine_ns.ConfigGraph.kept
+    assert before == _live_graph_entries()
+    cyc = alg_cyclic_cycles(5)
+    tricolor = alg_tricolor()
+    battery = [(cyc, cyc_initial_config(5), "ssynch", 800), (tricolor, make_configuration(
+        [Point(0.0, 0.0), Point(3.0, 1.0)], palette=(3,)), "rsynch", 30)]
+    for wrapper, host, rounds in ((sim_rs_by_s(alg_move_east()), "ssynch", 110),
+                                  (sim_lumi_by_fcom(alg_move_east(), 3), "rsynch", 240)):
+        positions = [Point(50.0 * i, 7.0 * (i % 2)) for i in range(3)]
+        battery.append((wrapper, make_configuration(positions, palette=wrapper.palette), host, rounds))
+    kept = []
+    for seed in range(6):
+        for algo, config, kind, rounds in battery:
+            run(config, kind, algo, rounds=rounds, seed=seed)
+            kept.append(engine_ns.ConfigGraph.kept)
+            assert kept[-1] == _live_graph_entries()
+            assert kept[-1] <= engine_ns._GRAPH_ENTRIES
+    assert engine_ns._GRAPH_ENTRIES - kept[-1] < 5  # the battery fills the budget to within a state
+    del algo, cyc, tricolor, wrapper, battery
+    assert engine_ns.ConfigGraph.kept == before == _live_graph_entries()
