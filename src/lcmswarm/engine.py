@@ -146,7 +146,7 @@ class TraceHeader:
     inner: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)  # not frozen, so cheap to build; nothing assigns its fields
 class TraceRound:
     eset: frozenset[int]
     config: Configuration
@@ -336,11 +336,13 @@ def _execute(config: Configuration, sets: Iterable[frozenset[int]], algo: Algori
                 mask = graph.masks[eset] = sum(1 << rid for rid in eset)
             after = state[1 + mask]
             if after is not None:
-                after, events = after if type(after) is tuple else (after, {})
+                events = {}  # each round gets a dict of its own, never the stored one
+                if type(after) is tuple:
+                    after, events = after[0], dict(after[1])
                 if after is not state:
                     store.clear()
                     state, config = after, after[0]
-                yield TraceRound(eset, config, dict(events))
+                yield TraceRound(eset, config, events)
                 continue
         new, events = run_round(config, eset, algo, model, frames, rigidity, rng, multiplicity, store)
         if keyed:

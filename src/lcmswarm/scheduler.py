@@ -81,9 +81,12 @@ class SchedulePrefix:
     n: int
 
     def __post_init__(self):
-        for i, s in enumerate(self.sets):
+        # Each distinct set object once (a generated prefix has at most 2^n), by
+        # identity and in order of first use, so the first bad one is the first bad round's.
+        for s in {id(s): s for s in self.sets}.values():
             for rid in s:
                 if not 0 <= rid < self.n:
+                    i = next(i for i, e in enumerate(self.sets) if e is s)
                     raise ValueError(f"round {i + 1}: member id {rid} out of range for n={self.n}")
 
     def __len__(self) -> int:
@@ -271,28 +274,33 @@ def generate(
     # robots their previous set does not bar.  That pool is empty only after
     # an energy-restricted full activation, which forces an idle round.  A
     # draw is randint(1, m) then sample(pool, k), inline up to sample's set
-    # method (above 21 robots): the same _randbelow calls in the same order.
-    # A set is a bit mask; each mask's frozenset and next pool are built once.
+    # method (above 21 robots), each _randbelow(m) written as CPython's own loop
+    # (getrandbits of m's bit width until below m): the same words in the same
+    # order.  A set is a bit mask; each mask's frozenset and next pool are built once.
     rsynch = kind.name == RSYNCH
     p_full = min(rng.choice([0, 0, 1, 2, rng.randint(0, rounds)]), rounds) if rsynch else 0
     sets = [full] * p_full
     last = [p_full] * n
-    below = rng._randbelow
+    bits = rng.getrandbits
     full_mask = (1 << n) - 1
     everyone = pool = list(range(n))
     seen = {}
     for i in range(p_full + 1, rounds + 1):
         mask = 0
         if m := len(pool):
-            k = 1 + below(m)
+            k = bits(b := m.bit_length())
+            while k >= m:
+                k = bits(b)
             if m > 21:
-                mask = sum(1 << r for r in rng.sample(pool, k))
+                mask = sum(1 << r for r in rng.sample(pool, k + 1))
             else:
                 left = pool.copy()
-                for j in range(m - 1, m - 1 - k, -1):
-                    x = below(j + 1)
+                for j in range(m, m - 1 - k, -1):  # sample's swaps, each drawing below j
+                    x = bits(b := j.bit_length())
+                    while x >= j:
+                        x = bits(b)
                     mask |= 1 << left[x]
-                    left[x] = left[j]
+                    left[x] = left[j - 1]
         due = i - window
         for r in pool:
             if last[r] <= due:

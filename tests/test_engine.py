@@ -1576,3 +1576,29 @@ def test_the_budget_counts_exactly_the_entries_live_graphs_keep(graph_budget):
     assert engine_ns._GRAPH_ENTRIES - kept[-1] < 5  # the battery fills the budget to within a state
     del algo, cyc, tricolor, wrapper, battery
     assert engine_ns.ConfigGraph.kept == before == _live_graph_entries()
+
+
+def test_rounds_read_from_the_graph_have_their_own_events(tmp_path, monkeypatch, graph_budget):
+    # A caller that edits a round's events dict, empty or not, must change no
+    # later run's trace: each round from the graph gets a dict of its own.
+    graph_budget(4096)
+    calls = _counted_rounds(monkeypatch)
+    shared = sim_rs_by_s(alg_stay())
+    config = make_configuration([Point(50.0 * i, 7.0 * (i % 2)) for i in range(3)], palette=shared.palette)
+
+    def written(algo, seed):
+        path = tmp_path / "t.trace"
+        write_trace(run(config, "ssynch", algo, rounds=110, seed=seed), str(path))
+        return path.read_bytes()
+
+    for seed in (9, 9, 9, 8, 8):  # the third run of a seed in a row keeps all its rounds
+        run(config, "ssynch", shared, rounds=110, seed=seed)
+    calls.clear()
+    edited = run(config, "ssynch", shared, rounds=110, seed=8)
+    assert not calls
+    assert {bool(r.events) for r in edited.rounds} == {True, False}
+    for r in edited.rounds:
+        for rid in range(3):
+            r.events[rid] = ("forged",)
+    assert written(shared, 9) == written(sim_rs_by_s(alg_stay()), 9)
+    assert len(calls) == 110  # all from the fresh instance, none from the shared one

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -370,6 +371,20 @@ def test_generate_equals_oracle(kind):
                     kind, n, rounds, seed)
 
 
+# The shapes the benchmark workloads draw: 800-round ssynch and
+# energy-restricted prefixes at n = 5, 200-round rsynch at n = 2, and pools
+# of 16 and 17 robots, where a draw's bit width has just grown and its
+# rejection loop retries most.
+BENCHMARK_SHAPES = [(SSYNCH, 5, 800), (ENERGY_RESTRICTED, 5, 800), (RSYNCH, 2, 200)] + [
+    (kind, n, 200) for kind in (SSYNCH, RSYNCH, ENERGY_RESTRICTED) for n in (16, 17)]
+
+
+@pytest.mark.parametrize("kind, n, rounds", BENCHMARK_SHAPES)
+def test_generate_equals_oracle_on_benchmark_shapes(kind, n, rounds):
+    for seed in range(10):
+        assert generate(kind, n, rounds, seed) == oracle_generate(kind, n, rounds, seed), seed
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_equal_sets_of_a_prefix_are_one_object(kind):
     # Each distinct activation set is built once per prefix, so its hash is
@@ -600,3 +615,78 @@ def test_schedule_file_parse_errors(tmp_path):
         bad.write_text(text)
         with pytest.raises(ValueError, match=f"^{re.escape(str(bad) + message)}"):
             read_schedule(str(bad))
+
+
+# `SchedulePrefix.__post_init__` as it was before it checked each distinct set
+# object once, copied verbatim: the oracle of which round and id it names.
+def oracle_post_init(self):
+    for i, s in enumerate(self.sets):
+        for rid in s:
+            if not 0 <= rid < self.n:
+                raise ValueError(f"round {i + 1}: member id {rid} out of range for n={self.n}")
+
+
+def _prefix_check(check, sets, n):
+    """The message a prefix check raises, or None when it passes."""
+    try:
+        check(sets, n)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _oracle_check(sets, n):
+    oracle_post_init(SimpleNamespace(sets=sets, n=n))
+
+
+BAD_PREFIXES = {
+    "above n": ((frozenset({0}), frozenset({1, 3})), 3),
+    "below 0": ((frozenset({0}), frozenset({-1, 2})), 3),
+    "far above": ((frozenset({0, 1}),) * 4 + (frozenset({10 ** 6}),), 2),
+    "recurring bad object": ((frozenset({0}),) + (frozenset({0, 7}), frozenset({1})) * 5, 3),
+    "two bad objects": ((frozenset({1}), frozenset({9}), frozenset({-4}), frozenset({9})), 3),
+    "bad only in the last round": ((frozenset({0, 1}), frozenset({2})) * 50 + (frozenset({0, 3}),), 3),
+    "n = 1, id 1": ((frozenset({0}), frozenset(), frozenset({1})), 1),
+    "empty sets then bad": ((frozenset(),) * 3 + (frozenset({2}),), 2),
+}
+GOOD_PREFIXES = {
+    "no rounds": ((), 1),
+    "empty sets": ((frozenset(),) * 3, 2),
+    "n = 1": ((frozenset({0}), frozenset()) * 4, 1),
+}
+
+
+@pytest.mark.parametrize("sets, n, good", [(*case, False) for case in BAD_PREFIXES.values()]
+                         + [(*case, True) for case in GOOD_PREFIXES.values()],
+                         ids=list(BAD_PREFIXES) + list(GOOD_PREFIXES))
+def test_prefix_check_equals_oracle(sets, n, good):
+    want = _prefix_check(_oracle_check, sets, n)
+    assert (want is None) == good
+    assert _prefix_check(SchedulePrefix, sets, n) == want
+
+
+def test_prefix_check_equals_oracle_on_unhashable_members():
+    # Sets and lists cannot be hashed, so equal members are told apart by
+    # object; one list object recurs, and an equal list follows it.
+    bad = [2, 0]
+    cases = [
+        ([{0, 1}, [1], bad, [1], bad, [2, 0]], 2),
+        ([[0], {1}, [0, 1], {0}], 2),
+        ([set(), [], {0}], 1),
+        ([[5, -1], {0}], 2),
+    ]
+    for sets, n in cases:
+        want = _prefix_check(_oracle_check, sets, n)
+        assert _prefix_check(SchedulePrefix, sets, n) == want, (sets, n)
+    assert _prefix_check(SchedulePrefix, cases[0][0], 2) == "round 3: member id 2 out of range for n=2"
+
+
+def test_prefix_check_equals_oracle_on_random_prefixes():
+    # Rounds drawn from a few set objects, so bad ones recur and a bad id may
+    # first show in any round.
+    rng = random.Random(2101)
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        objects = [frozenset(rng.sample(range(-2, n + 2), rng.randint(0, 3))) for _ in range(4)]
+        sets = tuple(rng.choice(objects) for _ in range(rng.randint(0, 30)))
+        assert _prefix_check(SchedulePrefix, sets, n) == _prefix_check(_oracle_check, sets, n), (sets, n)
