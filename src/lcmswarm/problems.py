@@ -9,6 +9,7 @@ establish nor refute.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable
 
@@ -141,6 +142,40 @@ def check_sro(trace: Trace, tol: float = 1e-9) -> Verdict:
 # Cyclic circles.
 # ---------------------------------------------------------------------------
 
+def _half(_idx: int) -> float:
+    return 0.5  # check_cyc's default mover distance: half the radius at every counter value
+
+
+# check_cyc's set-up for the last (initial, n, d_rel, tol) it checked; a configuration's reading
+# is kept on it as config.__dict__["_cyc"] = (token, reading), valid under that set-up only.
+_CycContext = namedtuple("_CycContext", "initial n d_fn tol token home mover ring_ids pos_tol view unit")
+_cyc_context: _CycContext | None = None
+
+
+def _cyc_reading(ctx: _CycContext, config: Configuration) -> str | int | None:
+    """A configuration as check_cyc reads it, in one pass where an unmoved robot keeps its very
+    point: a reject reason, its label (-1, else the counter value), or None if statuses are mixed."""
+    home, mover, pos_tol, entries = ctx.home, ctx.mover, ctx.pos_tol, config.entries
+    status, mixed = entries[0][2].values[CYC_STATUS], False
+    for rid, p, lt in entries:
+        if (q := home[rid]) is not p and rid != mover and not points_close(p, q, pos_tol):
+            rid = next(r for r in ctx.ring_ids if not points_close(entries[r][1], home[r], pos_tol))
+            return f"circle robot {rid} moved"
+        mixed |= lt.values[CYC_STATUS] != status
+    if mixed or status not in (STATUS_CENTER, STATUS_FINAL):
+        return None
+    if status == STATUS_CENTER:
+        if not points_close(entries[mover][1], ctx.view.center, pos_tol):
+            return "uniform center status while the mover is away from the center"
+        return -1
+    label = sum(entries[rid][2].values[CYC_B] << j for j, rid in enumerate(ctx.ring_ids))
+    view, unit, reach = ctx.view, ctx.unit, ctx.d_fn(label) * ctx.view.radius
+    target = Point(view.center.x + reach * unit.x, view.center.y + reach * unit.y)
+    if not points_close(entries[mover][1], target, pos_tol):
+        return "uniform final status while the mover is off its target"
+    return label
+
+
 def check_cyc(
     trace: Trace,
     n: int,
@@ -155,64 +190,48 @@ def check_cyc(
     counter cycle of 2^(n-1) oscillations; a shorter clean prefix is
     inconclusive.
     """
+    global _cyc_context
     _check_tol(tol)
     if trace.initial.n != n:
         raise ValueError(f"trace has {trace.initial.n} robots, expected {n}")
-    d_fn = d_rel or (lambda _i: 0.5)
+    d_fn = d_rel or _half
     k = 2 ** (n - 1)
     configs = trace.configs()
     for idx in range(min(k, len(configs))):  # each counter value the trace can reach
         if not 0.0 < (frac := d_fn(idx)) < 1.0:
             raise ValueError(f"d({idx}) = {frac} must be a radius fraction in (0, 1)")
     initial = trace.initial
-    view = decode_cyc_pattern([p for _, p, _ in initial.entries], n)
+    ctx = _cyc_context  # read once, so a concurrent check cannot swap it
+    if ctx is None or ctx.initial is not initial or ctx[1:4] != (n, d_fn, tol):
+        view = decode_cyc_pattern(home := [p for _, p, _ in initial.entries], n)
+        rid_of = {id(p): rid for rid, p, _ in initial.entries}  # the view holds these very points
+        ctx = _cyc_context = _CycContext(
+            initial, n, d_fn, tol, object(), home, rid_of[id(view.mover)],
+            [rid_of[id(p)] for p in view.ring], max(tol, 1e-12) * view.radius, view,
+            Point((view.vacancy.x - view.center.x) / view.radius,
+                  (view.vacancy.y - view.center.y) / view.radius),
+        )
     if trace.header.palette != CYC_PALETTE:
         raise ValueError(f"trace palette {trace.header.palette} differs from "
                          f"the cyclic-cycles palette {CYC_PALETTE}")
-    rid_of = {id(p): rid for rid, p, _ in initial.entries}  # the view holds these very points
-    mover = rid_of[id(view.mover)]
-    ring_ids = [rid_of[id(p)] for p in view.ring]
-    pos_tol = max(tol, 1e-12) * view.radius
-    unit = Point(
-        (view.vacancy.x - view.center.x) / view.radius,
-        (view.vacancy.y - view.center.y) / view.radius,
-    )
 
-    # Labels (a counter index, or -1 for the base pattern) alternate between
-    # the base pattern (even places) and counter values (odd places); each new
-    # label is checked as it comes.  No label repeats the one before it, so
-    # once the even places hold the base pattern, the odd places cannot.
-    # Each changed configuration is read in one pass over its entries, where a
-    # circle robot that never moved keeps its very point.
-    home = [p for _, p, _ in initial.entries]
+    # Labels (a counter index, or -1 for the base pattern) alternate between the base pattern
+    # (even places) and counter values (odd places); each new label is checked as it comes.  No
+    # label repeats the one before it, so once the even places hold it, the odd places cannot.
+    token, prev = ctx.token, None
     places, last_label = 0, None  # labels so far, and the last one
     for i, config in enumerate(configs):
-        if i and config is configs[i - 1]:  # a round that changed nothing repeats its checks and label
+        if config is prev:  # a round that changed nothing repeats its checks and label
             continue
-        entries = config.entries
-        status, mixed = entries[0][2].values[CYC_STATUS], False
-        for rid, p, lt in entries:
-            if (q := home[rid]) is not p and rid != mover and not points_close(p, q, pos_tol):
-                rid = next(r for r in ring_ids if not points_close(entries[r][1], home[r], pos_tol))
-                return _reject(i, f"circle robot {rid} moved")
-            mixed |= lt.values[CYC_STATUS] != status
-        if mixed or status not in (STATUS_CENTER, STATUS_FINAL):
+        prev = config
+        kept, label = getattr(config, "_cyc", (None, None))
+        if kept is not token:
+            label = _cyc_reading(ctx, config)
+            config.__dict__["_cyc"] = (token, label)
+        if label is None or label == last_label:
             continue
-        if status == STATUS_CENTER:
-            if not points_close(entries[mover][1], view.center, pos_tol):
-                return _reject(i, "uniform center status while the mover is away from the center")
-            label = -1
-        else:
-            label = sum(entries[rid][2].values[CYC_B] << j for j, rid in enumerate(ring_ids))
-            frac = d_fn(label)
-            target = Point(
-                view.center.x + frac * view.radius * unit.x,
-                view.center.y + frac * view.radius * unit.y,
-            )
-            if not points_close(entries[mover][1], target, pos_tol):
-                return _reject(i, "uniform final status while the mover is off its target")
-        if label == last_label:
-            continue
+        if label.__class__ is str:
+            return _reject(i, label)
         if places % 2 == 0 and label != -1:
             return _reject(i, "pattern sequence must alternate starting from the base pattern")
         if places % 2 == 1 and label != (places // 2) % k:

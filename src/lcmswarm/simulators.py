@@ -483,6 +483,8 @@ def sim_lumi_by_fcom(inner: Algorithm, n: int) -> Algorithm:
 
 def _inner_executions(trace: Trace) -> list[frozenset[int]]:
     """Per round, the robots whose events record an inner execution."""
+    if not trace.header.algo.startswith("sim-"):
+        raise ValueError("trace lacks meta-simulator annotations")
     return [
         frozenset(rid for rid, evs in r.events.items() if "inner-exec" in evs)
         for r in trace.rounds
@@ -492,8 +494,6 @@ def _inner_executions(trace: Trace) -> list[frozenset[int]]:
 def extract_induced_schedule(trace: Trace) -> SchedulePrefix:
     """Collect, per round with at least one inner execution, the set of robots
     that executed the inner algorithm."""
-    if not trace.header.algo.startswith("sim-"):
-        raise ValueError("trace lacks meta-simulator annotations")
     return SchedulePrefix(tuple(s for s in _inner_executions(trace) if s), trace.initial.n)
 
 
@@ -504,14 +504,15 @@ def verify_inner_fidelity(trace: Trace, inner: Algorithm, tol: float = 1e-9) -> 
     human-readable message per diverging position or inner light."""
     if trace.header.delta is not None:
         raise ValueError("fidelity replay requires a rigid-movement trace")
-    induced = extract_induced_schedule(trace)
+    execs = _inner_executions(trace)
+    at = [i for i, s in enumerate(execs) if s]  # 0-based trace rounds with an inner execution
+    induced = SchedulePrefix(tuple(execs[i] for i in at), trace.initial.n)
     k = len(inner.palette)
 
     def project(config: Configuration) -> Configuration:
         return Configuration(tuple((rid, p, LightTuple(lt.values[:k], inner.palette))
                                    for rid, p, lt in config.entries))
 
-    at = [i for i, execs in enumerate(_inner_executions(trace)) if execs]  # 0-based trace rounds
     projection = [TraceRound(eset, project(trace.rounds[i].config)) for eset, i in zip(induced.sets, at)]
     direct = run(project(trace.initial), induced, inner, model=ModelKind.LUMI, rigidity=Rigidity(),
                  seed=trace.header.seed)

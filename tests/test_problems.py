@@ -14,6 +14,7 @@ from lcmswarm.algorithms import (
     STATUS_FINAL,
     alg_cyclic_cycles,
     alg_sro,
+    alg_stay,
     cyc_initial_config,
     decode_cyc_pattern,
 )
@@ -555,6 +556,83 @@ def test_check_cyc_equals_oracle():
         "pattern sequence must alternate starting from the base pattern",
         "counter showed #, expected #",
     }, seen
+
+
+def test_kept_readings_never_cross_contexts():
+    # check_cyc keeps its set-up and each configuration's reading across
+    # calls.  One real n = 5 trace, its forgeries and one that only the
+    # tighter tolerance rejects (a circle robot moved 1e-7 of the radius)
+    # share nearly all their configuration objects; so do the first three
+    # under a second initial configuration with the places shuffled.  Checked
+    # under each d_rel and tol in interleaved orders, every verdict still
+    # equals the oracle's.
+    rng = random.Random(22)
+    late = lambda i: 0.3 + 0.1 * (i % 4)  # noqa: E731
+    trace = run(cyc_initial_config(5), "ssynch", alg_cyclic_cycles(5), rounds=800, seed=3)
+    entries = list(trace.rounds[99].config.entries)
+    rid, p, lt = entries[2]
+    entries[2] = (rid, Point(p.x + 1e-7, p.y), lt)
+    rounds = list(trace.rounds)
+    rounds[99] = dataclasses.replace(rounds[99], config=Configuration(tuple(entries)))
+    places = [p for _, p, _ in trace.initial.entries]
+    rng.shuffle(places)
+    second = make_configuration(places, palette=CYC_PALETTE)
+    cases = [trace, dataclasses.replace(trace, rounds=tuple(rounds))] + _forged_cyc(trace, rng)
+    cases += [dataclasses.replace(case, initial=second) for case in cases[:3]]
+    want = {(c, d, tol): oracle_check_cyc(cases[c], 5, d_rel=(None, late)[d], tol=tol)
+            for c in range(len(cases)) for d in (0, 1) for tol in (1e-9, 1e-6)}
+    # Each part of the context changes some verdict, so a context or reading
+    # kept without it would show.
+    assert any(want[c, 0, tol] != want[c, 1, tol] for c, _, tol in want)
+    assert any(want[c, d, 1e-9] != want[c, d, 1e-6] for c, d, _ in want)
+    assert any(want[c, d, tol] != want[len(cases) - 3 + c, d, tol] for c in range(3) for _, d, tol in want)
+    keys = list(want)
+    for order in range(4):
+        rng.shuffle(keys)
+        for c, d, tol in keys + keys[::-1]:
+            got = check_cyc(cases[c], 5, d_rel=(None, late)[d], tol=tol)
+            assert got == want[c, d, tol], (order, c, d, tol)
+
+
+def test_kept_context_skips_no_per_call_error(tmp_path, capsys):
+    from lcmswarm import cli
+
+    initial = cyc_initial_config(3)
+    trace = run(initial, "ssynch", alg_cyclic_cycles(3), rounds=160, seed=1)
+    before = [(c, hash(c), repr(c)) for c in trace.configs()]
+    write_trace(trace, str(tmp_path / "before.trace"))
+    assert check_cyc(trace, 3) == Verdict(OK)
+    # The configurations carry their readings now, unseen by ==, hash, repr
+    # and the trace writer.
+    fresh = [Configuration(c.entries) for c in trace.configs()]
+    assert [(c, hash(c), repr(c)) for c in trace.configs()] == before
+    assert [(c, hash(c), repr(c)) for c in fresh] == before
+    write_trace(trace, str(tmp_path / "after.trace"))
+    assert (tmp_path / "after.trace").read_bytes() == (tmp_path / "before.trace").read_bytes()
+
+    # A fraction that only a long trace reaches raises after a short trace
+    # was checked with the same function and initial configuration.
+    d_rel = lambda i: 0.5 if i < 2 else 1.5  # noqa: E731
+    short = dataclasses.replace(trace, rounds=trace.rounds[:1])
+    assert check_cyc(short, 3, d_rel=d_rel).status == INCONCLUSIVE
+    with pytest.raises(ValueError, match=r"^d\(2\) = 1.5 must be a radius fraction"):
+        check_cyc(trace, 3, d_rel=d_rel)
+
+    # Another palette over the kept initial object, and a wrong n.
+    assert check_cyc(trace, 3) == Verdict(OK)
+    other = dataclasses.replace(trace, header=dataclasses.replace(trace.header, palette=(3,)))
+    with pytest.raises(ValueError, match=r"^trace palette \(3,\) differs"):
+        check_cyc(other, 3)
+    with pytest.raises(ValueError, match=r"^trace has 3 robots, expected 4$"):
+        check_cyc(trace, 4)
+
+    # Through the CLI: a good trace, then a stay trace whose start decodes as
+    # the pattern, in one process.
+    stay = run(make_configuration([p for _, p, _ in initial.entries]), "fsynch", alg_stay(), rounds=5)
+    write_trace(stay, str(tmp_path / "stay.trace"))
+    assert cli.main(["check", "--problem", "cyc", "--trace", str(tmp_path / "before.trace")]) == 0
+    assert cli.main(["check", "--problem", "cyc", "--trace", str(tmp_path / "stay.trace")]) == 2
+    assert capsys.readouterr().err == "error: trace palette () differs from the cyclic-cycles palette (2, 2, 2, 2)\n"
 
 
 class TestCgeTargets:
