@@ -32,7 +32,6 @@ from .scheduler import (
     OK,
     REJECT,
     ROUND_ROBIN,
-    RSYNCH,
     SSYNCH,
     SchedulerKind,
     Verdict,
@@ -42,20 +41,33 @@ from .scheduler import (
     validate,
 )
 from .simulators import (
+    INDUCED,
     extract_induced_schedule,
     monitor_properties,
     sim_lumi_by_fcom,
     sim_rs_by_s,
 )
 
-SIMPLE_ALGOS = {
-    "sro": alg_sro,
-    "stay": alg_stay,
-    "move-east": alg_move_east,
-    "tricolor": alg_tricolor,
-    "flag-scheme": flag_scheme_algorithm,
+
+def _needs_n(name: str, n: int | None) -> int:
+    if n is None:
+        raise ValueError(f"{name} needs --n")
+    return n
+
+
+# Each algorithm's builder of (n, d_rel, inner algorithm).  The names in
+# simulators.INDUCED are the meta-simulators: they get their inner built first.
+ALGORITHMS: dict[str, Callable[[int | None, float | None, Algorithm | None], Algorithm]] = {
+    "flag-scheme": lambda *_: flag_scheme_algorithm(),
+    "move-east": lambda *_: alg_move_east(),
+    "sro": lambda *_: alg_sro(),
+    "stay": lambda *_: alg_stay(),
+    "tricolor": lambda *_: alg_tricolor(),
+    "cyclic-cycles": lambda n, d_rel, inner: alg_cyclic_cycles(
+        _needs_n("cyclic-cycles", n), d_rel=(lambda _i: d_rel) if d_rel is not None else None),
+    "sim-rs-by-s": lambda n, d_rel, inner: sim_rs_by_s(inner),
+    "sim-lumi-by-fcom": lambda n, d_rel, inner: sim_lumi_by_fcom(inner, _needs_n("sim-lumi-by-fcom", n)),
 }
-ALGO_NAMES = sorted(SIMPLE_ALGOS) + ["cyclic-cycles", "sim-rs-by-s", "sim-lumi-by-fcom"]
 
 
 def build_algorithm(
@@ -64,24 +76,15 @@ def build_algorithm(
     inner: str | None = None,
     d_rel: float | None = None,
 ) -> Algorithm:
-    if name in SIMPLE_ALGOS:
-        return SIMPLE_ALGOS[name]()
-    if name == "cyclic-cycles":
-        if n is None:
-            raise ValueError("cyclic-cycles needs --n")
-        return alg_cyclic_cycles(n, d_rel=(lambda _i: d_rel) if d_rel is not None else None)
-    if name in ("sim-rs-by-s", "sim-lumi-by-fcom"):
-        if inner is None:
-            raise ValueError(f"{name} needs --inner")
-        if inner not in SIMPLE_ALGOS and inner != "cyclic-cycles":
-            raise ValueError(f"unknown inner algorithm {inner!r}")
-        inner_algo = build_algorithm(inner, n=n)
-        if name == "sim-rs-by-s":
-            return sim_rs_by_s(inner_algo)
-        if n is None:
-            raise ValueError("sim-lumi-by-fcom needs --n")
-        return sim_lumi_by_fcom(inner_algo, n)
-    raise ValueError(f"unknown algorithm {name!r}; choose from {', '.join(ALGO_NAMES)}")
+    if name not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {name!r}; choose from {', '.join(ALGORITHMS)}")
+    if name not in INDUCED:
+        return ALGORITHMS[name](n, d_rel, None)
+    if inner is None:
+        raise ValueError(f"{name} needs --inner")
+    if inner not in ALGORITHMS or inner in INDUCED:
+        raise ValueError(f"unknown inner algorithm {inner!r}")
+    return ALGORITHMS[name](n, d_rel, build_algorithm(inner, n=n, d_rel=d_rel))
 
 
 @dataclasses.dataclass
@@ -120,15 +123,16 @@ def _parse_blocks(text: str, n: int) -> SchedulerKind:
     return kind
 
 
-def _simulates_cyclic_circles(cfg: RunConfig) -> bool:
-    return cfg.algo.startswith("sim-") and cfg.inner == "cyclic-cycles"
+def _runs_cyclic_cycles(cfg: RunConfig) -> bool:
+    """Whether cyclic-cycles runs, as the algorithm or as a wrapper's inner."""
+    return (cfg.inner if cfg.algo in INDUCED else cfg.algo) == "cyclic-cycles"
 
 
 def validate_run_config(cfg: RunConfig) -> list[str]:
     """Field-level diagnostics of command-line input.  The constraints an
     algorithm declares are checked by engine.run on the run actually made."""
     problems = []
-    if cfg.algo not in ALGO_NAMES:
+    if cfg.algo not in ALGORITHMS:
         problems.append(f"algo: unknown algorithm {cfg.algo!r}")
         return problems
     if cfg.scheduler not in KIND_NAMES:
@@ -137,15 +141,14 @@ def validate_run_config(cfg: RunConfig) -> list[str]:
         problems.append("rounds: must be nonnegative")
     if cfg.n is not None and cfg.n < 1:
         problems.append("n: must be a positive integer")
-    if cfg.algo == "cyclic-cycles":
-        if cfg.d_rel is not None and not 0.0 < cfg.d_rel < 1.0:
-            problems.append("d-rel: must be a radius fraction in (0, 1)")
-        if cfg.positions:
-            problems.append("positions: cyclic-cycles places its own robots (use --radius)")
-    if cfg.algo == "cyclic-cycles" or _simulates_cyclic_circles(cfg):
-        if not (cfg.radius > 0.0 and math.isfinite(cfg.radius)):
-            problems.append("radius: must be a positive finite number")
-    if cfg.algo.startswith("sim-") and not cfg.inner:
+    cyclic = _runs_cyclic_cycles(cfg)
+    if cyclic and cfg.d_rel is not None and not 0.0 < cfg.d_rel < 1.0:
+        problems.append("d-rel: must be a radius fraction in (0, 1)")
+    if cfg.algo == "cyclic-cycles" and cfg.positions:
+        problems.append("positions: cyclic-cycles places its own robots (use --radius)")
+    if cyclic and not (cfg.radius > 0.0 and math.isfinite(cfg.radius)):
+        problems.append("radius: must be a positive finite number")
+    if cfg.algo in INDUCED and not cfg.inner:
         problems.append(f"inner: {cfg.algo} needs an inner algorithm")
     if cfg.scheduler == ROUND_ROBIN and not cfg.blocks:
         problems.append("blocks: round-robin needs --blocks")
@@ -155,7 +158,7 @@ def validate_run_config(cfg: RunConfig) -> list[str]:
 def initial_configuration(cfg: RunConfig, algo: Algorithm):
     # Cyclic circles starts from its own pattern; a simulator running it
     # starts there too unless --positions says otherwise.
-    if cfg.algo == "cyclic-cycles" or (_simulates_cyclic_circles(cfg) and not cfg.positions):
+    if _runs_cyclic_cycles(cfg) and (cfg.algo not in INDUCED or not cfg.positions):
         positions = [p for _, p, _ in cyc_initial_config(cfg.n, cfg.radius).entries]
     elif cfg.positions:
         positions = _parse_positions(cfg.positions)
@@ -194,7 +197,7 @@ def prepare_run(cfg: RunConfig) -> Callable[[int], Trace]:
             config0, schedule, algo,
             rigidity=rigidity, rounds=rounds, seed=seed, chirality=cfg.chirality,
         )
-        if cfg.inner:
+        if cfg.algo in INDUCED:  # engine.run cannot name the inner algorithm in the header
             trace = dataclasses.replace(
                 trace, header=dataclasses.replace(trace.header, inner=cfg.inner)
             )
@@ -262,7 +265,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def _add_run_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="key=value config file; flags override it")
-    sub.add_argument("--algo", help=f"one of: {', '.join(ALGO_NAMES)}")
+    sub.add_argument("--algo", help=f"one of: {', '.join(ALGORITHMS)}")
     sub.add_argument("--inner", help="inner algorithm for the meta-simulators")
     sub.add_argument("--scheduler", choices=KIND_NAMES)
     sub.add_argument("--blocks", help="round-robin partition, e.g. '0 1|2'")
@@ -329,7 +332,7 @@ def _check_monitors(trace: Trace, tol: float, d_rel: float | None) -> Verdict:
 
 def _check_induced(trace: Trace, tol: float, d_rel: float | None) -> Verdict:
     induced = extract_induced_schedule(trace)
-    target = RSYNCH if trace.header.algo == "sim-rs-by-s" else SSYNCH
+    target = INDUCED[trace.header.algo]
     report = validate(induced, target)
     if not report:
         return Verdict(REJECT, reason=f"invalid {target} at induced round {report.round}: {report.rule}")
@@ -355,7 +358,7 @@ CHECKS = {
     "cge": Check((), lambda trace, tol, d_rel: check_cge(trace, tol=tol)),
     "p-props": Check(("sim-rs-by-s",), _check_monitors),
     "step-lemmas": Check(("sim-lumi-by-fcom",), _check_monitors),
-    "induced": Check(("sim-rs-by-s", "sim-lumi-by-fcom"), _check_induced),
+    "induced": Check(tuple(INDUCED), _check_induced),
 }
 EXIT_CODES = {OK: 0, REJECT: 1, INCONCLUSIVE: 2}
 

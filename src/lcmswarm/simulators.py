@@ -481,9 +481,13 @@ def sim_lumi_by_fcom(inner: Algorithm, n: int) -> Algorithm:
 # Induced schedules, fidelity replay, monitors.
 # ---------------------------------------------------------------------------
 
+# The meta-simulators by name, each with the family of the schedule it induces.
+INDUCED = {"sim-rs-by-s": RSYNCH, "sim-lumi-by-fcom": SSYNCH}
+
+
 def _inner_executions(trace: Trace) -> list[frozenset[int]]:
     """Per round, the robots whose events record an inner execution."""
-    if not trace.header.algo.startswith("sim-"):
+    if trace.header.algo not in INDUCED:
         raise ValueError("trace lacks meta-simulator annotations")
     return [
         frozenset(rid for rid, evs in r.events.items() if "inner-exec" in evs)

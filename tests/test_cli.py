@@ -10,8 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lcmswarm import cli
-from lcmswarm.algorithms import cyc_initial_config
-from lcmswarm.cli import ALGO_NAMES, CHECKS, RunConfig, _parser, main
+from lcmswarm.algorithms import alg_cyclic_cycles, cyc_initial_config
+from lcmswarm.cli import ALGORITHMS, CHECKS, RunConfig, _parser, main
 from lcmswarm.core import (
     Configuration,
     LightTuple,
@@ -30,7 +30,7 @@ from lcmswarm.scheduler import (
     generate,
     write_schedule,
 )
-from lcmswarm.simulators import monitor_properties
+from lcmswarm.simulators import monitor_properties, verify_inner_fidelity
 
 
 def run_cli(*argv):
@@ -338,6 +338,32 @@ def test_simulator_over_cyclic_cycles_starts_on_the_circle(tmp_path, algo, sched
     assert run_cli("check", "--monitor", monitor, "--trace", str(out)) == 0
 
 
+@pytest.mark.parametrize("algo, scheduler, monitor", [
+    ("sim-rs-by-s", "ssynch", "p-props"),
+    ("sim-lumi-by-fcom", "rsynch", "step-lemmas"),
+])
+def test_simulator_over_cyclic_cycles_runs_its_d_rel(tmp_path, algo, scheduler, monitor):
+    out = tmp_path / "t.trace"
+    assert run_cli(
+        "run", "--algo", algo, "--inner", "cyclic-cycles", "--n", "4", "--d-rel", "0.3",
+        "--scheduler", scheduler, "--rounds", "600", "--seed", "1", "--out", str(out),
+    ) == 0
+    assert run_cli("check", "--monitor", monitor, "--trace", str(out)) == 0
+    assert run_cli("check", "--monitor", "induced", "--trace", str(out)) == 0
+    trace = read_trace(str(out))
+    assert verify_inner_fidelity(trace, alg_cyclic_cycles(4, d_rel=lambda _i: 0.3)) == []
+    assert verify_inner_fidelity(trace, alg_cyclic_cycles(4)) != []  # so d = 0.3 shows
+
+
+@pytest.mark.parametrize("algo, inner", [("sro", ""), ("sim-rs-by-s", "stay")])
+def test_only_a_meta_simulator_trace_records_its_inner(tmp_path, algo, inner):
+    out = tmp_path / "t.trace"
+    assert run_cli("run", "--algo", algo, "--inner", "stay", "--n", "2", "--rounds", "5",
+                   "--out", str(out)) == 0
+    assert read_trace(str(out)).header.inner == inner
+    assert ("inner=" in out.read_text().splitlines()[0]) == bool(inner)
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize("radius", ["0", "-1", "nan", "inf"])
 @pytest.mark.parametrize("algo, check", [
@@ -369,6 +395,8 @@ def test_cyclic_cycles_radius_must_be_positive_and_finite(
                  "scheduler: unknown kind 'bogus'", id="scheduler"),
     pytest.param(["--algo", "cyclic-cycles", "--n", "3", "--d-rel", "1.5"],
                  "d-rel: must be a radius fraction in (0, 1)", id="d-rel"),
+    pytest.param(["--algo", "sim-rs-by-s", "--inner", "cyclic-cycles", "--n", "4", "--d-rel", "5"],
+                 "d-rel: must be a radius fraction in (0, 1)", id="d-rel-inner"),
 ])
 def test_field_rules_are_config_errors(tmp_path, capsys, monkeypatch, command, flags, message):
     monkeypatch.chdir(tmp_path)
@@ -597,7 +625,7 @@ def test_tolerance_must_be_a_finite_nonnegative_number(tmp_path, capsys, command
 FILES = ["sro.trace", "sim.trace", "junk.trace", "zero.trace", "valid.sched", "good.cfg", "junk.cfg",
          "nokey.cfg", "missing.file", "dir"]
 FLAGS = {
-    "--algo": [*ALGO_NAMES, "bogus"],
+    "--algo": [*ALGORITHMS, "bogus"],
     "--inner": ["stay", "tricolor", "sro", "cyclic-cycles", "sim-rs-by-s", "bogus"],
     "--scheduler": [*KIND_NAMES, "bogus"],
     "--kind": [*KIND_NAMES, "bogus"],
@@ -740,19 +768,24 @@ REGISTRY_RUNS = {
 
 
 def test_registry_runs_cover_the_registry():
-    assert sorted(REGISTRY_RUNS) == sorted(ALGO_NAMES)
+    assert sorted(REGISTRY_RUNS) == sorted(ALGORITHMS)
 
 
 # The command line refuses these in validate_run_config; build_algorithm is
 # also a library entry point and refuses them itself.
-@pytest.mark.parametrize("name, message", [
-    ("sim-rs-by-s", "sim-rs-by-s needs --inner"),
-    ("sim-lumi-by-fcom", "sim-lumi-by-fcom needs --inner"),
-    ("bogus", f"unknown algorithm 'bogus'; choose from {', '.join(ALGO_NAMES)}"),
-])
-def test_build_algorithm_refuses_what_it_cannot_build(name, message):
+REFUSED_BUILDS = [
+    ("sim-rs-by-s", None, "sim-rs-by-s needs --inner"),
+    ("sim-lumi-by-fcom", None, "sim-lumi-by-fcom needs --inner"),
+    ("bogus", None, f"unknown algorithm 'bogus'; choose from {', '.join(ALGORITHMS)}"),
+    ("sim-rs-by-s", "sim-lumi-by-fcom", "unknown inner algorithm 'sim-lumi-by-fcom'"),
+]
+
+
+@pytest.mark.parametrize("name, inner, message", REFUSED_BUILDS,
+                         ids=[f"{name}-{message}" for name, _, message in REFUSED_BUILDS])
+def test_build_algorithm_refuses_what_it_cannot_build(name, inner, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        cli.build_algorithm(name, n=3)
+        cli.build_algorithm(name, n=3, inner=inner)
 
 
 def _assert_records(trace):
