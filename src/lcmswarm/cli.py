@@ -12,7 +12,7 @@ import dataclasses
 import functools
 import math
 import sys
-from typing import Callable, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 from .algorithms import (
     alg_cyclic_cycles,
@@ -105,18 +105,26 @@ class RunConfig:
     out: str = "trace.out"
 
 
+def _parsed(parse: Callable[[str], Any], token: str, expected: str) -> Any:
+    """parse(token), or a ValueError that says what was expected and names the token."""
+    try:
+        return parse(token)
+    except ValueError:
+        raise ValueError(f"{expected}, got {token!r}") from None
+
+
+def _point(token: str) -> Point:
+    x, y = token.split(",")
+    return Point(float(x), float(y))
+
+
 def _parse_positions(text: str) -> list[Point]:
-    pts = []
-    for tok in text.split():
-        x, y = tok.split(",")
-        pts.append(Point(float(x), float(y)))
-    return pts
+    return [_parsed(_point, tok, "positions: expected x,y") for tok in text.split()]
 
 
 def _parse_blocks(text: str, n: int) -> SchedulerKind:
-    blocks = []
-    for chunk in text.split("|"):
-        blocks.append(frozenset(int(t) for t in chunk.split()))
+    blocks = [frozenset(_parsed(int, t, "blocks: expected robot ids") for t in chunk.split())
+              for chunk in text.split("|")]
     kind = SchedulerKind(ROUND_ROBIN, tuple(blocks))
     if frozenset().union(*blocks) != frozenset(range(n)):
         raise ValueError("round-robin blocks must cover robots 0..n-1")
@@ -243,11 +251,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             field_type = type(current) if current is not None else str
             if key in _NUMBERS:
                 parse, kind = _NUMBERS[key]
-                try:
-                    value = parse(val)
-                except ValueError:
-                    raise ValueError(f"{where}: {key} must be {kind}, got {val!r}") from None
-                setattr(cfg, key, value)
+                setattr(cfg, key, _parsed(parse, val, f"{where}: {key} must be {kind}"))
             elif key == "chirality":
                 if val.lower() not in _BOOLS:
                     raise ValueError(f"{where}: chirality must be true or false, got {val!r}")

@@ -146,10 +146,9 @@ def _half(_idx: int) -> float:
     return 0.5  # check_cyc's default mover distance: half the radius at every counter value
 
 
-# check_cyc's set-up for the last (initial, n, d_rel, tol) it checked; a configuration's reading
-# is kept on it as config.__dict__["_cyc"] = (token, reading), valid under that set-up only.
-_CycContext = namedtuple("_CycContext", "initial n d_fn tol token home mover ring_ids pos_tol view unit")
-_cyc_context: _CycContext | None = None
+# check_cyc's set-up for a trace's last (d_rel, tol), kept as initial.__dict__["_cyc_setup"]; a
+# configuration's reading is kept as config.__dict__["_cyc"] = (set-up, reading), valid under it only.
+_CycContext = namedtuple("_CycContext", "d_fn tol home mover ring_ids pos_tol view unit")
 
 
 def _cyc_reading(ctx: _CycContext, config: Configuration) -> str | int | None:
@@ -190,7 +189,6 @@ def check_cyc(
     counter cycle of 2^(n-1) oscillations; a shorter clean prefix is
     inconclusive.
     """
-    global _cyc_context
     _check_tol(tol)
     if trace.initial.n != n:
         raise ValueError(f"trace has {trace.initial.n} robots, expected {n}")
@@ -201,12 +199,12 @@ def check_cyc(
         if not 0.0 < (frac := d_fn(idx)) < 1.0:
             raise ValueError(f"d({idx}) = {frac} must be a radius fraction in (0, 1)")
     initial = trace.initial
-    ctx = _cyc_context  # read once, so a concurrent check cannot swap it
-    if ctx is None or ctx.initial is not initial or ctx[1:4] != (n, d_fn, tol):
+    ctx = getattr(initial, "_cyc_setup", None)
+    if ctx is None or ctx[:2] != (d_fn, tol):
         view = decode_cyc_pattern(home := [p for _, p, _ in initial.entries], n)
         rid_of = {id(p): rid for rid, p, _ in initial.entries}  # the view holds these very points
-        ctx = _cyc_context = _CycContext(
-            initial, n, d_fn, tol, object(), home, rid_of[id(view.mover)],
+        ctx = initial.__dict__["_cyc_setup"] = _CycContext(
+            d_fn, tol, home, rid_of[id(view.mover)],
             [rid_of[id(p)] for p in view.ring], max(tol, 1e-12) * view.radius, view,
             Point((view.vacancy.x - view.center.x) / view.radius,
                   (view.vacancy.y - view.center.y) / view.radius),
@@ -218,16 +216,16 @@ def check_cyc(
     # Labels (a counter index, or -1 for the base pattern) alternate between the base pattern
     # (even places) and counter values (odd places); each new label is checked as it comes.  No
     # label repeats the one before it, so once the even places hold it, the odd places cannot.
-    token, prev = ctx.token, None
+    prev = None
     places, last_label = 0, None  # labels so far, and the last one
     for i, config in enumerate(configs):
         if config is prev:  # a round that changed nothing repeats its checks and label
             continue
         prev = config
         kept, label = getattr(config, "_cyc", (None, None))
-        if kept is not token:
+        if kept is not ctx:
             label = _cyc_reading(ctx, config)
-            config.__dict__["_cyc"] = (token, label)
+            config.__dict__["_cyc"] = (ctx, label)
         if label is None or label == last_label:
             continue
         if label.__class__ is str:

@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import itemgetter
 
 from .core import (
     ORIGIN,
@@ -159,6 +160,15 @@ def sim_rs_by_s(inner: Algorithm) -> Algorithm:
     protocol's robot-count, chirality and rigidity constraints."""
     layout = RsBySLayout(inner.palette)
     k, STEP, EXEC, CHARGED = layout.k, layout.step, layout.executed, layout.charged
+    # Steps 3, 4, 5 and m each clear one flag pattern: while some robot shows it, a robot that
+    # shows it replaces it and the others wait; then every robot moves to the next step.  A row
+    # holds a reader of the pattern's flags, their values, what replaces them, and the next step.
+    clears = {
+        RS_STEP_3: (itemgetter(EXEC, CHARGED), (1, CH_E), {EXEC: 0, CHARGED: CH_C}, RS_STEP_1),
+        RS_STEP_4: (itemgetter(CHARGED), CH_E, {CHARGED: CH_C}, RS_STEP_5),  # recharge who sat out
+        RS_STEP_5: (itemgetter(CHARGED), CH_M, {CHARGED: CH_E}, RS_STEP_2),  # discharge who moved
+        RS_STEP_M: (itemgetter(EXEC), 1, {EXEC: 0}, RS_STEP_2),  # end of mega-cycle
+    }
 
     def step(snap: Snapshot) -> StepResult:
         all_lights = [t for loc in snap.observed for t in loc.lights]
@@ -181,35 +191,12 @@ def sim_rs_by_s(inner: Algorithm) -> Algorithm:
                 return StepResult(light=light, destination=dest, events=events)
             return StepResult()
 
-        if steps == {RS_STEP_3}:  # reset all flags, then back to step 1
-            if any(t[EXEC] == 1 and t[CHARGED] == CH_E for t in all_lights):
-                if own[EXEC] == 1 and own[CHARGED] == CH_E:
-                    return StepResult(light={EXEC: 0, CHARGED: CH_C})
-                return StepResult()
-            return StepResult(light={STEP: RS_STEP_1})
+        if len(steps) == 1:
+            flags, pattern, instead, next_step = clears[own[STEP]]
+            if any(flags(t) == pattern for t in all_lights):
+                return StepResult(light=instead) if flags(own) == pattern else StepResult()
+            return StepResult(light={STEP: next_step})
 
-        if steps == {RS_STEP_4}:  # recharge the robots that sat out
-            if any(t[CHARGED] == CH_E for t in all_lights):
-                if own[CHARGED] == CH_E:
-                    return StepResult(light={CHARGED: CH_C})
-                return StepResult()
-            return StepResult(light={STEP: RS_STEP_5})
-
-        if steps == {RS_STEP_5}:  # discharge the robots that just moved
-            if any(t[CHARGED] == CH_M for t in all_lights):
-                if own[CHARGED] == CH_M:
-                    return StepResult(light={CHARGED: CH_E})
-                return StepResult()
-            return StepResult(light={STEP: RS_STEP_2})
-
-        if steps == {RS_STEP_M}:  # end of mega-cycle: clear executed flags
-            if not all(t[EXEC] == 0 for t in all_lights):
-                if own[EXEC] != 0:
-                    return StepResult(light={EXEC: 0})
-                return StepResult()
-            return StepResult(light={STEP: RS_STEP_2})
-
-        # Every single step returned above, so steps holds two or more.
         if steps in RS_CATCH_UP:
             return StepResult(light={STEP: RS_CATCH_UP[steps]})
         if steps == RS_MEGA_PAIR and all(t[EXEC] == 1 for t in all_lights):
@@ -395,8 +382,11 @@ def sim_lumi_by_fcom(inner: Algorithm, n: int) -> Algorithm:
     k, ell = layout.k, layout.ell
     COUNTS, STEP, EXEC = layout.counts, layout.step, layout.executed
     SUC_EXEC, CHECKED, SUC_CHECKED = layout.suc_executed, layout.checked, layout.suc_checked
-    CHECKING_RESET, EXECUTED_RESET = layout.checking_reset, layout.executed_reset
     inner_palette = inner.palette
+    # Steps 3 and m each reset one flag pattern.  A robot cannot see its own light, so it always
+    # shows the reset, and moves on once every other robot shows it.  A row: (reset, next step).
+    resets = {FC_STEP_3: (layout.checking_reset, FC_STEP_1),
+              FC_STEP_M: (layout.executed_reset, FC_STEP_2)}
 
     def step(snap: Snapshot) -> StepResult:
         observed = snap.observed
@@ -442,19 +432,12 @@ def sim_lumi_by_fcom(inner: Algorithm, n: int) -> Algorithm:
             ) + res.events
             return StepResult(light=light, destination=res.destination, events=events)
 
-        if others_steps == {FC_STEP_3}:  # reset checking flags
-            light = dict(CHECKING_RESET)
-            done = all(_shows(t, CHECKING_RESET) for t in others)
-            light[STEP] = FC_STEP_1 if done else FC_STEP_3
-            return StepResult(light=light)
+        if len(others_steps) == 1:
+            (s,) = others_steps
+            reset, next_step = resets[s]
+            done = all(_shows(t, reset) for t in others)
+            return StepResult(light={**reset, STEP: next_step if done else s})
 
-        if others_steps == {FC_STEP_M}:  # reset executed flags
-            light = dict(EXECUTED_RESET)
-            done = all(_shows(t, EXECUTED_RESET) for t in others)
-            light[STEP] = FC_STEP_2 if done else FC_STEP_M
-            return StepResult(light=light)
-
-        # Every single step returned above, so others_steps holds two or more.
         if others_steps in FC_CATCH_UP:
             return StepResult(light={STEP: FC_CATCH_UP[others_steps]})
         if others_steps == FC_MEGA_PAIR:

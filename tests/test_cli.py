@@ -416,10 +416,19 @@ def test_field_rules_are_config_errors(tmp_path, capsys, monkeypatch, command, f
                  "round-robin blocks must cover robots 0..n-1", id="blocks-cover"),
     pytest.param(["--algo", "sim-rs-by-s", "--inner", "bogus", "--n", "3"],
                  "unknown inner algorithm 'bogus'", id="inner"),
+    pytest.param(["--algo", "stay", "--positions", "x"], "positions: expected x,y, got 'x'",
+                 id="positions-one-value"),
+    pytest.param(["--algo", "stay", "--positions", "1,2,3"], "positions: expected x,y, got '1,2,3'",
+                 id="positions-three-values"),
+    pytest.param(["--algo", "stay", "--config", "positions.cfg"], "positions: expected x,y, got 'x'",
+                 id="positions-config-file"),
+    pytest.param(["--algo", "stay", "--scheduler", "round-robin", "--blocks", "0|x"],
+                 "blocks: expected robot ids, got 'x'", id="blocks-token"),
 ])
 def test_blocks_that_miss_a_robot_and_unknown_inner_are_one_error(
         tmp_path, capsys, monkeypatch, command, flags, message):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "positions.cfg").write_text("positions=x\n")
     argv = [command, *flags, "--out", "t.trace"]
     if command == "sweep":
         argv += ["--seeds", "0:2", "--check", "rdv"]

@@ -1,0 +1,77 @@
+"""Frame invariance of the protocols whose specification is frame-free: a run
+under random per-robot frames that keep chirality (a rotation in (-pi, pi), a
+scale in [0.25, 4]) shows the same lights as the identity-frame run of the
+same seed, and the same positions within 1e-9."""
+
+from __future__ import annotations
+
+import math
+import random
+
+import pytest
+
+from lcmswarm.algorithms import alg_cyclic_cycles, alg_sro, alg_stay, cyc_initial_config
+from lcmswarm.core import Point, distance, make_configuration
+from lcmswarm.engine import FrameSpec, run
+from lcmswarm.scheduler import RSYNCH, SSYNCH
+from lcmswarm.simulators import sim_lumi_by_fcom, sim_rs_by_s
+from test_simulators import spaced_config
+
+SEEDS = range(10)
+TOL = 1e-9  # check_sro's default tolerance
+
+
+def _frames(seed: int, n: int) -> dict[int, FrameSpec]:
+    rng = random.Random(f"frames-{seed}")
+    return {rid: FrameSpec(rng.uniform(-math.pi, math.pi), 2.0 ** rng.uniform(-2.0, 2.0))
+            for rid in range(n)}
+
+
+def _compared(algo, config0, host, rounds, seed):
+    """The configurations of the identity-frame run and of the run under
+    random frames, round by round."""
+    plain = run(config0, host, algo, rounds=rounds, seed=seed)
+    framed = run(config0, host, algo, rounds=rounds, seed=seed, frames=_frames(seed, config0.n))
+    return zip(plain.configs(), framed.configs())
+
+
+def _same(a, b) -> bool:
+    return all(la.values == lb.values and distance(pa, pb) <= TOL
+               for (_, pa, la), (_, pb, lb) in zip(a.entries, b.entries))
+
+
+def _case(name: str):
+    """A frame-free protocol, its initial configuration, its host and rounds."""
+    if name == "sim-rs-by-s":
+        algo, host, rounds = sim_rs_by_s(alg_stay()), SSYNCH, 110
+    elif name == "sim-lumi-by-fcom":
+        algo, host, rounds = sim_lumi_by_fcom(alg_stay(), 3), RSYNCH, 240
+    else:  # cyclic-cycles-n<n>, over one counter cycle
+        n = int(name.rpartition("-n")[2])
+        return alg_cyclic_cycles(n), cyc_initial_config(n), SSYNCH, 50 * 2 ** (n - 1)
+    return algo, spaced_config(3, algo.palette), host, rounds
+
+
+@pytest.mark.parametrize("case", ["cyclic-cycles-n3", "cyclic-cycles-n4", "cyclic-cycles-n5",
+                                  "sim-rs-by-s", "sim-lumi-by-fcom"])
+def test_frame_free_protocol_runs_the_same_under_any_frames(case):
+    algo, config0, host, rounds = _case(case)
+    for seed in SEEDS:
+        for i, (a, b) in enumerate(_compared(algo, config0, host, rounds, seed)):
+            assert _same(a, b), (seed, i)
+
+
+def test_sro_runs_the_same_under_any_frames_above_check_sros_floor():
+    # Below check_sro's floor of 1000 * tol * span a segment is past what the
+    # checker resolves, and there Snapshot.others(), which compares with an
+    # absolute 1e-9 in the robot's own scaled frame, may tell the frames apart.
+    config0 = make_configuration([Point(0.0, 0.0), Point(1.0, 1.0)], palette=alg_sro().palette)
+    for seed in SEEDS:
+        compared = 0
+        for i, (a, b) in enumerate(_compared(alg_sro(), config0, RSYNCH, 60, seed)):
+            pa, pb = a.position(0), a.position(1)
+            if distance(pa, pb) <= 1000.0 * TOL * max(1.0, abs(pa.x), abs(pa.y), abs(pb.x), abs(pb.y)):
+                break
+            assert _same(a, b), (seed, i)
+            compared += 1
+        assert compared > 30, seed

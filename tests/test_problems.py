@@ -6,6 +6,7 @@ from typing import Callable
 
 import pytest
 
+from lcmswarm import problems
 from lcmswarm.algorithms import (
     CYC_B,
     CYC_PALETTE,
@@ -633,6 +634,27 @@ def test_kept_context_skips_no_per_call_error(tmp_path, capsys):
     assert cli.main(["check", "--problem", "cyc", "--trace", str(tmp_path / "before.trace")]) == 0
     assert cli.main(["check", "--problem", "cyc", "--trace", str(tmp_path / "stay.trace")]) == 2
     assert capsys.readouterr().err == "error: trace palette () differs from the cyclic-cycles palette (2, 2, 2, 2)\n"
+
+
+def test_set_ups_kept_per_initial_configuration_read_each_configuration_once(monkeypatch):
+    # Checks of an n = 4 and an n = 5 trace in turn: each trace's initial
+    # configuration keeps its own set-up, so from the second pass on no
+    # configuration is read again, and every verdict equals the oracle's.
+    traces = {n: run(cyc_initial_config(n), "ssynch", alg_cyclic_cycles(n),
+                     rounds=50 * 2 ** (n - 1), seed=4) for n in (4, 5)}
+    want = {n: oracle_check_cyc(trace, n) for n, trace in traces.items()}
+    reads, read = [], problems._cyc_reading
+
+    def counted(ctx, config):
+        reads.append(config)
+        return read(ctx, config)
+
+    monkeypatch.setattr(problems, "_cyc_reading", counted)
+    for rep in range(3):
+        first = len(reads)
+        for n, trace in traces.items():
+            assert check_cyc(trace, n) == want[n], (rep, n)
+        assert (len(reads) > first) == (rep == 0), rep
 
 
 class TestCgeTargets:

@@ -30,11 +30,13 @@ from lcmswarm.simulators import (
     CH_M,
     EXEC_SET_FALSE,
     EXEC_SET_TRUE,
+    FC_CATCH_UP,
     FC_STEP_1,
     FC_STEP_2,
     FC_STEP_3,
     FC_STEP_M,
     LumiByFcomLayout,
+    RS_CATCH_UP,
     RS_STEP_1,
     RS_STEP_2,
     RS_STEP_3,
@@ -563,6 +565,46 @@ class TestUnlistedStepPairs:
                 for counts in ([1, 0, 0], [0, 1, 0])]
         with pytest.raises(SimulationFault, match="^predecessor-location robots disagree on a copied light$"):
             wrap.step(self._fcom_snapshot(layout, suc, pred))
+
+
+def _single_step_edges(family):
+    """Every step change s -> t that a robot makes in a round starting with
+    every robot on step s, over clean n=3 runs of the wrapper around stay,
+    move-east and tricolor on its host, seeds 0-19."""
+    edges = set()
+    for inner in (alg_stay(), alg_move_east(), alg_tricolor()):
+        if family == "rs":
+            wrap, host, rounds = sim_rs_by_s(inner), SSYNCH, 110
+            step = derive_rs_layout(wrap.palette).step
+        else:
+            wrap, host, rounds = sim_lumi_by_fcom(inner, 3), RSYNCH, 240
+            step = derive_fcom_layout(wrap.palette).step
+        for seed in range(20):
+            configs = run(spaced_config(3, wrap.palette), host, wrap, rounds=rounds, seed=seed).configs()
+            for before, after in zip(configs, configs[1:]):
+                steps = {lt.values[step] for _, _, lt in before.entries}
+                if len(steps) == 1:
+                    (s,) = steps
+                    edges.update((s, lt.values[step]) for _, _, lt in after.entries if lt.values[step] != s)
+    return edges
+
+
+@pytest.mark.parametrize("family, table, edges", [
+    ("rs", RS_CATCH_UP, {(RS_STEP_1, RS_STEP_2), (RS_STEP_2, RS_STEP_3), (RS_STEP_2, RS_STEP_4),
+                         (RS_STEP_2, RS_STEP_M), (RS_STEP_3, RS_STEP_1), (RS_STEP_4, RS_STEP_5),
+                         (RS_STEP_5, RS_STEP_2), (RS_STEP_M, RS_STEP_2)}),
+    ("fcom", FC_CATCH_UP, {(FC_STEP_1, FC_STEP_2), (FC_STEP_2, FC_STEP_3), (FC_STEP_2, FC_STEP_M),
+                           (FC_STEP_3, FC_STEP_1), (FC_STEP_M, FC_STEP_2)}),
+])
+def test_catch_up_table_follows_the_single_step_edges(family, table, edges):
+    # A robot that sees steps {a, b} on display catches up to the step that
+    # the robots on the other one move to next: the target is a or b, and the
+    # single-step branches take the other step to it.
+    assert _single_step_edges(family) == edges
+    for pair, target in table.items():
+        assert target in pair, (sorted(pair), target)
+        (other,) = pair - {target}
+        assert (other, target) in edges, (sorted(pair), target)
 
 
 def _geometry(*xy):
