@@ -243,6 +243,13 @@ def _cyc_reader(n: int) -> Callable[[bytes], _CycReading]:
     return read_geometry
 
 
+@functools.cache
+def mover_distance(frac: float) -> Callable[[int], float]:
+    """The mover distance d(idx) = frac at every counter value, one function
+    per fraction, so that check_cyc's kept set-up matches it across calls."""
+    return lambda _idx: frac
+
+
 def alg_cyclic_cycles(
     n: int,
     d_rel: Callable[[int], float] | None = None,
@@ -263,7 +270,7 @@ def alg_cyclic_cycles(
     """
     if n < 3:
         raise ValueError("cyclic circles needs at least 3 robots")
-    d_fn = d_rel or (lambda _i: 0.5)
+    d_fn = d_rel or mover_distance(0.5)
     read_geometry = _cyc_reader(n)
 
     def final_point(view: CycView, idx: int) -> Point:

@@ -22,8 +22,9 @@ from .algorithms import (
     alg_tricolor,
     cyc_initial_config,
     flag_scheme_algorithm,
+    mover_distance,
 )
-from .core import Point, make_configuration
+from .core import POSITION_TOLERANCE, Point, make_configuration
 from .engine import Algorithm, ConstraintError, Rigidity, Trace, read_trace, run, write_trace
 from .problems import check_cge, check_cyc, check_rdv, check_sro
 from .scheduler import (
@@ -64,7 +65,7 @@ ALGORITHMS: dict[str, Callable[[int | None, float | None, Algorithm | None], Alg
     "stay": lambda *_: alg_stay(),
     "tricolor": lambda *_: alg_tricolor(),
     "cyclic-cycles": lambda n, d_rel, inner: alg_cyclic_cycles(
-        _needs_n("cyclic-cycles", n), d_rel=(lambda _i: d_rel) if d_rel is not None else None),
+        _needs_n("cyclic-cycles", n), d_rel=None if d_rel is None else mover_distance(d_rel)),
     "sim-rs-by-s": lambda n, d_rel, inner: sim_rs_by_s(inner),
     "sim-lumi-by-fcom": lambda n, d_rel, inner: sim_lumi_by_fcom(inner, _needs_n("sim-lumi-by-fcom", n)),
 }
@@ -323,7 +324,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _check_cyc(trace: Trace, tol: float, d_rel: float | None) -> Verdict:
-    d_fn = (lambda _i: d_rel) if d_rel is not None else None
+    d_fn = None if d_rel is None else mover_distance(d_rel)
     return check_cyc(trace, trace.initial.n, d_rel=d_fn, tol=tol)
 
 
@@ -554,7 +555,7 @@ def _parser() -> argparse.ArgumentParser:
     group.add_argument("--problem", choices=[k for k, c in CHECKS.items() if not c.families])
     group.add_argument("--monitor", choices=[k for k, c in CHECKS.items() if c.families])
     p_chk.add_argument("--trace", required=True)
-    p_chk.add_argument("--tol", type=_tolerance, default=1e-9)
+    p_chk.add_argument("--tol", type=_tolerance, default=POSITION_TOLERANCE)
     p_chk.add_argument("--d-rel", dest="d_rel", type=_radius_fraction,
                        help="mover distance fraction the trace was produced with")
     p_chk.set_defaults(func=cmd_check)
@@ -563,7 +564,7 @@ def _parser() -> argparse.ArgumentParser:
     _add_run_arguments(p_swp)
     p_swp.add_argument("--seeds", required=True, help="inclusive seed range, e.g. 0:99")
     p_swp.add_argument("--check", required=True, choices=tuple(CHECKS))
-    p_swp.add_argument("--tol", type=_tolerance, default=1e-9)
+    p_swp.add_argument("--tol", type=_tolerance, default=POSITION_TOLERANCE)
     p_swp.set_defaults(func=cmd_sweep)
 
     p_plt = subs.add_parser("plot", help="render robot trajectories from a trace")

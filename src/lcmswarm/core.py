@@ -308,14 +308,6 @@ class Snapshot(namedtuple("Snapshot", "observed own_light multiplicity_visible")
         return tuple(loc for loc in self.observed if not points_close(loc.point, ORIGIN))
 
 
-def _location(point: Point, count: int, lights) -> ObservedLocation:
-    return _tnew(ObservedLocation, (point, count, lights))
-
-
-def _snapshot(observed: tuple[ObservedLocation, ...], own_light, visible: bool) -> Snapshot:
-    return _tnew(Snapshot, (observed, own_light, visible))
-
-
 _PACK_XY = struct.Struct("2d").pack
 
 

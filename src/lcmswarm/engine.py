@@ -14,6 +14,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from .core import (
     ORIGIN,
+    POSITION_TOLERANCE,
     _PACK_XY,
     Configuration,
     LightTuple,
@@ -445,7 +446,7 @@ def replay(
     rigidity: Rigidity = Rigidity(),
     frames: dict[int, FrameSpec] | None = None,
     multiplicity: Multiplicity = Multiplicity.STRONG,
-    tol: float = 1e-9,
+    tol: float = POSITION_TOLERANCE,
 ) -> bool:
     """Re-execute a trace and compare configurations round by round.
 

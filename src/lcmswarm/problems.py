@@ -13,8 +13,9 @@ from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable
 
-from .algorithms import CYC_B, CYC_PALETTE, CYC_STATUS, STATUS_CENTER, STATUS_FINAL, decode_cyc_pattern
-from .core import Configuration, Point, distance, midpoint, points_close, sub
+from .algorithms import (CYC_B, CYC_PALETTE, CYC_STATUS, STATUS_CENTER, STATUS_FINAL, decode_cyc_pattern,
+                         mover_distance)
+from .core import POSITION_TOLERANCE, Configuration, Point, distance, midpoint, points_close, sub
 from .engine import Trace
 from .scheduler import INCONCLUSIVE, OK, REJECT, Verdict
 
@@ -85,7 +86,7 @@ class DiagonalSquare:
         return True
 
 
-def check_sro(trace: Trace, tol: float = 1e-9) -> Verdict:
+def check_sro(trace: Trace, tol: float = POSITION_TOLERANCE) -> Verdict:
     """Every transition between distinct configurations must be a 90 degree
     clockwise equal-length turn or a 45 degree clockwise turn shrunk by
     1/sqrt(2), and both new endpoints must stay inside the square spanned two
@@ -142,10 +143,6 @@ def check_sro(trace: Trace, tol: float = 1e-9) -> Verdict:
 # Cyclic circles.
 # ---------------------------------------------------------------------------
 
-def _half(_idx: int) -> float:
-    return 0.5  # check_cyc's default mover distance: half the radius at every counter value
-
-
 # check_cyc's set-up for a trace's last (d_rel, tol), kept as initial.__dict__["_cyc_setup"]; a
 # configuration's reading is kept as config.__dict__["_cyc"] = (set-up, reading), valid under it only.
 _CycContext = namedtuple("_CycContext", "d_fn tol home mover ring_ids pos_tol view unit")
@@ -179,7 +176,7 @@ def check_cyc(
     trace: Trace,
     n: int,
     d_rel: Callable[[int], float] | None = None,
-    tol: float = 1e-9,
+    tol: float = POSITION_TOLERANCE,
 ) -> Verdict:
     """Project the trace onto its uniform-status rounds and verify the pattern
     alternation and the counter sequence.
@@ -192,7 +189,7 @@ def check_cyc(
     _check_tol(tol)
     if trace.initial.n != n:
         raise ValueError(f"trace has {trace.initial.n} robots, expected {n}")
-    d_fn = d_rel or _half
+    d_fn = d_rel or mover_distance(0.5)
     k = 2 ** (n - 1)
     configs = trace.configs()
     for idx in range(min(k, len(configs))):  # each counter value the trace can reach
@@ -263,7 +260,7 @@ def cge_targets(config: Configuration) -> list[Point]:
     ]
 
 
-def check_cge(trace: Trace, tol: float = 1e-9) -> Verdict:
+def check_cge(trace: Trace, tol: float = POSITION_TOLERANCE) -> Verdict:
     """Each robot must move straight to its expansion target and then stop.
 
     Movement may take several rounds but must stay on the segment from the
@@ -319,7 +316,7 @@ def check_cge(trace: Trace, tol: float = 1e-9) -> Verdict:
 # Rendezvous.
 # ---------------------------------------------------------------------------
 
-def check_rdv(trace: Trace, tol: float = 1e-9) -> Verdict:
+def check_rdv(trace: Trace, tol: float = POSITION_TOLERANCE) -> Verdict:
     """Two robots must meet and never separate afterwards."""
     _check_tol(tol)
     if trace.initial.n != 2:

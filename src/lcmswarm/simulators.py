@@ -20,22 +20,22 @@ and monitor_properties work off those annotations.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import itemgetter
 
 from .core import (
     ORIGIN,
+    POSITION_TOLERANCE,
     Configuration,
     LightTuple,
     ModelKind,
+    ObservedLocation,
     Point,
     Snapshot,
     _key_points,
-    _location,
     _points_key,
-    _snapshot,
     order_locations,
     palette_size,
     points_close,
@@ -78,8 +78,21 @@ def _project_inner_snapshot(
         vals = [t[:k] for t in (loc.lights or ())]
         if add_self and points_close(loc.point, ORIGIN):
             vals.append(own_inner)
-        observed.append(_location(loc.point, loc.count, tuple(sorted(vals))))
-    return _snapshot(tuple(observed), own_inner, snap.multiplicity_visible)
+        observed.append(ObservedLocation(loc.point, loc.count, tuple(sorted(vals))))
+    return Snapshot(tuple(observed), own_inner, snap.multiplicity_visible)
+
+
+def _run_inner(inner: Algorithm, snap: Snapshot, own: tuple[int, ...], add_self: bool,
+               flags: dict[int, int], *events: str) -> StepResult:
+    """One inner execution by a host whose inner color is `own`: the inner
+    protocol steps on the projected full-light view, and the host shows `own`
+    with the step's new light over it, then the wrapper's `flags`."""
+    res = inner.step(_project_inner_snapshot(snap, len(own), own, add_self))
+    light = dict(enumerate(own))
+    light.update(res.light)
+    light.update(flags)
+    return StepResult(light=light, destination=res.destination,
+                      events=("inner-exec",) + events + res.events)
 
 
 # ---------------------------------------------------------------------------
@@ -111,47 +124,24 @@ def _step_sets(steps: range, catch_up: dict, mega_pair: frozenset) -> frozenset:
 RS_STEP_SETS = _step_sets(range(6), RS_CATCH_UP, RS_MEGA_PAIR)
 
 
-@dataclass(frozen=True)
-class RsBySLayout:
+class RsBySLayout(namedtuple("RsBySLayout", "inner k step executed charged palette")):
     """Variable layout of the sim-rs-by-s palette: inner vars, then step,
-    executed, charged."""
+    executed, charged.  RsBySLayout(inner) computes every index."""
 
-    inner: tuple[int, ...]
+    __slots__ = ()
 
-    @property
-    def k(self) -> int:
-        return len(self.inner)
+    def __new__(cls, inner: tuple[int, ...]) -> RsBySLayout:
+        k = len(inner)
+        return tuple.__new__(cls, (inner, k, k, k + 1, k + 2, inner + (6, 2, 3)))
 
-    @property
-    def step(self) -> int:
-        return self.k
-
-    @property
-    def executed(self) -> int:
-        return self.k + 1
-
-    @property
-    def charged(self) -> int:
-        return self.k + 2
-
-    @property
-    def palette(self) -> tuple[int, ...]:
-        return self.inner + (6, 2, 3)
+    def __getnewargs__(self) -> tuple:  # what copy and pickle pass to __new__
+        return (self.inner,)
 
 
 def rs_by_s_color_count(inner_colors: int) -> int:
     """Total light-state count of the wrapper for an inner palette of the
     given size: 6 steps x 2 executed flags x 3 charge states per color."""
     return 36 * inner_colors
-
-
-def _run_inner(
-    inner: Algorithm, snap: Snapshot, k: int
-) -> tuple[dict[int, int], Point, tuple[str, ...]]:
-    """One inner execution by a full-light host whose first k light
-    variables are the inner ones."""
-    res = inner.step(_project_inner_snapshot(snap, k, snap.own_light[:k], add_self=False))
-    return dict(res.light), res.destination, ("inner-exec",) + res.events
 
 
 def sim_rs_by_s(inner: Algorithm) -> Algorithm:
@@ -176,9 +166,7 @@ def sim_rs_by_s(inner: Algorithm) -> Algorithm:
         own = snap.own_light
 
         if steps == {RS_STEP_1}:
-            light, dest, events = _run_inner(inner, snap, k)
-            light.update({STEP: RS_STEP_2, EXEC: 1, CHARGED: CH_E})
-            return StepResult(light=light, destination=dest, events=events)
+            return _run_inner(inner, snap, own[:k], False, {STEP: RS_STEP_2, EXEC: 1, CHARGED: CH_E})
 
         if steps == {RS_STEP_2}:
             if all(t[CHARGED] == CH_E for t in all_lights):
@@ -186,9 +174,7 @@ def sim_rs_by_s(inner: Algorithm) -> Algorithm:
             if all(t[EXEC] == 1 for t in all_lights):
                 return StepResult(light={STEP: RS_STEP_M})
             if own[EXEC] == 0 and own[CHARGED] == CH_C:
-                light, dest, events = _run_inner(inner, snap, k)
-                light.update({STEP: RS_STEP_4, EXEC: 1, CHARGED: CH_M})
-                return StepResult(light=light, destination=dest, events=events)
+                return _run_inner(inner, snap, own[:k], False, {STEP: RS_STEP_4, EXEC: 1, CHARGED: CH_M})
             return StepResult()
 
         if len(steps) == 1:
@@ -235,67 +221,37 @@ FC_MEGA_PAIR = frozenset({FC_STEP_2, FC_STEP_M})
 FC_STEP_SETS = _step_sets(range(4), FC_CATCH_UP, FC_MEGA_PAIR)
 
 
-@dataclass(frozen=True)
-class LumiByFcomLayout:
+class LumiByFcomLayout(namedtuple("LumiByFcomLayout", "inner n k ell counts step executed suc_executed "
+                                  "checked suc_checked palette checking_reset executed_reset")):
     """Variable layout of the sim-lumi-by-fcom palette.
 
     After the inner vars come one per-color occupancy counter for the
-    successor location (multisets, counts 0..n), then step, executed, the
-    suc.executed set, and the two checked flags.  Multiset counters rather
-    than plain color sets keep own-color reconstruction a singleton even when
-    co-located robots share a color.  Each index is computed once.
+    successor location (multisets, counts 0..n; `counts` is the first), then
+    step, executed, the suc.executed set, and the two checked flags.  Multiset
+    counters rather than plain color sets keep own-color reconstruction a
+    singleton even when co-located robots share a color.
+
+    LumiByFcomLayout(inner, n) computes every index and the two flag resets:
+    step 3's (the successor copy and both checked flags) and step m's (the
+    executed flag and its successor copy).
     """
 
-    inner: tuple[int, ...]
-    n: int
+    __slots__ = ()
 
-    @cached_property
-    def k(self) -> int:
-        return len(self.inner)
+    def __new__(cls, inner: tuple[int, ...], n: int) -> LumiByFcomLayout:
+        k, ell = len(inner), palette_size(inner)
+        step = k + ell
+        executed, suc_executed, checked, suc_checked = range(step + 1, step + 5)
+        checking_reset = dict.fromkeys(range(k, step), 0)
+        checking_reset.update({suc_executed: EXEC_SET_FALSE, suc_checked: 0, checked: 0})
+        return tuple.__new__(cls, (
+            inner, n, k, ell, k, step, executed, suc_executed, checked, suc_checked,
+            inner + (n + 1,) * ell + (4, 2, 4, 2, 2), checking_reset,
+            {executed: 0, suc_executed: EXEC_SET_FALSE},
+        ))
 
-    @cached_property
-    def ell(self) -> int:
-        return palette_size(self.inner)
-
-    @cached_property
-    def counts(self) -> int:  # first successor-color counter
-        return self.k
-
-    @cached_property
-    def step(self) -> int:
-        return self.k + self.ell
-
-    @cached_property
-    def executed(self) -> int:
-        return self.step + 1
-
-    @cached_property
-    def suc_executed(self) -> int:
-        return self.step + 2
-
-    @cached_property
-    def checked(self) -> int:
-        return self.step + 3
-
-    @cached_property
-    def suc_checked(self) -> int:
-        return self.step + 4
-
-    @cached_property
-    def palette(self) -> tuple[int, ...]:
-        return self.inner + (self.n + 1,) * self.ell + (4, 2, 4, 2, 2)
-
-    @cached_property
-    def checking_reset(self) -> dict[int, int]:
-        """Step 3's flag reset: the successor copy and both checked flags."""
-        out = {self.counts + c: 0 for c in range(self.ell)}
-        out.update({self.suc_executed: EXEC_SET_FALSE, self.suc_checked: 0, self.checked: 0})
-        return out
-
-    @cached_property
-    def executed_reset(self) -> dict[int, int]:
-        """Step m's flag reset: the executed flag and its successor copy."""
-        return {self.executed: 0, self.suc_executed: EXEC_SET_FALSE}
+    def __getnewargs__(self) -> tuple:  # what copy and pickle pass to __new__
+        return self.inner, self.n
 
 
 def lumi_by_fcom_color_count(inner_colors: int, n: int) -> int:
@@ -382,7 +338,6 @@ def sim_lumi_by_fcom(inner: Algorithm, n: int) -> Algorithm:
     k, ell = layout.k, layout.ell
     COUNTS, STEP, EXEC = layout.counts, layout.step, layout.executed
     SUC_EXEC, CHECKED, SUC_CHECKED = layout.suc_executed, layout.checked, layout.suc_checked
-    inner_palette = inner.palette
     # Steps 3 and m each reset one flag pattern.  A robot cannot see its own light, so it always
     # shows the reset, and moves on once every other robot shows it.  A row: (reset, next step).
     resets = {FC_STEP_3: (layout.checking_reset, FC_STEP_1),
@@ -417,20 +372,12 @@ def sim_lumi_by_fcom(inner: Algorithm, n: int) -> Algorithm:
             # multiset minus the colors visible here.
             counts = [_pred_field(pred_lights, COUNTS + c) for c in range(ell)]
             for t in here_lights:
-                counts[flat_color(t[:k], inner_palette)] -= 1
+                counts[flat_color(t[:k], layout.inner)] -= 1
             if sum(counts) != 1 or any(c < 0 for c in counts):
                 raise SimulationFault(f"own-color reconstruction is not a singleton: {counts}")
-            own_color = unflatten_color(counts.index(1), inner_palette)
-            inner_snap = _project_inner_snapshot(snap, k, own_color, add_self=True)
-            res = inner.step(inner_snap)
-            light = {i: v for i, v in enumerate(own_color)}
-            light.update(res.light)
-            light.update({EXEC: 1, STEP: FC_STEP_3})
-            events = (
-                "inner-exec",
-                f"own-color:{flat_color(own_color, inner_palette)}",
-            ) + res.events
-            return StepResult(light=light, destination=res.destination, events=events)
+            color = counts.index(1)
+            return _run_inner(inner, snap, unflatten_color(color, layout.inner), True,
+                              {EXEC: 1, STEP: FC_STEP_3}, f"own-color:{color}")
 
         if len(others_steps) == 1:
             (s,) = others_steps
@@ -484,7 +431,7 @@ def extract_induced_schedule(trace: Trace) -> SchedulePrefix:
     return SchedulePrefix(tuple(s for s in _inner_executions(trace) if s), trace.initial.n)
 
 
-def verify_inner_fidelity(trace: Trace, inner: Algorithm, tol: float = 1e-9) -> list[str]:
+def verify_inner_fidelity(trace: Trace, inner: Algorithm, tol: float = POSITION_TOLERANCE) -> list[str]:
     """Replay the trace's inner projection (its initial configuration and each
     round with an inner execution, inner light values only) against a direct
     LUMI run of the inner protocol under the induced schedule; returns one

@@ -11,9 +11,9 @@ import typing
 
 import pytest
 
-from lcmswarm import cli, problems, scheduler
+from lcmswarm import cli, engine, problems, scheduler, simulators
 from lcmswarm.algorithms import alg_cyclic_cycles, cyc_initial_config
-from lcmswarm.core import Configuration, Point
+from lcmswarm.core import POSITION_TOLERANCE, Configuration, Point
 from lcmswarm.engine import run, write_trace
 from lcmswarm.problems import (
     INCONCLUSIVE,
@@ -60,6 +60,17 @@ def test_verdict_fields_and_truth():
     assert not Verdict(INCONCLUSIVE, None, "later")
     assert Verdict(OK) and Verdict(OK).ok
     assert scheduler.check_fair(scheduler.SchedulePrefix((frozenset({0}),) * 3, 1), 2)
+
+
+def test_every_tolerance_default_is_the_package_constant():
+    # Each default reads core.POSITION_TOLERANCE itself; a restated literal
+    # of the same value would be another float object.
+    for fn in (problems.check_sro, problems.check_cyc, problems.check_cge, problems.check_rdv,
+               engine.replay, simulators.verify_inner_fidelity):
+        assert inspect.signature(fn).parameters["tol"].default is POSITION_TOLERANCE, fn.__name__
+    for argv in (["check", "--problem", "sro", "--trace", "t"],
+                 ["sweep", "--algo", "sro", "--seeds", "0:1", "--check", "sro"]):
+        assert cli._parser().parse_args(argv).tol is POSITION_TOLERANCE, argv[0]
 
 
 # ---------------------------------------------------------------------------

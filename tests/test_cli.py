@@ -9,7 +9,7 @@ import struct
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from lcmswarm import cli
+from lcmswarm import cli, problems
 from lcmswarm.algorithms import alg_cyclic_cycles, cyc_initial_config
 from lcmswarm.cli import ALGORITHMS, CHECKS, RunConfig, _parser, main
 from lcmswarm.core import (
@@ -205,6 +205,21 @@ def test_sweep_reports_first_counterexample(tmp_path, capsys):
     )
     assert code == 0
     assert "5 inconclusive" in capsys.readouterr().out
+
+
+def test_sweep_with_d_rel_reads_as_many_configurations_as_without(monkeypatch, capsys):
+    # One --d-rel fraction is one mover-distance function, so check_cyc's kept
+    # set-up matches from seed to seed, as it does for the default distance.
+    reading, calls = problems._cyc_reading, []
+    monkeypatch.setattr(problems, "_cyc_reading", lambda ctx, config: calls.append(1) or reading(ctx, config))
+    counts = []
+    for d_rel in ((), ("--d-rel", "0.5")):
+        calls.clear()
+        assert run_cli("sweep", "--algo", "cyclic-cycles", "--n", "4", "--rounds", "400",
+                       "--seeds", "0:19", "--check", "cyc", *d_rel) == 0
+        assert "seeds 0..19: 20 pass, 0 fail, 0 inconclusive" in capsys.readouterr().out
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_plot_ascii_and_svg(tmp_path, capsys):

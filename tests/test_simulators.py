@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import functools
 import itertools
 import math
+import pickle
 import random
 import re
 import struct
@@ -35,6 +37,7 @@ from lcmswarm.simulators import (
     FC_STEP_2,
     FC_STEP_3,
     FC_STEP_M,
+    INDUCED,
     LumiByFcomLayout,
     RS_CATCH_UP,
     RS_STEP_1,
@@ -82,6 +85,11 @@ class TestLayouts:
         assert derive_fcom_layout(layout.palette) == layout
         with pytest.raises(ValueError):
             derive_fcom_layout((3, 2, 2))
+
+    @pytest.mark.parametrize("layout", [RsBySLayout((3,)), LumiByFcomLayout((3,), 4)])
+    def test_layouts_copy_and_pickle(self, layout):
+        for clone in (copy.copy(layout), copy.deepcopy(layout), pickle.loads(pickle.dumps(layout))):
+            assert type(clone) is type(layout) and clone == layout
 
     def test_flat_color_round_trip(self):
         palette = (3, 2)
@@ -567,18 +575,23 @@ class TestUnlistedStepPairs:
             wrap.step(self._fcom_snapshot(layout, suc, pred))
 
 
+def _wrapped(family, inner):
+    """The wrapper of a family around inner at n=3, its host and its rounds,
+    as in the acceptance batteries."""
+    if family == "rs":
+        return sim_rs_by_s(inner), SSYNCH, 110
+    return sim_lumi_by_fcom(inner, 3), RSYNCH, 240
+
+
 def _single_step_edges(family):
     """Every step change s -> t that a robot makes in a round starting with
     every robot on step s, over clean n=3 runs of the wrapper around stay,
     move-east and tricolor on its host, seeds 0-19."""
     edges = set()
     for inner in (alg_stay(), alg_move_east(), alg_tricolor()):
-        if family == "rs":
-            wrap, host, rounds = sim_rs_by_s(inner), SSYNCH, 110
-            step = derive_rs_layout(wrap.palette).step
-        else:
-            wrap, host, rounds = sim_lumi_by_fcom(inner, 3), RSYNCH, 240
-            step = derive_fcom_layout(wrap.palette).step
+        wrap, host, rounds = _wrapped(family, inner)
+        derive = derive_rs_layout if family == "rs" else derive_fcom_layout
+        step = derive(wrap.palette).step
         for seed in range(20):
             configs = run(spaced_config(3, wrap.palette), host, wrap, rounds=rounds, seed=seed).configs()
             for before, after in zip(configs, configs[1:]):
@@ -589,22 +602,86 @@ def _single_step_edges(family):
     return edges
 
 
+EDGES = {
+    "rs": {(RS_STEP_1, RS_STEP_2), (RS_STEP_2, RS_STEP_3), (RS_STEP_2, RS_STEP_4), (RS_STEP_2, RS_STEP_M),
+           (RS_STEP_3, RS_STEP_1), (RS_STEP_4, RS_STEP_5), (RS_STEP_5, RS_STEP_2), (RS_STEP_M, RS_STEP_2)},
+    "fcom": {(FC_STEP_1, FC_STEP_2), (FC_STEP_2, FC_STEP_3), (FC_STEP_2, FC_STEP_M),
+             (FC_STEP_3, FC_STEP_1), (FC_STEP_M, FC_STEP_2)},
+}
+TABLES = {"rs": (RS_CATCH_UP, range(6)), "fcom": (FC_CATCH_UP, range(4))}
+
+
+def _catch_up_faults(table, edges):
+    """The catch-up entries {a, b} -> t that break the edge check: a robot
+    that sees steps {a, b} on display catches up to the step that the robots
+    on the other one move to next, so t is a or b, and the single-step
+    branches take the other step to t."""
+    faults = []
+    for pair, target in table.items():
+        other = pair - {target}
+        if len(other) != 1 or (*other, target) not in edges:
+            faults.append((sorted(pair), target))
+    return faults
+
+
 @pytest.mark.parametrize("family, table, edges", [
-    ("rs", RS_CATCH_UP, {(RS_STEP_1, RS_STEP_2), (RS_STEP_2, RS_STEP_3), (RS_STEP_2, RS_STEP_4),
-                         (RS_STEP_2, RS_STEP_M), (RS_STEP_3, RS_STEP_1), (RS_STEP_4, RS_STEP_5),
-                         (RS_STEP_5, RS_STEP_2), (RS_STEP_M, RS_STEP_2)}),
-    ("fcom", FC_CATCH_UP, {(FC_STEP_1, FC_STEP_2), (FC_STEP_2, FC_STEP_3), (FC_STEP_2, FC_STEP_M),
-                           (FC_STEP_3, FC_STEP_1), (FC_STEP_M, FC_STEP_2)}),
+    ("rs", RS_CATCH_UP, EDGES["rs"]),
+    ("fcom", FC_CATCH_UP, EDGES["fcom"]),
 ])
 def test_catch_up_table_follows_the_single_step_edges(family, table, edges):
-    # A robot that sees steps {a, b} on display catches up to the step that
-    # the robots on the other one move to next: the target is a or b, and the
-    # single-step branches take the other step to it.
     assert _single_step_edges(family) == edges
-    for pair, target in table.items():
-        assert target in pair, (sorted(pair), target)
-        (other,) = pair - {target}
-        assert (other, target) in edges, (sorted(pair), target)
+    assert _catch_up_faults(table, edges) == []
+
+
+def _run_checks_reject(family):
+    """Whether a run check rejects the wrapper as its tables now stand, over
+    stay, move-east and tricolor at n=3, seeds 0-4: fewer than 3 induced
+    rounds, an induced schedule that is invalid or unfair (window 2n), a
+    monitor violation, a fidelity divergence, or a raise."""
+    for inner in (alg_stay(), alg_move_east(), alg_tricolor()):
+        wrap, host, rounds = _wrapped(family, inner)  # a fresh instance: no rounds kept from another table
+        for seed in range(5):
+            try:
+                trace = run(spaced_config(3, wrap.palette), host, wrap, rounds=rounds, seed=seed)
+                induced = extract_induced_schedule(trace)
+                if (len(induced.sets) < 3 or not validate(induced, INDUCED[wrap.name]).ok
+                        or not check_fair(induced, 6).ok or monitor_properties(trace)
+                        or verify_inner_fidelity(trace, inner)):
+                    return True
+            except Exception:
+                return True
+    return False
+
+
+# The sim-rs-by-s mutants that pass every run check, as (pair, wrong target):
+# {2,3} and {3,1} to any wrong step, {4,5} to 4 and {5,2} to 5.
+RUN_CHECK_SURVIVORS = (
+    {((RS_STEP_2, RS_STEP_3), t) for t in range(6) if t != RS_STEP_3}
+    | {((RS_STEP_1, RS_STEP_3), t) for t in range(6) if t != RS_STEP_1}
+    | {((RS_STEP_4, RS_STEP_5), RS_STEP_4), ((RS_STEP_2, RS_STEP_5), RS_STEP_5)}
+)
+
+
+def test_every_catch_up_mutant_is_rejected():
+    # Each mutant points one catch-up entry at a wrong step: 30 of
+    # sim-rs-by-s, 9 of sim-lumi-by-fcom.  The edge check rejects every one;
+    # the run checks reject every one outside RUN_CHECK_SURVIVORS.
+    mutants, survivors = 0, set()
+    for family, (table, steps) in TABLES.items():
+        for pair, target in list(table.items()):
+            for wrong in steps:
+                if wrong == target:
+                    continue
+                table[pair] = wrong
+                try:
+                    mutants += 1
+                    assert _catch_up_faults(table, EDGES[family]), (family, sorted(pair), wrong)
+                    if not _run_checks_reject(family):
+                        survivors.add((family, tuple(sorted(pair)), wrong))
+                finally:
+                    table[pair] = target
+    assert mutants == 39
+    assert survivors <= {("rs",) + m for m in RUN_CHECK_SURVIVORS}, survivors
 
 
 def _geometry(*xy):
