@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import random
 import re
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .core import (
     ORIGIN,
     POSITION_TOLERANCE,
-    _PACK_XY,
     Configuration,
     LightTuple,
     LocalFrame,
@@ -271,10 +271,13 @@ def run_round(
 
 # Robot entries (n per state of n robots) kept by the graphs of every algorithm
 # in this process.  Over 4,000 cyc-n5 runs the graph holds all 1,397 states it
-# reaches and reads 99.9 % of the last 1,000 runs' rounds, against 90.1 % at
-# 4,096; a state costs about 1 KB.  A state is a list indexed by the activation
-# set's bit mask, so a run of more than _GRAPH_ROBOTS robots keeps no graph.
-_GRAPH_ENTRIES = 8192
+# reaches and reads 99.9 % of the last 1,000 runs' rounds.  sim-n3 fills it:
+# past its first 600 runs it reads 63 % of rounds (52 % at 8,192), with
+# sim-rs-by-s and sim-lumi-by-fcom at 92 and 100 % over stay, 52 and 83 % over
+# move-east, 12 and 20 % over tricolor.  tracemalloc reads a state at 671 B at
+# n = 3 and 864 B at n = 5.  A state is a list indexed by the activation set's
+# bit mask, so a run of more than _GRAPH_ROBOTS robots keeps no graph.
+_GRAPH_ENTRIES = 16384
 _GRAPH_ROBOTS = 6
 
 
@@ -282,16 +285,18 @@ class ConfigGraph:
     """The rounds that rigid runs of one algorithm instance took under one
     model, frame set and multiplicity, each a function of the configuration's
     value and the activation set.  Configurations are interned (hash-consed) by
-    each position's bit pattern, so -0.0 stays apart from 0.0, and each
-    robot's light values; one becomes a state when the run before visited it
-    too and all graphs keep at most _GRAPH_ENTRIES entries with it.  A state is
-    [config] + nexts, where nexts[mask] is the state that activating bit mask
-    `mask` leads to, or (that state, its events), written in one store."""
+    one bytes key: each position's bit pattern, so -0.0 stays apart from 0.0,
+    then each robot's index in the graph's table of light values.  One becomes
+    a state when the run before visited it too and all graphs keep at most
+    _GRAPH_ENTRIES entries with it.  A state is [config] + nexts, where
+    nexts[mask] is the state that activating bit mask `mask` leads to, or
+    (that state, its events' items), written in one store."""
 
     kept = 0  # robot entries that the states of every graph keep
 
     def __init__(self):
-        self.states: dict[tuple[bytes, tuple], list] = {}
+        self.states: dict[bytes, list] = {}
+        self.lights: dict[tuple[int, ...], int] = {}  # light values -> their index in keys
         self.masks: dict[frozenset[int], int] = {}
         self.visited: set[int] = set()  # key hashes of this run's configurations
         self.before: set[int] = set()  # and of the run before's
@@ -301,9 +306,9 @@ class ConfigGraph:
 
     def intern(self, config: Configuration) -> list | None:
         """The state of `config`, admitted now if it may be, or None."""
-        entries = config.entries
-        key = (b"".join([_PACK_XY(p.x, p.y) for _, p, _ in entries]),
-               tuple([lt.values for _, _, lt in entries]))
+        entries, lights, n = config.entries, self.lights, config.n
+        key = struct.pack(f"{2 * n}d{n}I", *[c for _, p, _ in entries for c in p],
+                          *[lights.setdefault(lt.values, len(lights)) for _, _, lt in entries])
         state = self.states.get(key)
         if state is None:
             seen = hash(key)
@@ -351,7 +356,7 @@ def _execute(config: Configuration, sets: Iterable[frozenset[int]], algo: Algori
             if after is not None:
                 new = after[0]
                 if state is not None:
-                    state[1 + mask] = (after, dict(events)) if events else after
+                    state[1 + mask] = (after, tuple(events.items())) if events else after
             state = after
         config = new
         yield TraceRound(eset, config, events)

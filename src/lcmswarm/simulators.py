@@ -31,6 +31,7 @@ from .core import (
     Configuration,
     LightTuple,
     ModelKind,
+    Multiplicity,
     ObservedLocation,
     Point,
     Snapshot,
@@ -40,7 +41,7 @@ from .core import (
     palette_size,
     points_close,
 )
-from .engine import Algorithm, Rigidity, StepResult, Trace, TraceRound, _divergences, run
+from .engine import Algorithm, FrameSpec, Rigidity, StepResult, Trace, TraceRound, _divergences, run
 from .scheduler import RSYNCH, SSYNCH, SchedulePrefix
 
 
@@ -431,11 +432,14 @@ def extract_induced_schedule(trace: Trace) -> SchedulePrefix:
     return SchedulePrefix(tuple(s for s in _inner_executions(trace) if s), trace.initial.n)
 
 
-def verify_inner_fidelity(trace: Trace, inner: Algorithm, tol: float = POSITION_TOLERANCE) -> list[str]:
+def verify_inner_fidelity(trace: Trace, inner: Algorithm, tol: float = POSITION_TOLERANCE, *,
+                          frames: dict[int, FrameSpec] | None = None,
+                          multiplicity: Multiplicity = Multiplicity.STRONG) -> list[str]:
     """Replay the trace's inner projection (its initial configuration and each
     round with an inner execution, inner light values only) against a direct
-    LUMI run of the inner protocol under the induced schedule; returns one
-    human-readable message per diverging position or inner light."""
+    LUMI run of the inner protocol under the induced schedule, with the frames
+    and multiplicity the trace ran under; returns one human-readable message
+    per diverging position or inner light."""
     if trace.header.delta is not None:
         raise ValueError("fidelity replay requires a rigid-movement trace")
     execs = _inner_executions(trace)
@@ -449,7 +453,7 @@ def verify_inner_fidelity(trace: Trace, inner: Algorithm, tol: float = POSITION_
 
     projection = [TraceRound(eset, project(trace.rounds[i].config)) for eset, i in zip(induced.sets, at)]
     direct = run(project(trace.initial), induced, inner, model=ModelKind.LUMI, rigidity=Rigidity(),
-                 seed=trace.header.seed)
+                 seed=trace.header.seed, frames=frames, multiplicity=multiplicity)
     return [f"inner round {j}: robot {rid} {'inner light' if kind == 'light' else kind} "
             f"diverges at trace round {at[j - 1] + 1}"
             for j, rid, kind in _divergences(projection, direct.rounds, tol)]

@@ -1505,6 +1505,31 @@ def test_a_signed_zero_start_is_not_the_unsigned_one(tmp_path, graph_budget):
         assert got.count("pos=-0.0,1.0") == 7
 
 
+def test_swapped_lights_at_the_same_positions_are_not_one_state(tmp_path, graph_budget):
+    # A key that kept only which light values occur, and not whose they are,
+    # would read the swapped start's rounds from the unswapped one's state.
+    graph_budget(4096)
+    toggle = Algorithm("toggle", (2,), _toggle, ModelKind.LUMI)
+    shared = dataclasses.replace(toggle)
+    path = str(tmp_path / "t.trace")
+
+    def written(config, algo):
+        write_trace(run(config, "fsynch", algo, rounds=6, seed=0), path)
+        with open(path) as fh:
+            return fh.read()
+
+    points = [Point(0.0, 1.0), Point(2.0, 1.0)]
+    off, on = LightTuple((0,), (2,)), LightTuple((1,), (2,))
+    unswapped = make_configuration(points, [off, on], palette=(2,))
+    swapped = make_configuration(points, [on, off], palette=(2,))
+    for _ in range(3):  # the unswapped start and its rounds become states
+        assert written(unswapped, shared) == written(unswapped, dataclasses.replace(toggle))
+    for _ in range(3):
+        got = written(swapped, shared)
+        assert got == written(swapped, dataclasses.replace(toggle))
+        assert got != written(unswapped, shared)
+
+
 def _overflow(snap):
     """Counts its own light up, past the palette at the third step."""
     return StepResult(light={0: snap.own_light[0] + 1})

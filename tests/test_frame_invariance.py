@@ -1,7 +1,9 @@
 """Frame invariance of the protocols whose specification is frame-free: a run
 under random per-robot frames that keep chirality (a rotation in (-pi, pi), a
 scale in [0.25, 4]) shows the same lights as the identity-frame run of the
-same seed, and the same positions within 1e-9."""
+same seed, and the same positions within 1e-9.  A meta-simulator's trace
+under such frames passes the fidelity check given those frames, and a forged
+one still fails it."""
 
 from __future__ import annotations
 
@@ -10,12 +12,19 @@ import random
 
 import pytest
 
-from lcmswarm.algorithms import alg_cyclic_cycles, alg_sro, alg_stay, cyc_initial_config
+from lcmswarm.algorithms import (
+    alg_cyclic_cycles,
+    alg_move_east,
+    alg_sro,
+    alg_stay,
+    alg_tricolor,
+    cyc_initial_config,
+)
 from lcmswarm.core import Point, distance, make_configuration
 from lcmswarm.engine import FrameSpec, run
 from lcmswarm.scheduler import RSYNCH, SSYNCH
-from lcmswarm.simulators import sim_lumi_by_fcom, sim_rs_by_s
-from test_simulators import spaced_config
+from lcmswarm.simulators import sim_lumi_by_fcom, sim_rs_by_s, verify_inner_fidelity
+from test_simulators import _inner_execs, _tamper_light, _with_entry, spaced_config
 
 SEEDS = range(10)
 TOL = 1e-9  # check_sro's default tolerance
@@ -40,12 +49,14 @@ def _same(a, b) -> bool:
                for (_, pa, la), (_, pb, lb) in zip(a.entries, b.entries))
 
 
-def _case(name: str):
-    """A frame-free protocol, its initial configuration, its host and rounds."""
+def _case(name: str, inner=None):
+    """A protocol, its initial configuration, its host and rounds; frame-free
+    unless it is a wrapper given an inner protocol other than stay."""
+    inner = inner or alg_stay()
     if name == "sim-rs-by-s":
-        algo, host, rounds = sim_rs_by_s(alg_stay()), SSYNCH, 110
+        algo, host, rounds = sim_rs_by_s(inner), SSYNCH, 110
     elif name == "sim-lumi-by-fcom":
-        algo, host, rounds = sim_lumi_by_fcom(alg_stay(), 3), RSYNCH, 240
+        algo, host, rounds = sim_lumi_by_fcom(inner, 3), RSYNCH, 240
     else:  # cyclic-cycles-n<n>, over one counter cycle
         n = int(name.rpartition("-n")[2])
         return alg_cyclic_cycles(n), cyc_initial_config(n), SSYNCH, 50 * 2 ** (n - 1)
@@ -75,3 +86,38 @@ def test_sro_runs_the_same_under_any_frames_above_check_sros_floor():
             assert _same(a, b), (seed, i)
             compared += 1
         assert compared > 30, seed
+
+
+INNERS = {"stay": alg_stay, "move-east": alg_move_east, "tricolor": alg_tricolor}
+WRAPPERS = ("sim-rs-by-s", "sim-lumi-by-fcom")
+
+
+def _framed_trace(wrapper: str, inner, seed: int):
+    algo, config0, host, rounds = _case(wrapper, inner)
+    return run(config0, host, algo, rounds=rounds, seed=seed, frames=_frames(seed, 3))
+
+
+@pytest.mark.parametrize("inner", INNERS)
+@pytest.mark.parametrize("wrapper", WRAPPERS)
+def test_fidelity_holds_under_the_frames_the_trace_ran_under(wrapper, inner):
+    inner_algo = INNERS[inner]()
+    for seed in SEEDS:
+        trace = _framed_trace(wrapper, inner_algo, seed)
+        assert verify_inner_fidelity(trace, inner_algo, frames=_frames(seed, 3)) == [], seed
+
+
+@pytest.mark.parametrize("wrapper", WRAPPERS)
+def test_framed_fidelity_still_finds_a_moved_robot_and_a_flipped_colour(wrapper):
+    seed = 3
+    frames = _frames(seed, 3)
+    trace = _framed_trace(wrapper, alg_tricolor(), seed)
+    r, rid = _inner_execs(trace)[0]  # the first inner execution
+    moved = _with_entry(trace, r, rid, lambda p, lt: (Point(p.x + 1.0, p.y), lt))
+    assert verify_inner_fidelity(moved, alg_tricolor(), frames=frames) == [
+        f"inner round 1: robot {rid} position diverges at trace round {r}"
+    ]
+    colour = trace.rounds[r - 1].config.light(rid).values[0]
+    flipped = _tamper_light(trace, r, rid, 0, (colour + 1) % 3)
+    assert verify_inner_fidelity(flipped, alg_tricolor(), frames=frames) == [
+        f"inner round 1: robot {rid} inner light diverges at trace round {r}"
+    ]

@@ -77,27 +77,58 @@ def measure(warmup: int, runs: int, repeats: int) -> list[dict]:
     return blocks
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+def side_parser(doc: str) -> argparse.ArgumentParser:
+    """The options of a tool that measures each side in its own interpreter."""
+    ap = argparse.ArgumentParser(description=doc.split("\n\n")[0])
     ap.add_argument("--side", action="append", default=[], metavar="NAME=SRC",
                     help="a name and the source directory to import lcmswarm from (repeatable)")
     ap.add_argument("--pairs", type=int, default=1, help="how many times each side is measured")
-    ap.add_argument("--warmup", type=int, default=3000)
-    ap.add_argument("--runs", type=int, default=600)
-    ap.add_argument("--repeats", type=int, default=2)
     ap.add_argument("--child", metavar="SRC", help=argparse.SUPPRESS)
-    args = ap.parse_args(argv)
-    if args.child:
-        sys.path.insert(0, args.child)
-        import lcmswarm
+    return ap
 
-        if not lcmswarm.__file__.startswith(os.path.join(args.child, "")):
-            raise SystemExit(f"imported lcmswarm from {lcmswarm.__file__}, not from {args.child}")
-        print(json.dumps(measure(args.warmup, args.runs, args.repeats)))
-        return 0
+
+def import_from(src: str) -> None:
+    """Import lcmswarm from `src`, or exit if another copy comes first."""
+    sys.path.insert(0, src)
+    import lcmswarm
+
+    if not lcmswarm.__file__.startswith(os.path.join(src, "")):
+        raise SystemExit(f"imported lcmswarm from {lcmswarm.__file__}, not from {src}")
+
+
+def sides_of(ap: argparse.ArgumentParser, args: argparse.Namespace) -> list[list[str]]:
+    """Each --side as [name, src]; this checkout's src when none is given."""
     sides = [s.split("=", 1) for s in args.side] or [["this", REPO_SRC]]
     if any(len(s) != 2 for s in sides):
         ap.error("--side takes NAME=SRC")
+    return sides
+
+
+def alternate(script: str, sides: list[list[str]], pairs: int, child_args: list[str]) -> dict[str, list]:
+    """Each side's child outputs, parsed as JSON: `script --child SRC` is run
+    once per side in turn, `pairs` times over, one interpreter each."""
+    out: dict[str, list] = {}
+    for _ in range(pairs):
+        for name, src in sides:
+            child = subprocess.run(
+                [sys.executable, os.path.abspath(script), "--child", os.path.abspath(src), *child_args],
+                capture_output=True, text=True, check=True,
+            )
+            out.setdefault(name, []).append(json.loads(child.stdout))
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = side_parser(__doc__)
+    ap.add_argument("--warmup", type=int, default=3000)
+    ap.add_argument("--runs", type=int, default=600)
+    ap.add_argument("--repeats", type=int, default=2)
+    args = ap.parse_args(argv)
+    if args.child:
+        import_from(args.child)
+        print(json.dumps(measure(args.warmup, args.runs, args.repeats)))
+        return 0
+    sides = sides_of(ap, args)
     out: dict = {
         "instrument": (
             f"one interpreter per line: cyc-n5 in-process (alg_cyclic_cycles({N}), "
@@ -108,14 +139,9 @@ def main(argv: list[str] | None = None) -> int:
             + ", ".join(name for name, _ in sides)
         ),
     }
-    for _ in range(args.pairs):
-        for name, src in sides:
-            child = subprocess.run(
-                [sys.executable, os.path.abspath(__file__), "--child", os.path.abspath(src),
-                 "--warmup", str(args.warmup), "--runs", str(args.runs), "--repeats", str(args.repeats)],
-                capture_output=True, text=True, check=True,
-            )
-            out.setdefault(name, []).extend(json.loads(child.stdout))
+    child_args = ["--warmup", str(args.warmup), "--runs", str(args.runs), "--repeats", str(args.repeats)]
+    for name, blocks in alternate(__file__, sides, args.pairs, child_args).items():
+        out[name] = [block for child in blocks for block in child]
     print(json.dumps(out, indent=1))
     return 0
 
