@@ -271,12 +271,13 @@ def run_round(
 
 # Robot entries (n per state of n robots) kept by the graphs of every algorithm
 # in this process.  Over 4,000 cyc-n5 runs the graph holds all 1,397 states it
-# reaches and reads 99.9 % of the last 1,000 runs' rounds.  sim-n3 fills it:
-# past its first 600 runs it reads 63 % of rounds (52 % at 8,192), with
-# sim-rs-by-s and sim-lumi-by-fcom at 92 and 100 % over stay, 52 and 83 % over
-# move-east, 12 and 20 % over tricolor.  tracemalloc reads a state at 671 B at
-# n = 3 and 864 B at n = 5.  A state is a list indexed by the activation set's
-# bit mask, so a run of more than _GRAPH_ROBOTS robots keeps no graph.
+# reaches and reads 99.9 % of the last 1,000 runs' rounds.  After 800 sim-n3
+# runs they keep 15,132 entries, and past its first 600 runs sim-n3 reads 63 %
+# of rounds (52 % at 8,192): sim-rs-by-s and sim-lumi-by-fcom read 92 and 100 %
+# over stay, 52 and 83 % over move-east, 12 and 20 % over tricolor.
+# tracemalloc reads a state at 671 B at n = 3 and 864 B at n = 5.  A state is a
+# list indexed by the activation set's bit mask, so a run of more than
+# _GRAPH_ROBOTS robots keeps no graph.
 _GRAPH_ENTRIES = 16384
 _GRAPH_ROBOTS = 6
 
@@ -286,9 +287,10 @@ class ConfigGraph:
     model, frame set and multiplicity, each a function of the configuration's
     value and the activation set.  Configurations are interned (hash-consed) by
     one bytes key: each position's bit pattern, so -0.0 stays apart from 0.0,
-    then each robot's index in the graph's table of light values.  One becomes
-    a state when the run before visited it too and all graphs keep at most
-    _GRAPH_ENTRIES entries with it.  A state is [config] + nexts, where
+    then each robot's index in the graph's table of light values, which lies
+    outside the budget and, like Algorithm._lights, the palette bounds.  One
+    becomes a state when the run before visited it too and all graphs keep at
+    most _GRAPH_ENTRIES entries with it.  A state is [config] + nexts, where
     nexts[mask] is the state that activating bit mask `mask` leads to, or
     (that state, its events' items), written in one store."""
 

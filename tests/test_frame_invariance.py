@@ -2,13 +2,9 @@
 under random per-robot frames that keep chirality (a rotation in (-pi, pi), a
 scale in [0.25, 4]) shows the same lights as the identity-frame run of the
 same seed, and the same positions within 1e-9.  A meta-simulator's trace
-under such frames passes the fidelity check given those frames, and a forged
-one still fails it."""
+under such frames passes the fidelity check given those frames."""
 
 from __future__ import annotations
-
-import math
-import random
 
 import pytest
 
@@ -21,19 +17,13 @@ from lcmswarm.algorithms import (
     cyc_initial_config,
 )
 from lcmswarm.core import Point, distance, make_configuration
-from lcmswarm.engine import FrameSpec, run
+from lcmswarm.engine import run
 from lcmswarm.scheduler import RSYNCH, SSYNCH
 from lcmswarm.simulators import sim_lumi_by_fcom, sim_rs_by_s, verify_inner_fidelity
-from test_simulators import _inner_execs, _tamper_light, _with_entry, spaced_config
+from test_simulators import _frames, spaced_config
 
 SEEDS = range(10)
 TOL = 1e-9  # check_sro's default tolerance
-
-
-def _frames(seed: int, n: int) -> dict[int, FrameSpec]:
-    rng = random.Random(f"frames-{seed}")
-    return {rid: FrameSpec(rng.uniform(-math.pi, math.pi), 2.0 ** rng.uniform(-2.0, 2.0))
-            for rid in range(n)}
 
 
 def _compared(algo, config0, host, rounds, seed):
@@ -92,32 +82,12 @@ INNERS = {"stay": alg_stay, "move-east": alg_move_east, "tricolor": alg_tricolor
 WRAPPERS = ("sim-rs-by-s", "sim-lumi-by-fcom")
 
 
-def _framed_trace(wrapper: str, inner, seed: int):
-    algo, config0, host, rounds = _case(wrapper, inner)
-    return run(config0, host, algo, rounds=rounds, seed=seed, frames=_frames(seed, 3))
-
-
 @pytest.mark.parametrize("inner", INNERS)
 @pytest.mark.parametrize("wrapper", WRAPPERS)
 def test_fidelity_holds_under_the_frames_the_trace_ran_under(wrapper, inner):
     inner_algo = INNERS[inner]()
+    algo, config0, host, rounds = _case(wrapper, inner_algo)
     for seed in SEEDS:
-        trace = _framed_trace(wrapper, inner_algo, seed)
+        trace = run(config0, host, algo, rounds=rounds, seed=seed, frames=_frames(seed, 3))
         assert verify_inner_fidelity(trace, inner_algo, frames=_frames(seed, 3)) == [], seed
 
-
-@pytest.mark.parametrize("wrapper", WRAPPERS)
-def test_framed_fidelity_still_finds_a_moved_robot_and_a_flipped_colour(wrapper):
-    seed = 3
-    frames = _frames(seed, 3)
-    trace = _framed_trace(wrapper, alg_tricolor(), seed)
-    r, rid = _inner_execs(trace)[0]  # the first inner execution
-    moved = _with_entry(trace, r, rid, lambda p, lt: (Point(p.x + 1.0, p.y), lt))
-    assert verify_inner_fidelity(moved, alg_tricolor(), frames=frames) == [
-        f"inner round 1: robot {rid} position diverges at trace round {r}"
-    ]
-    colour = trace.rounds[r - 1].config.light(rid).values[0]
-    flipped = _tamper_light(trace, r, rid, 0, (colour + 1) % 3)
-    assert verify_inner_fidelity(flipped, alg_tricolor(), frames=frames) == [
-        f"inner round 1: robot {rid} inner light diverges at trace round {r}"
-    ]

@@ -16,6 +16,7 @@ from lcmswarm.core import (
     LightTuple,
     LocalFrame,
     ModelKind,
+    Multiplicity,
     ObservedLocation,
     Point,
     Snapshot,
@@ -215,14 +216,22 @@ def _with_events(trace, round_idx, rid, events):
 
 
 @functools.cache
-def _healthy_trace(family):
+def _frames(seed: int, n: int) -> dict[int, FrameSpec]:
+    """Random per-robot frames that keep chirality: a rotation in (-pi, pi)
+    and a scale in [0.25, 4]."""
+    rng = random.Random(f"frames-{seed}")
+    return {rid: FrameSpec(rng.uniform(-math.pi, math.pi), 2.0 ** rng.uniform(-2.0, 2.0))
+            for rid in range(n)}
+
+
+def _healthy_trace(family, frames=None):
     """A clean n=3 tricolor run of a wrapper on its usual host, with its layout."""
     if family == "rs":
         wrap = sim_rs_by_s(alg_tricolor())
-        trace = run(spaced_config(3, wrap.palette), "ssynch", wrap, rounds=90, seed=3)
+        trace = run(spaced_config(3, wrap.palette), "ssynch", wrap, rounds=90, seed=3, frames=frames)
         return trace, derive_rs_layout(wrap.palette)
     wrap = sim_lumi_by_fcom(alg_tricolor(), 3)
-    trace = run(spaced_config(3, wrap.palette), "rsynch", wrap, rounds=240, seed=0)
+    trace = run(spaced_config(3, wrap.palette), "rsynch", wrap, rounds=240, seed=0, frames=frames)
     return trace, derive_fcom_layout(wrap.palette)
 
 
@@ -427,6 +436,11 @@ class TestMonitors:
             monitor_properties(trace)
 
 
+def _crowd(snap):
+    """Shows 1 where its own location counts at least three robots."""
+    return StepResult(light={0: int(snap.location_at(ORIGIN).count >= 3)})
+
+
 class TestFidelity:
     """verify_inner_fidelity on a clean trace and on one forged mismatch."""
 
@@ -443,22 +457,34 @@ class TestFidelity:
 
     @pytest.mark.parametrize("family", ["rs", "lumi"])
     def test_moved_robot_diverges(self, family):
-        trace, _ = _healthy_trace(family)
-        r, rid = _inner_execs(trace)[0]  # the first inner execution
-        moved = _with_entry(trace, r, rid, lambda p, lt: (Point(p.x + 1.0, p.y), lt))
-        assert verify_inner_fidelity(moved, alg_tricolor()) == [
-            f"inner round 1: robot {rid} position diverges at trace round {r}"
-        ]
+        for frames in (None, _frames(3, 3)):  # identity frames, then those the trace ran under
+            trace, _ = _healthy_trace(family, frames)
+            r, rid = _inner_execs(trace)[0]  # the first inner execution
+            moved = _with_entry(trace, r, rid, lambda p, lt: (Point(p.x + 1.0, p.y), lt))
+            assert verify_inner_fidelity(moved, alg_tricolor(), frames=frames) == [
+                f"inner round 1: robot {rid} position diverges at trace round {r}"
+            ]
 
     @pytest.mark.parametrize("family", ["rs", "lumi"])
     def test_flipped_inner_light_diverges(self, family):
-        trace, _ = _healthy_trace(family)
-        r, rid = _inner_execs(trace)[0]  # the first inner execution
-        colour = trace.rounds[r - 1].config.light(rid).values[0]
-        flipped = _tamper_light(trace, r, rid, 0, (colour + 1) % 3)
-        assert verify_inner_fidelity(flipped, alg_tricolor()) == [
-            f"inner round 1: robot {rid} inner light diverges at trace round {r}"
-        ]
+        for frames in (None, _frames(3, 3)):
+            trace, _ = _healthy_trace(family, frames)
+            r, rid = _inner_execs(trace)[0]
+            colour = trace.rounds[r - 1].config.light(rid).values[0]
+            flipped = _tamper_light(trace, r, rid, 0, (colour + 1) % 3)
+            assert verify_inner_fidelity(flipped, alg_tricolor(), frames=frames) == [
+                f"inner round 1: robot {rid} inner light diverges at trace round {r}"
+            ]
+
+    def test_a_weak_multiplicity_trace_holds_under_its_multiplicity(self):
+        # Three robots share a point; the inner protocol lights up where it
+        # counts three, which weak multiplicity shows as two.
+        inner = Algorithm("crowd", (2,), _crowd, ModelKind.LUMI)
+        wrap = sim_rs_by_s(inner)
+        config = make_configuration([Point(0.0, 0.0)] * 3 + [Point(5.0, 0.0)], palette=wrap.palette)
+        trace = run(config, "ssynch", wrap, rounds=60, seed=0, multiplicity=Multiplicity.WEAK)
+        assert verify_inner_fidelity(trace, inner, multiplicity=Multiplicity.WEAK) == []
+        assert "inner light diverges" in verify_inner_fidelity(trace, inner)[0]
 
 
 @pytest.mark.parametrize("family", ["rs", "lumi"])

@@ -1,16 +1,14 @@
 """How many of sim-n3's rounds a warm process reads from the configuration graph.
 
 Each measurement is one fresh interpreter that imports lcmswarm from the
-given source directory and builds sim-n3's six pipelines through
-`cli.build_algorithm`: sim-rs-by-s (ssynch, 110 rounds) and sim-lumi-by-fcom
-(rsynch, 240 rounds) over stay, move-east and tricolor, at n = 3 from
-(50i, 7(i mod 2)).  Run i draws its schedule seed as perfbench's sim-n3 draws
-run i's at workload seed `--seed`; each trace then goes through
-`verify_inner_fidelity`, which runs the inner instance (one per inner
-protocol, shared by both wrappers).  After `--warmup` uncounted runs, it
-counts `--runs` runs.  `engine.run_round` is wrapped from outside and counts
-the rounds each instance executes; a trace's length, or for an inner instance
-its induced rounds, counts the rounds it yielded.  Per instance it prints
+given source directory and runs perfbench's sim-n3 workload in it, as
+`perfbench/workloads.py` defines it: its six pipelines (both wrappers over
+stay, move-east and tricolor, each inner instance shared by its two wrappers
+and by the fidelity check), run i's input at workload seed `--seed`, and the
+checks of every trace.  After `--warmup` uncounted runs, it counts `--runs`
+runs.  `engine.run_round` is wrapped from outside and counts the rounds each
+instance executes; a trace's length, or for an inner instance its induced
+rounds, counts the rounds it yielded.  Per instance it prints
 
 - `yielded`: rounds in its traces;
 - `executed`: rounds that `run_round` made, the rest read from the graph;
@@ -29,13 +27,12 @@ measures this checkout's `src`.
 from __future__ import annotations
 
 import json
+import os
 import sys
 
 from warm_split import alternate, import_from, side_parser, sides_of
 
-N = 3
-INNERS = ("stay", "move-east", "tricolor")
-WRAPPERS = (("sim-rs-by-s", "ssynch", 110), ("sim-lumi-by-fcom", "rsynch", 240))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))  # holds perfbench/
 
 
 def _counts(yielded: int, executed: int, states: int) -> dict:
@@ -46,19 +43,18 @@ def _counts(yielded: int, executed: int, states: int) -> dict:
 def measure(seed: int, warmup: int, runs: int) -> dict:
     """The graph counts of one interpreter."""
     import collections
-    import random
 
-    from lcmswarm import cli, core, engine, simulators
+    from lcmswarm import engine, simulators
 
-    inners = {name: cli.build_algorithm(name, n=N) for name in INNERS}
-    instances = {f"fidelity/{name}": algo for name, algo in inners.items()}
-    pipelines = []
-    for inner in INNERS:
-        for wrapper, host, rounds in WRAPPERS:
-            algo = instances[f"{wrapper}/{inner}"] = cli.build_algorithm(wrapper, n=N, inner=inner)
-            config = core.make_configuration([core.Point(50.0 * i, 7.0 * (i % 2)) for i in range(N)],
-                                             palette=algo.palette)
-            pipelines.append((algo, inners[inner], config, host, rounds))
+    sys.path.insert(1, ROOT)
+    from perfbench import workloads
+
+    sim = workloads.WORKLOADS["sim-n3"]
+    pipelines = sim.build(workloads.no_wrap)
+    instances = {}
+    for p in pipelines:
+        instances[f"{p.wrapper.name}/{p.inner.name}"] = p.wrapper
+        instances[f"fidelity/{p.inner.name}"] = p.inner
 
     executed: collections.Counter = collections.Counter()  # by id() of the instance
     yielded: collections.Counter = collections.Counter()
@@ -72,15 +68,11 @@ def measure(seed: int, warmup: int, runs: int) -> dict:
     for i in range(warmup + runs):
         if i == warmup:
             executed.clear()
-        schedule_seed = random.Random(f"sim-n3:{seed}:{i}").randrange(2**31)
-        for algo, inner, config, host, rounds in pipelines:
-            trace = engine.run(config, host, algo, rounds=rounds, seed=schedule_seed)
-            mismatches = simulators.verify_inner_fidelity(trace, inner)
-            if mismatches:
-                raise SystemExit(f"{algo.name} seed {schedule_seed}: fidelity: {mismatches[0]}")
-            if i >= warmup:
-                yielded[id(algo)] += len(trace.rounds)
-                yielded[id(inner)] += len(simulators.extract_induced_schedule(trace).sets)
+        traces = sim.run(pipelines, sim.input(seed, i), None)
+        if i >= warmup:
+            for p, trace in zip(pipelines, traces):
+                yielded[id(p.wrapper)] += len(trace.rounds)
+                yielded[id(p.inner)] += len(simulators.extract_induced_schedule(trace).sets)
     engine.run_round = real
 
     out = {}
@@ -106,9 +98,8 @@ def main(argv: list[str] | None = None) -> int:
     sides = sides_of(ap, args)
     out: dict = {
         "instrument": (
-            f"one interpreter per entry: sim-n3's six pipelines at n={N} through cli.build_algorithm, "
-            f"schedule seeds as perfbench's sim-n3 at workload seed {args.seed}, each trace checked by "
-            f"verify_inner_fidelity; {args.warmup} uncounted runs, then {args.runs} counted; "
+            f"one interpreter per entry: perfbench's sim-n3 workload, its runs' inputs at workload seed "
+            f"{args.seed}; {args.warmup} uncounted runs, then {args.runs} counted; "
             "executed counts engine.run_round calls per instance, yielded the rounds of its traces; "
             "sides alternate " + ", ".join(name for name, _ in sides)
         ),
