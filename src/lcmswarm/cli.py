@@ -50,24 +50,37 @@ from .simulators import (
 )
 
 
-def _needs_n(name: str, n: int | None) -> int:
-    if n is None:
-        raise ValueError(f"{name} needs --n")
-    return n
+def _line(n: int, radius: float) -> list[Point]:
+    return [Point(50.0 * i, 0.0) for i in range(n)]
 
 
-# Each algorithm's builder of (n, d_rel, inner algorithm).  The names in
-# simulators.INDUCED are the meta-simulators: they get their inner built first.
-ALGORITHMS: dict[str, Callable[[int | None, float | None, Algorithm | None], Algorithm]] = {
-    "flag-scheme": lambda *_: flag_scheme_algorithm(),
-    "move-east": lambda *_: alg_move_east(),
-    "sro": lambda *_: alg_sro(),
-    "stay": lambda *_: alg_stay(),
-    "tricolor": lambda *_: alg_tricolor(),
-    "cyclic-cycles": lambda n, d_rel, inner: alg_cyclic_cycles(
-        _needs_n("cyclic-cycles", n), d_rel=None if d_rel is None else mover_distance(d_rel)),
-    "sim-rs-by-s": lambda n, d_rel, inner: sim_rs_by_s(inner),
-    "sim-lumi-by-fcom": lambda n, d_rel, inner: sim_lumi_by_fcom(inner, _needs_n("sim-lumi-by-fcom", n)),
+class Spec(NamedTuple):
+    """One algorithm name: its builder of (n, d_rel, inner algorithm), whether
+    that needs --n, and where its n robots start, given --radius, when no
+    --positions are given.  An algorithm that places its own robots refuses
+    --positions and reads --radius and --d-rel; a meta-simulator running it
+    reads both flags and starts where it does unless --positions is given."""
+
+    build: Callable[[int | None, float | None, Algorithm | None], Algorithm]
+    needs_n: bool = False
+    start: Callable[[int, float], list[Point]] = _line
+    places_robots: bool = False
+
+
+# The names in simulators.INDUCED are the meta-simulators: they get their inner built first.
+ALGORITHMS: dict[str, Spec] = {
+    "flag-scheme": Spec(lambda *_: flag_scheme_algorithm()),
+    "move-east": Spec(lambda *_: alg_move_east()),
+    "sro": Spec(lambda *_: alg_sro(),
+                start=lambda n, radius: [Point(0.0, 0.0), Point(1.0, 1.0)] if n == 2 else _line(n, radius)),
+    "stay": Spec(lambda *_: alg_stay()),
+    "tricolor": Spec(lambda *_: alg_tricolor()),
+    "cyclic-cycles": Spec(
+        lambda n, d_rel, inner: alg_cyclic_cycles(n, d_rel=None if d_rel is None else mover_distance(d_rel)),
+        needs_n=True, start=lambda n, radius: [p for _, p, _ in cyc_initial_config(n, radius).entries],
+        places_robots=True),
+    "sim-rs-by-s": Spec(lambda n, d_rel, inner: sim_rs_by_s(inner)),
+    "sim-lumi-by-fcom": Spec(lambda n, d_rel, inner: sim_lumi_by_fcom(inner, n), needs_n=True),
 }
 
 
@@ -79,13 +92,14 @@ def build_algorithm(
 ) -> Algorithm:
     if name not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {name!r}; choose from {', '.join(ALGORITHMS)}")
-    if name not in INDUCED:
-        return ALGORITHMS[name](n, d_rel, None)
-    if inner is None:
+    if name in INDUCED and inner is None:
         raise ValueError(f"{name} needs --inner")
-    if inner not in ALGORITHMS or inner in INDUCED:
+    if name in INDUCED and (inner not in ALGORITHMS or inner in INDUCED):
         raise ValueError(f"unknown inner algorithm {inner!r}")
-    return ALGORITHMS[name](n, d_rel, build_algorithm(inner, n=n, d_rel=d_rel))
+    inner_algo = build_algorithm(inner, n=n, d_rel=d_rel) if name in INDUCED else None
+    if ALGORITHMS[name].needs_n and n is None:
+        raise ValueError(f"{name} needs --n")
+    return ALGORITHMS[name].build(n, d_rel, inner_algo)
 
 
 @dataclasses.dataclass
@@ -110,7 +124,7 @@ def _parsed(parse: Callable[[str], Any], token: str, expected: str) -> Any:
     """parse(token), or a ValueError that says what was expected and names the token."""
     try:
         return parse(token)
-    except ValueError:
+    except (ValueError, KeyError):
         raise ValueError(f"{expected}, got {token!r}") from None
 
 
@@ -119,43 +133,31 @@ def _point(token: str) -> Point:
     return Point(float(x), float(y))
 
 
-def _parse_positions(text: str) -> list[Point]:
-    return [_parsed(_point, tok, "positions: expected x,y") for tok in text.split()]
-
-
-def _parse_blocks(text: str, n: int) -> SchedulerKind:
-    blocks = [frozenset(_parsed(int, t, "blocks: expected robot ids") for t in chunk.split())
-              for chunk in text.split("|")]
-    kind = SchedulerKind(ROUND_ROBIN, tuple(blocks))
-    if frozenset().union(*blocks) != frozenset(range(n)):
-        raise ValueError("round-robin blocks must cover robots 0..n-1")
-    return kind
-
-
-def _runs_cyclic_cycles(cfg: RunConfig) -> bool:
-    """Whether cyclic-cycles runs, as the algorithm or as a wrapper's inner."""
-    return (cfg.inner if cfg.algo in INDUCED else cfg.algo) == "cyclic-cycles"
+def _rules(cfg: RunConfig) -> Spec:
+    """The record whose start and flag rules a run follows: a meta-simulator's
+    inner algorithm's if that places its own robots, else the algorithm's."""
+    inner = ALGORITHMS.get(cfg.inner) if cfg.algo in INDUCED else None
+    return inner if inner is not None and inner.places_robots else ALGORITHMS[cfg.algo]
 
 
 def validate_run_config(cfg: RunConfig) -> list[str]:
     """Field-level diagnostics of command-line input.  The constraints an
     algorithm declares are checked by engine.run on the run actually made."""
-    problems = []
     if cfg.algo not in ALGORITHMS:
-        problems.append(f"algo: unknown algorithm {cfg.algo!r}")
-        return problems
+        return [f"algo: unknown algorithm {cfg.algo!r}"]
+    problems = []
     if cfg.scheduler not in KIND_NAMES:
         problems.append(f"scheduler: unknown kind {cfg.scheduler!r}")
     if cfg.rounds is not None and cfg.rounds < 0:
         problems.append("rounds: must be nonnegative")
     if cfg.n is not None and cfg.n < 1:
         problems.append("n: must be a positive integer")
-    cyclic = _runs_cyclic_cycles(cfg)
-    if cyclic and cfg.d_rel is not None and not 0.0 < cfg.d_rel < 1.0:
+    placed = _rules(cfg).places_robots
+    if placed and cfg.d_rel is not None and not 0.0 < cfg.d_rel < 1.0:
         problems.append("d-rel: must be a radius fraction in (0, 1)")
-    if cfg.algo == "cyclic-cycles" and cfg.positions:
-        problems.append("positions: cyclic-cycles places its own robots (use --radius)")
-    if cyclic and not (cfg.radius > 0.0 and math.isfinite(cfg.radius)):
+    if ALGORITHMS[cfg.algo].places_robots and cfg.positions:
+        problems.append(f"positions: {cfg.algo} places its own robots (use --radius)")
+    if placed and not (cfg.radius > 0.0 and math.isfinite(cfg.radius)):
         problems.append("radius: must be a positive finite number")
     if cfg.algo in INDUCED and not cfg.inner:
         problems.append(f"inner: {cfg.algo} needs an inner algorithm")
@@ -165,18 +167,11 @@ def validate_run_config(cfg: RunConfig) -> list[str]:
 
 
 def initial_configuration(cfg: RunConfig, algo: Algorithm):
-    # Cyclic circles starts from its own pattern; a simulator running it
-    # starts there too unless --positions says otherwise.
-    if _runs_cyclic_cycles(cfg) and (cfg.algo not in INDUCED or not cfg.positions):
-        positions = [p for _, p, _ in cyc_initial_config(cfg.n, cfg.radius).entries]
-    elif cfg.positions:
-        positions = _parse_positions(cfg.positions)
+    if cfg.positions and not ALGORITHMS[cfg.algo].places_robots:
+        positions = [_parsed(_point, tok, "positions: expected x,y") for tok in cfg.positions.split()]
     else:
         n = cfg.n if cfg.n is not None else (algo.robot_count or 2)
-        if cfg.algo == "sro" and n == 2:
-            positions = [Point(0.0, 0.0), Point(1.0, 1.0)]
-        else:
-            positions = [Point(50.0 * i, 0.0) for i in range(n)]
+        positions = _rules(cfg).start(n, cfg.radius)
     return make_configuration(positions, palette=algo.palette)
 
 
@@ -196,7 +191,11 @@ def prepare_run(cfg: RunConfig) -> Callable[[int], Trace]:
         if rounds is None:
             rounds = len(schedule)
     elif cfg.scheduler == ROUND_ROBIN:
-        schedule = _parse_blocks(cfg.blocks, config0.n)
+        blocks = [frozenset(_parsed(int, t, "blocks: expected robot ids") for t in chunk.split())
+                  for chunk in cfg.blocks.split("|")]
+        schedule = SchedulerKind(ROUND_ROBIN, tuple(blocks))
+        if frozenset().union(*blocks) != frozenset(range(config0.n)):
+            raise ValueError("round-robin blocks must cover robots 0..n-1")
     else:
         schedule = SchedulerKind(cfg.scheduler)
     rounds = 50 if rounds is None else rounds
@@ -231,13 +230,15 @@ def _load_config_file(path: str) -> dict[str, tuple[int, str]]:
 
 
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-_NUMBERS = {
+# How a config file value of each field that holds no string parses, and what it must be.
+_PARSERS = {
     "n": (int, "an integer"),
     "rounds": (int, "an integer"),
     "seed": (int, "an integer"),
     "delta": (float, "a number"),
     "radius": (float, "a number"),
     "d_rel": (float, "a number"),
+    "chirality": (lambda text: _BOOLS[text.lower()], "true or false"),
 }
 
 
@@ -248,17 +249,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             where = f"{args.config}:{lineno}"
             if key not in {field.name for field in dataclasses.fields(cfg)}:
                 raise ValueError(f"{where}: unknown config key {key!r}")
-            current = getattr(cfg, key)
-            field_type = type(current) if current is not None else str
-            if key in _NUMBERS:
-                parse, kind = _NUMBERS[key]
+            if key in _PARSERS:
+                parse, kind = _PARSERS[key]
                 setattr(cfg, key, _parsed(parse, val, f"{where}: {key} must be {kind}"))
-            elif key == "chirality":
-                if val.lower() not in _BOOLS:
-                    raise ValueError(f"{where}: chirality must be true or false, got {val!r}")
-                setattr(cfg, key, _BOOLS[val.lower()])
-            else:
-                setattr(cfg, key, field_type(val))
+            else:  # every other field holds a string
+                setattr(cfg, key, val)
     for field in dataclasses.fields(cfg):
         val = getattr(args, field.name, None)
         if val is not None:
@@ -287,13 +282,20 @@ def _add_run_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="trace output path")
 
 
+def _valid_config(args: argparse.Namespace) -> RunConfig | None:
+    """The run configuration of `run` and `sweep`, or None after printing why
+    it is refused."""
+    cfg = _config_from_args(args)
+    diagnostics = validate_run_config(cfg)
+    for d in diagnostics:
+        print(f"config error: {d}", file=sys.stderr)
+    return None if diagnostics else cfg
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     try:
-        cfg = _config_from_args(args)
-        diagnostics = validate_run_config(cfg)
-        if diagnostics:
-            for d in diagnostics:
-                print(f"config error: {d}", file=sys.stderr)
+        cfg = _valid_config(args)
+        if cfg is None:
             return 1
         trace = prepare_run(cfg)(cfg.seed)
         write_trace(trace, cfg.out)
@@ -337,7 +339,7 @@ def _check_monitors(trace: Trace, tol: float, d_rel: float | None) -> Verdict:
 
 def _check_induced(trace: Trace, tol: float, d_rel: float | None) -> Verdict:
     induced = extract_induced_schedule(trace)
-    target = INDUCED[trace.header.algo]
+    target = INDUCED[trace.header.algo].family
     report = validate(induced, target)
     if not report:
         return Verdict(REJECT, reason=f"invalid {target} at induced round {report.round}: {report.rule}")
@@ -361,8 +363,7 @@ CHECKS = {
     "sro": Check((), lambda trace, tol, d_rel: check_sro(trace, tol=tol)),
     "cyc": Check((), _check_cyc),
     "cge": Check((), lambda trace, tol, d_rel: check_cge(trace, tol=tol)),
-    "p-props": Check(("sim-rs-by-s",), _check_monitors),
-    "step-lemmas": Check(("sim-lumi-by-fcom",), _check_monitors),
+    **{record.monitor: Check((name,), _check_monitors) for name, record in INDUCED.items()},
     "induced": Check(tuple(INDUCED), _check_induced),
 }
 EXIT_CODES = {OK: 0, REJECT: 1, INCONCLUSIVE: 2}
@@ -430,11 +431,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     try:
-        cfg = _config_from_args(args)
-        diagnostics = validate_run_config(cfg)
-        if diagnostics:
-            for d in diagnostics:
-                print(f"config error: {d}", file=sys.stderr)
+        cfg = _valid_config(args)
+        if cfg is None:
             return 1
         _refuse_other_families(args.check, cfg.algo)
         execute = prepare_run(cfg)

@@ -259,7 +259,7 @@ class Configuration:
 def _configuration(entries: tuple[tuple[int, Point, LightTuple], ...]) -> Configuration:
     """Configuration(entries) unchecked: only for ids already 0..n-1 in order."""
     config = object.__new__(Configuration)
-    config.__dict__["entries"] = entries
+    object.__setattr__(config, "entries", entries)  # a write through __dict__ would materialise it
     return config
 
 

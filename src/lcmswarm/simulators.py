@@ -412,10 +412,6 @@ def sim_lumi_by_fcom(inner: Algorithm, n: int) -> Algorithm:
 # Induced schedules, fidelity replay, monitors.
 # ---------------------------------------------------------------------------
 
-# The meta-simulators by name, each with the family of the schedule it induces.
-INDUCED = {"sim-rs-by-s": RSYNCH, "sim-lumi-by-fcom": SSYNCH}
-
-
 def _inner_executions(trace: Trace) -> list[frozenset[int]]:
     """Per round, the robots whose events record an inner execution."""
     if trace.header.algo not in INDUCED:
@@ -433,13 +429,13 @@ def extract_induced_schedule(trace: Trace) -> SchedulePrefix:
 
 
 def verify_inner_fidelity(trace: Trace, inner: Algorithm, tol: float = POSITION_TOLERANCE, *,
-                          frames: dict[int, FrameSpec] | None = None,
+                          frames: dict[int, FrameSpec] | None = None, chirality: bool = True,
                           multiplicity: Multiplicity = Multiplicity.STRONG) -> list[str]:
     """Replay the trace's inner projection (its initial configuration and each
     round with an inner execution, inner light values only) against a direct
-    LUMI run of the inner protocol under the induced schedule, with the frames
-    and multiplicity the trace ran under; returns one human-readable message
-    per diverging position or inner light."""
+    LUMI run of the inner protocol under the induced schedule, with the frames,
+    multiplicity and chirality the trace ran under; returns one human-readable
+    message per diverging position or inner light."""
     if trace.header.delta is not None:
         raise ValueError("fidelity replay requires a rigid-movement trace")
     execs = _inner_executions(trace)
@@ -453,7 +449,7 @@ def verify_inner_fidelity(trace: Trace, inner: Algorithm, tol: float = POSITION_
 
     projection = [TraceRound(eset, project(trace.rounds[i].config)) for eset, i in zip(induced.sets, at)]
     direct = run(project(trace.initial), induced, inner, model=ModelKind.LUMI, rigidity=Rigidity(),
-                 seed=trace.header.seed, frames=frames, multiplicity=multiplicity)
+                 seed=trace.header.seed, frames=frames, multiplicity=multiplicity, chirality=chirality)
     return [f"inner round {j}: robot {rid} {'inner light' if kind == 'light' else kind} "
             f"diverges at trace round {at[j - 1] + 1}"
             for j, rid, kind in _divergences(projection, direct.rounds, tol)]
@@ -565,6 +561,65 @@ def _fcom_transition_rules(layout: LumiByFcomLayout, post: Configuration, before
                 yield f"robot {rid} left flag clearing while {stale} were stale"
 
 
+def _rs_rounds(layout: RsBySLayout, colors: list[str], states: list[str], changes: list[str]):
+    """sim-rs-by-s's per-round monitor rule, bound to one trace: the flag
+    invariants of each allowed configuration with a single step on display."""
+    last_singleton, last_exec_set = None, frozenset()
+
+    def check(i, config, events, before, after, steps, stepped, execs) -> None:
+        nonlocal last_singleton, last_exec_set
+        if steps in RS_STEP_SETS:
+            last_exec_set = execs or last_exec_set
+            if len(steps) == 1:
+                (step,) = steps
+                pairs = [(t[layout.charged], t[layout.executed]) for t in after]
+                states.extend(f"round {i}: {v}"
+                              for v in _rs_flag_rules(step, pairs, last_singleton, last_exec_set))
+                last_singleton = step
+
+    return check
+
+
+def _fcom_rounds(layout: LumiByFcomLayout, colors: list[str], states: list[str], changes: list[str]):
+    """sim-lumi-by-fcom's per-round monitor rule, bound to one trace: own-color
+    reconstruction, and the step-transition conclusions of a round that
+    changes some robot's step."""
+
+    def check(i, config, events, before, after, steps, stepped, execs) -> None:
+        # Each claimed own color must be the executing robot's actual inner color before the round.
+        for rid, evs in events.items():
+            for ev in evs:
+                if ev.startswith("own-color:"):
+                    claimed = int(ev.split(":", 1)[1])
+                    actual = flat_color(before[rid][:layout.k], layout.inner)
+                    if claimed != actual:
+                        colors.append(f"round {i}: robot {rid} reconstructed color {claimed}, "
+                                      f"actual {actual}")
+        if stepped:
+            changes.extend(f"round {i}: {v}" for v in _fcom_transition_rules(layout, config, before, after))
+
+    return check
+
+
+class Induced(namedtuple("Induced", "family monitor layout step_sets rounds")):
+    """A meta-simulator: the family of the schedule it induces on its inner
+    protocol, its monitor's command-line name, the reader of its palette
+    layout, the step configurations a healthy run may show, and its per-round
+    monitor rule, bound once per trace to (layout, colors, states, changes) and
+    called each round with (round, configuration, events, lights before,
+    lights after, steps on display, whether some robot's step changed, robots
+    that executed the inner protocol)."""
+
+    __slots__ = ()
+
+
+# The meta-simulators by name.
+INDUCED = {
+    "sim-rs-by-s": Induced(RSYNCH, "p-props", derive_rs_layout, RS_STEP_SETS, _rs_rounds),
+    "sim-lumi-by-fcom": Induced(SSYNCH, "step-lemmas", derive_fcom_layout, FC_STEP_SETS, _fcom_rounds),
+}
+
+
 def monitor_properties(trace: Trace) -> list[str]:
     """Run the meta-simulator monitors appropriate for the trace, in one walk
     over its rounds.
@@ -572,24 +627,21 @@ def monitor_properties(trace: Trace) -> list[str]:
     Both wrappers: every configuration shows a step configuration that the
     step graph allows, and every completed mega-cycle executes every robot
     exactly once.  A cycle closes when every executed flag is up and reopens
-    once they have all been cleared.  sim-rs-by-s adds the flag invariants of
-    each configuration with a single step on display; sim-lumi-by-fcom adds
-    own-color reconstruction and the step-transition conclusions.  The
-    violations come grouped by rule, in that order: own colors, step
-    configurations and flag invariants, step transitions, mega-cycles.
+    once they have all been cleared.  Each wrapper's per-round rule adds its
+    own checks: sim-rs-by-s the flag invariants of each configuration with a
+    single step on display, sim-lumi-by-fcom own-color reconstruction and the
+    step-transition conclusions.  The violations come grouped by rule, in
+    that order: own colors, step configurations and flag invariants, step
+    transitions, mega-cycles.
     """
-    algo = trace.header.algo
-    if algo == "sim-rs-by-s":
-        layout, allowed = derive_rs_layout(trace.header.palette), RS_STEP_SETS
-    elif algo == "sim-lumi-by-fcom":
-        layout, allowed = derive_fcom_layout(trace.header.palette), FC_STEP_SETS
-    else:
-        raise ValueError(f"trace algorithm {algo!r} has no monitors")
-    rs = algo == "sim-rs-by-s"
+    record = INDUCED.get(trace.header.algo)
+    if record is None:
+        raise ValueError(f"trace algorithm {trace.header.algo!r} has no monitors")
+    layout, allowed = record.layout(trace.header.palette), record.step_sets
     n, STEP, EXEC = trace.initial.n, layout.step, layout.executed
     colors, states, changes, cycles = [], [], [], []  # violations, by rule group
+    family_rule = record.rounds(layout, colors, states, changes)
     counts, draining = [0] * n, False  # inner executions in the open mega-cycle
-    last_singleton, last_exec_set = None, frozenset()  # rs-by-s's history
     before: list[tuple[int, ...]] = []
     before_row: list[int] = []
     for i, config in enumerate(trace.configs()):
@@ -598,10 +650,9 @@ def monitor_properties(trace: Trace) -> list[str]:
         steps = frozenset(row)
         if steps not in allowed:
             states.append(f"round {i}: step configuration {sorted(steps)} is not allowed")
-        execs: frozenset[int] = frozenset()
+        events = trace.rounds[i - 1].events if i else {}
+        execs = frozenset(rid for rid, evs in events.items() if "inner-exec" in evs)
         if i:
-            events = trace.rounds[i - 1].events
-            execs = frozenset(rid for rid, evs in events.items() if "inner-exec" in evs)
             if draining and execs:
                 cycles.append(f"round {i}: inner execution between mega-cycles")
             for rid in execs:
@@ -616,27 +667,6 @@ def monitor_properties(trace: Trace) -> list[str]:
                 draining = True
             elif draining and not any(flags):
                 counts, draining = [0] * n, False
-        if rs and steps in allowed:
-            last_exec_set = execs or last_exec_set
-            if len(steps) == 1:
-                (step,) = steps
-                pairs = [(t[layout.charged], t[EXEC]) for t in after]
-                states.extend(f"round {i}: {v}"
-                              for v in _rs_flag_rules(step, pairs, last_singleton, last_exec_set))
-                last_singleton = step
-        elif not rs and i:
-            # Each claimed own color must be the executing robot's actual
-            # inner color before the round.
-            for rid, evs in events.items():
-                for ev in evs:
-                    if ev.startswith("own-color:"):
-                        claimed = int(ev.split(":", 1)[1])
-                        actual = flat_color(before[rid][:layout.k], layout.inner)
-                        if claimed != actual:
-                            colors.append(f"round {i}: robot {rid} reconstructed color "
-                                          f"{claimed}, actual {actual}")
-            if row != before_row:
-                changes.extend(f"round {i}: {v}"
-                               for v in _fcom_transition_rules(layout, config, before, after))
+        family_rule(i, config, events, before, after, steps, row != before_row, execs)
         before, before_row = after, row
     return colors + states + changes + cycles

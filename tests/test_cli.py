@@ -460,6 +460,50 @@ def test_positions_that_do_not_match_n_are_an_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: n=3 but 2 positions were given\n"
 
 
+CIRCLE = [tuple(p) for _, p, _ in cyc_initial_config(3, 2.0).entries]
+
+
+# Where a run starts, by its algorithm's record: sro's own pair, which a
+# meta-simulator over sro does not inherit; the cyclic-cycles circle, which a
+# meta-simulator over it does, unless --positions is given.
+@pytest.mark.parametrize("flags, start", [
+    pytest.param(["--algo", "sro", "--n", "2"], [(0.0, 0.0), (1.0, 1.0)], id="sro"),
+    pytest.param(["--algo", "sim-rs-by-s", "--inner", "sro"], [(0.0, 0.0), (50.0, 0.0)],
+                 id="sim-rs-by-s-sro"),
+    *[pytest.param(["--algo", algo, "--inner", "cyclic-cycles", "--n", "3", "--radius", "2",
+                    "--scheduler", scheduler], CIRCLE, id=f"{algo}-cyclic-cycles")
+      for algo, scheduler in (("sim-rs-by-s", "ssynch"), ("sim-lumi-by-fcom", "rsynch"))],
+    *[pytest.param(["--algo", algo, "--inner", "cyclic-cycles", "--n", "3", "--radius", "2",
+                    "--scheduler", scheduler, "--positions", "0,0 5,0 9,9"],
+                   [(0.0, 0.0), (5.0, 0.0), (9.0, 9.0)], id=f"{algo}-cyclic-cycles-positions")
+      for algo, scheduler in (("sim-rs-by-s", "ssynch"), ("sim-lumi-by-fcom", "rsynch"))],
+])
+def test_a_run_starts_where_its_algorithms_record_says(tmp_path, flags, start):
+    out = tmp_path / "t.trace"
+    assert run_cli("run", *flags, "--rounds", "0", "--out", str(out)) == 0
+    assert [tuple(p) for _, p, _ in read_trace(str(out)).initial.entries] == start
+
+
+# The flag rules a meta-simulator inherits from cyclic-cycles (--radius) and
+# the one it does not (the refusal of --positions); a non-wrapper ignores --inner.
+@pytest.mark.parametrize("flags, code, err", [
+    (["--algo", "cyclic-cycles", "--positions", "0,0 1,0 0,1"], 1,
+     "config error: positions: cyclic-cycles places its own robots (use --radius)\n"),
+    (["--algo", "sim-rs-by-s", "--inner", "cyclic-cycles", "--radius", "0"], 1,
+     "config error: radius: must be a positive finite number\n"),
+    (["--algo", "stay", "--inner", "cyclic-cycles", "--radius", "0"], 0, ""),
+    (["--algo", "stay", "--inner", "cyclic-cycles", "--d-rel", "5"], 0, ""),
+    (["--algo", "sim-rs-by-s", "--inner", "bogus"], 1, "error: unknown inner algorithm 'bogus'\n"),
+    (["--algo", "sim-lumi-by-fcom", "--inner", "bogus", "--radius", "0"], 1,
+     "error: unknown inner algorithm 'bogus'\n"),
+])
+def test_a_meta_simulator_takes_only_the_flag_rules_its_inner_forwards(tmp_path, capsys, flags, code, err):
+    out = tmp_path / "t.trace"
+    assert run_cli("run", *flags, "--n", "3", "--rounds", "3", "--out", str(out)) == code
+    assert capsys.readouterr().err == err
+    assert out.exists() == (code == 0)
+
+
 @pytest.mark.parametrize("d_rel", ["2", "0", "-1", "nan", "1", "x"])
 def test_check_d_rel_must_be_a_radius_fraction(tmp_path, capsys, d_rel):
     out = tmp_path / "cyc.trace"

@@ -3,6 +3,7 @@ import math
 import pickle
 import random
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -711,3 +712,22 @@ def test_a_bool_is_not_a_color():
         LightTuple((True,), (2,))
     with pytest.raises(ValueError, match=r"^color False outside palette of size 2$"):
         LightTuple((0, False), (2, 2))
+
+
+def test_an_unchecked_configuration_keeps_no_instance_dict():
+    # A Configuration whose field is set without reading __dict__ shares its
+    # class's key table: 88.5 B an object on Python 3.11 against 152.6 B with
+    # a materialised dict.  check_cyc still keeps its reading in __dict__.
+    entries = make_configuration([Point(0.0, 0.0), Point(1.0, 0.0)]).entries
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        kept = [core_ns._configuration(entries) for _ in range(10_000)]
+        per_object = (tracemalloc.get_traced_memory()[0] - base) / len(kept)
+    finally:
+        tracemalloc.stop()
+    assert per_object < 120, per_object
+    config = kept[0]
+    assert config.entries is entries and config == Configuration(entries)
+    config.__dict__["_cyc"] = "reading"
+    assert config._cyc == "reading" and config.entries is entries

@@ -2,9 +2,14 @@
 under random per-robot frames that keep chirality (a rotation in (-pi, pi), a
 scale in [0.25, 4]) shows the same lights as the identity-frame run of the
 same seed, and the same positions within 1e-9.  A meta-simulator's trace
-under such frames passes the fidelity check given those frames."""
+under such frames passes the fidelity check given those frames.  The
+protocols that need no chirality do the same under frames that may also
+reflect, in runs without chirality."""
 
 from __future__ import annotations
+
+import math
+import random
 
 import pytest
 
@@ -15,9 +20,10 @@ from lcmswarm.algorithms import (
     alg_stay,
     alg_tricolor,
     cyc_initial_config,
+    flag_scheme_algorithm,
 )
 from lcmswarm.core import Point, distance, make_configuration
-from lcmswarm.engine import run
+from lcmswarm.engine import FrameSpec, run
 from lcmswarm.scheduler import RSYNCH, SSYNCH
 from lcmswarm.simulators import sim_lumi_by_fcom, sim_rs_by_s, verify_inner_fidelity
 from test_simulators import _frames, spaced_config
@@ -91,3 +97,27 @@ def test_fidelity_holds_under_the_frames_the_trace_ran_under(wrapper, inner):
         trace = run(config0, host, algo, rounds=rounds, seed=seed, frames=_frames(seed, 3))
         assert verify_inner_fidelity(trace, inner_algo, frames=_frames(seed, 3)) == [], seed
 
+
+
+def _reflecting_frames(seed: int, n: int) -> dict[int, FrameSpec]:
+    """Random per-robot frames that may reflect: a rotation in (-pi, pi), a
+    scale in [0.25, 4], and a mirror for robot 0 and for each other robot
+    with probability 1/2."""
+    rng = random.Random(f"reflecting-frames-{seed}")
+    return {rid: FrameSpec(rng.uniform(-math.pi, math.pi), 2.0 ** rng.uniform(-2.0, 2.0),
+                           rid == 0 or rng.random() < 0.5)
+            for rid in range(n)}
+
+
+@pytest.mark.parametrize("name", ["sim-rs-by-s", "flag-scheme"])
+def test_a_protocol_without_chirality_runs_the_same_under_reflecting_frames(name):
+    algo = sim_rs_by_s(alg_stay()) if name == "sim-rs-by-s" else flag_scheme_algorithm()
+    config0 = spaced_config(3, algo.palette)
+    for seed in SEEDS:
+        frames = _reflecting_frames(seed, 3)
+        plain = run(config0, SSYNCH, algo, rounds=110, seed=seed, chirality=False)
+        framed = run(config0, SSYNCH, algo, rounds=110, seed=seed, frames=frames, chirality=False)
+        for i, (a, b) in enumerate(zip(plain.configs(), framed.configs())):
+            assert _same(a, b), (seed, i)
+        if name == "sim-rs-by-s":
+            assert verify_inner_fidelity(framed, alg_stay(), frames=frames, chirality=False) == [], seed

@@ -486,6 +486,15 @@ class TestFidelity:
         assert verify_inner_fidelity(trace, inner, multiplicity=Multiplicity.WEAK) == []
         assert "inner light diverges" in verify_inner_fidelity(trace, inner)[0]
 
+    def test_a_trace_under_reflecting_frames_holds_without_chirality(self):
+        # Robots 0 and 2 see the plane mirrored, which only a run without
+        # chirality allows; the direct inner run must be made without it too.
+        frames = {0: FrameSpec(reflecting=True), 2: FrameSpec(reflecting=True)}
+        wrap = sim_rs_by_s(alg_stay())
+        trace = run(spaced_config(3, wrap.palette), "ssynch", wrap, rounds=110, seed=0,
+                    frames=frames, chirality=False)
+        assert verify_inner_fidelity(trace, alg_stay(), frames=frames, chirality=False) == []
+
 
 @pytest.mark.parametrize("family", ["rs", "lumi"])
 def test_fidelity_lists_a_robots_position_before_its_inner_light(family):
@@ -670,7 +679,7 @@ def _run_checks_reject(family):
             try:
                 trace = run(spaced_config(3, wrap.palette), host, wrap, rounds=rounds, seed=seed)
                 induced = extract_induced_schedule(trace)
-                if (len(induced.sets) < 3 or not validate(induced, INDUCED[wrap.name]).ok
+                if (len(induced.sets) < 3 or not validate(induced, INDUCED[wrap.name].family).ok
                         or not check_fair(induced, 6).ok or monitor_properties(trace)
                         or verify_inner_fidelity(trace, inner)):
                     return True
