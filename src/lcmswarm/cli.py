@@ -102,22 +102,36 @@ def build_algorithm(
     return ALGORITHMS[name].build(n, d_rel, inner_algo)
 
 
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def _option(default: Any, parse: Callable[[str], Any] | None = None, kind: str = "", **flag: Any) -> Any:
+    """A RunConfig field: its default; how its config file value parses and
+    what that must be (no parse: the value is a string); and the keywords of
+    its flag, --<name with dashes>, which parses the same way."""
+    return dataclasses.field(default=default, metadata={"parse": parse, "kind": kind, "flag": flag})
+
+
 @dataclasses.dataclass
 class RunConfig:
-    algo: str = ""
-    inner: str | None = None
-    scheduler: str = SSYNCH
-    blocks: str | None = None
-    schedule_file: str | None = None
-    n: int | None = None
-    rounds: int | None = None  # defaults to 50, or the schedule file's length
-    seed: int = 0
-    delta: float | None = None
-    chirality: bool = True
-    positions: str | None = None
-    radius: float = 1.0
-    d_rel: float | None = None  # constant mover distance, as a radius fraction
-    out: str = "trace.out"
+    """The options of `run` and `sweep`: each field is a flag and a --config
+    key.  A field that defaults to True is the switch --no-<name>."""
+
+    algo: str = _option("", help=f"one of: {', '.join(ALGORITHMS)}")
+    inner: str | None = _option(None, help="inner algorithm for the meta-simulators")
+    scheduler: str = _option(SSYNCH, choices=KIND_NAMES)
+    blocks: str | None = _option(None, help="round-robin partition, e.g. '0 1|2'")
+    schedule_file: str | None = _option(None, help="explicit schedule file")
+    n: int | None = _option(None, int, "an integer")
+    rounds: int | None = _option(None, int, "an integer")  # defaults to 50, or the schedule file's length
+    seed: int = _option(0, int, "an integer")
+    delta: float | None = _option(None, float, "a number", help="non-rigid movement floor; omit for rigid")
+    chirality: bool = _option(True, lambda text: _BOOLS[text.lower()], "true or false")
+    positions: str | None = _option(None, help="initial positions, e.g. '0,0 1,1'")
+    radius: float = _option(1.0, float, "a number", help="circle radius for cyclic-cycles")
+    d_rel: float | None = _option(None, float, "a number",
+                                  help="cyclic-cycles mover distance as a radius fraction")
+    out: str = _option("trace.out", help="trace output path")
 
 
 def _parsed(parse: Callable[[str], Any], token: str, expected: str) -> Any:
@@ -229,57 +243,30 @@ def _load_config_file(path: str) -> dict[str, tuple[int, str]]:
     return values
 
 
-_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-# How a config file value of each field that holds no string parses, and what it must be.
-_PARSERS = {
-    "n": (int, "an integer"),
-    "rounds": (int, "an integer"),
-    "seed": (int, "an integer"),
-    "delta": (float, "a number"),
-    "radius": (float, "a number"),
-    "d_rel": (float, "a number"),
-    "chirality": (lambda text: _BOOLS[text.lower()], "true or false"),
-}
-
-
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
+    options = {field.name: field.metadata for field in dataclasses.fields(cfg)}
     if args.config:
         for key, (lineno, val) in _load_config_file(args.config).items():
             where = f"{args.config}:{lineno}"
-            if key not in {field.name for field in dataclasses.fields(cfg)}:
+            if key not in options:
                 raise ValueError(f"{where}: unknown config key {key!r}")
-            if key in _PARSERS:
-                parse, kind = _PARSERS[key]
-                setattr(cfg, key, _parsed(parse, val, f"{where}: {key} must be {kind}"))
-            else:  # every other field holds a string
-                setattr(cfg, key, val)
-    for field in dataclasses.fields(cfg):
-        val = getattr(args, field.name, None)
-        if val is not None:
-            setattr(cfg, field.name, val)
-    if args.no_chirality:
-        cfg.chirality = False
+            parse, kind = options[key]["parse"], options[key]["kind"]
+            setattr(cfg, key, val if parse is None else _parsed(parse, val, f"{where}: {key} must be {kind}"))
+    for key in options:
+        if (val := getattr(args, key)) is not None:
+            setattr(cfg, key, val)
     return cfg
 
 
 def _add_run_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="key=value config file; flags override it")
-    sub.add_argument("--algo", help=f"one of: {', '.join(ALGORITHMS)}")
-    sub.add_argument("--inner", help="inner algorithm for the meta-simulators")
-    sub.add_argument("--scheduler", choices=KIND_NAMES)
-    sub.add_argument("--blocks", help="round-robin partition, e.g. '0 1|2'")
-    sub.add_argument("--schedule-file", dest="schedule_file", help="explicit schedule file")
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--rounds", type=int)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--delta", type=float, help="non-rigid movement floor; omit for rigid")
-    sub.add_argument("--no-chirality", action="store_true")
-    sub.add_argument("--positions", help="initial positions, e.g. '0,0 1,1'")
-    sub.add_argument("--radius", type=float, help="circle radius for cyclic-cycles")
-    sub.add_argument("--d-rel", dest="d_rel", type=float,
-                     help="cyclic-cycles mover distance as a radius fraction")
-    sub.add_argument("--out", help="trace output path")
+    for field in dataclasses.fields(RunConfig):
+        if field.default is True:  # unset (None) unless given, so a config file value stands
+            sub.add_argument(f"--no-{field.name}", dest=field.name, action="store_false", default=None)
+        else:
+            sub.add_argument("--" + field.name.replace("_", "-"), type=field.metadata["parse"],
+                             **field.metadata["flag"])
 
 
 def _valid_config(args: argparse.Namespace) -> RunConfig | None:

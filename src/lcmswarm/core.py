@@ -57,6 +57,7 @@ class ChiralityError(ValueError):
 
 
 _tnew = tuple.__new__
+_onew, _oset = object.__new__, object.__setattr__
 _isfinite = math.isfinite
 
 
@@ -258,8 +259,8 @@ class Configuration:
 
 def _configuration(entries: tuple[tuple[int, Point, LightTuple], ...]) -> Configuration:
     """Configuration(entries) unchecked: only for ids already 0..n-1 in order."""
-    config = object.__new__(Configuration)
-    object.__setattr__(config, "entries", entries)  # a write through __dict__ would materialise it
+    config = _onew(Configuration)
+    _oset(config, "entries", entries)  # a write through __dict__ would materialise it
     return config
 
 

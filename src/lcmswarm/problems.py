@@ -273,30 +273,22 @@ def check_cge(trace: Trace, tol: float = POSITION_TOLERANCE) -> Verdict:
     if trace.initial.n < 2:
         raise ValueError("expansion needs at least 2 robots")
     targets = cge_targets(trace.initial)
-    configs = trace.configs()
     n = trace.initial.n
+    starts = [trace.initial.position(rid) for rid in range(n)]
+    spans = [distance(p0, target) for p0, target in zip(starts, targets)]
+    remaining = spans.copy()  # a robot has reached its target once this is <= tol
 
-    reached = [False] * n
-    remaining = [0.0] * n
-    for rid in range(n):
-        p0 = trace.initial.position(rid)
-        remaining[rid] = distance(p0, targets[rid])
-        reached[rid] = remaining[rid] <= tol
-
+    prev = trace.initial
     for i, rec in enumerate(trace.rounds, start=1):
-        prev = configs[i - 1]
         for rid in range(n):
-            p_old, p_new = prev.position(rid), rec.config.position(rid)
-            target = targets[rid]
-            moved = distance(p_old, p_new)
-            if reached[rid]:
+            p_new, target, span = rec.config.position(rid), targets[rid], spans[rid]
+            moved = distance(prev.position(rid), p_new)
+            if remaining[rid] <= tol:
                 if moved > tol:
                     return _reject(i, f"robot {rid} moved after reaching its target")
                 continue
-            span = distance(trace.initial.position(rid), target)
             slack = tol * max(span, 1.0)
-            detour = distance(trace.initial.position(rid), p_new) + distance(p_new, target) - span
-            if detour > slack:
+            if distance(starts[rid], p_new) + distance(p_new, target) - span > slack:
                 return _reject(i, f"robot {rid} left the straight segment to its target")
             left = distance(p_new, target)
             if left > remaining[rid] + slack:
@@ -304,12 +296,11 @@ def check_cge(trace: Trace, tol: float = POSITION_TOLERANCE) -> Verdict:
             if rid in rec.eset and moved <= tol and left > tol:
                 return _reject(i, f"robot {rid} was activated but idled short of its target")
             remaining[rid] = left
-            if left <= tol:
-                reached[rid] = True
-    if all(reached):
-        return _ok()
-    stragglers = [r for r in range(n) if not reached[r]]
-    return _inconclusive(f"robots {stragglers} have not reached their targets")
+        prev = rec.config
+    stragglers = [r for r in range(n) if remaining[r] > tol]
+    if stragglers:
+        return _inconclusive(f"robots {stragglers} have not reached their targets")
+    return _ok()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import functools
@@ -322,6 +323,35 @@ def test_config_key_that_is_no_run_field_is_unknown(tmp_path, capsys, key):
     cfg.write_text(f"algo=sro\n{key}=x\n")
     assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "t.trace")) == 1
     assert capsys.readouterr().err == f"error: {cfg}:2: unknown config key {key!r}\n"
+
+
+ONE_VALUE = {  # an accepted value of each RunConfig field, none its default
+    "algo": "stay", "inner": "sro", "scheduler": RSYNCH, "blocks": "0|1", "schedule_file": "s.sched",
+    "n": "3", "rounds": "7", "seed": "5", "delta": "0.5", "chirality": "false",
+    "positions": "0,0 1,1", "radius": "2.5", "d_rel": "0.25", "out": "x.trace",
+}
+
+
+def _run_flag(key):
+    return "--no-chirality" if key == "chirality" else "--" + key.replace("_", "-")
+
+
+@pytest.mark.parametrize("key", [field.name for field in dataclasses.fields(RunConfig)])
+def test_a_flag_and_its_config_key_give_the_same_run_config(tmp_path, key):
+    (tmp_path / "one.cfg").write_text(f"{key}={ONE_VALUE[key]}\n")
+    by_flag = [_run_flag(key)] if key == "chirality" else [_run_flag(key), ONE_VALUE[key]]
+    by_file = ["--config", str(tmp_path / "one.cfg")]
+    flag_cfg, file_cfg = (cli._config_from_args(_parser().parse_args(["run", *argv]))
+                          for argv in (by_flag, by_file))
+    assert flag_cfg == file_cfg != RunConfig()
+
+
+@pytest.mark.parametrize("command, own", [("run", set()), ("sweep", {"--seeds", "--check", "--tol"})])
+def test_run_and_sweep_flags_are_config_and_one_per_run_config_field(command, own):
+    subs = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {flag for action in subs.choices[command]._actions for flag in action.option_strings}
+    fields = {_run_flag(field.name) for field in dataclasses.fields(RunConfig)}
+    assert flags - {"-h", "--help"} == {"--config", *fields, *own}
 
 
 def test_cyclic_cycles_positions_are_reported_not_ignored(tmp_path, capsys):

@@ -749,6 +749,108 @@ class TestCheckCge:
             check_cge(synthetic_trace([[(0, 0)]]))
 
 
+# check_cge before it derived `reached` from the remaining distance and
+# walked the configurations itself, copied verbatim apart from its name: the
+# oracle that pins each (status, round, reason) verdict.
+def oracle_check_cge(trace: Trace, tol: float = 1e-9) -> Verdict:
+    _check_tol(tol)
+    if trace.initial.n < 2:
+        raise ValueError("expansion needs at least 2 robots")
+    targets = cge_targets(trace.initial)
+    configs = trace.configs()
+    n = trace.initial.n
+
+    reached = [False] * n
+    remaining = [0.0] * n
+    for rid in range(n):
+        p0 = trace.initial.position(rid)
+        remaining[rid] = distance(p0, targets[rid])
+        reached[rid] = remaining[rid] <= tol
+
+    for i, rec in enumerate(trace.rounds, start=1):
+        prev = configs[i - 1]
+        for rid in range(n):
+            p_old, p_new = prev.position(rid), rec.config.position(rid)
+            target = targets[rid]
+            moved = distance(p_old, p_new)
+            if reached[rid]:
+                if moved > tol:
+                    return _reject(i, f"robot {rid} moved after reaching its target")
+                continue
+            span = distance(trace.initial.position(rid), target)
+            slack = tol * max(span, 1.0)
+            detour = distance(trace.initial.position(rid), p_new) + distance(p_new, target) - span
+            if detour > slack:
+                return _reject(i, f"robot {rid} left the straight segment to its target")
+            left = distance(p_new, target)
+            if left > remaining[rid] + slack:
+                return _reject(i, f"robot {rid} moved away from its target")
+            if rid in rec.eset and moved <= tol and left > tol:
+                return _reject(i, f"robot {rid} was activated but idled short of its target")
+            remaining[rid] = left
+            if left <= tol:
+                reached[rid] = True
+    if all(reached):
+        return _ok()
+    stragglers = [r for r in range(n) if not reached[r]]
+    return _inconclusive(f"robots {stragglers} have not reached their targets")
+
+
+def _cge_step(rng: random.Random, start: Point, p: Point, target: Point) -> Point:
+    """One robot's next position in a synthetic expansion: idle, a partial or
+    full step to the target, a sideways detour, a retreat toward the start,
+    or a nudge, by an offset of any size from below 1e-9 to above 1e-3."""
+    size = rng.choice([1e-12, 1e-6, 1e-4, 1e-2, 0.5])
+    dx, dy = target.x - p.x, target.y - p.y
+    move = rng.choice(["idle"] * 3 + ["part"] * 3 + ["full"] * 3 + ["detour", "retreat", "nudge"])
+    if move == "part":
+        f = rng.random()
+        return Point(p.x + f * dx, p.y + f * dy)
+    if move == "full":
+        return target
+    if move == "detour":  # off the segment, perpendicular to it
+        return Point(p.x + 0.5 * dx - size * dy, p.y + 0.5 * dy + size * dx)
+    if move == "retreat":
+        return Point(p.x + size * (start.x - p.x), p.y + size * (start.y - p.y))
+    if move == "nudge":
+        return Point(p.x + size * rng.uniform(-1, 1), p.y + size * rng.uniform(-1, 1))
+    return p
+
+
+def test_check_cge_equals_oracle():
+    # Seeded synthetic traces of 2-4 robots, whose robots may start together;
+    # a robot that moves is activated, and an idler now and then: every
+    # verdict, its round and its reason equal the oracle's at no, a tight and
+    # a loose tolerance.
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(4000):
+        n = rng.randint(2, 4)
+        starts = [Point(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n)]
+        targets = cge_targets(make_configuration(starts))
+        frames, acts = [starts], []
+        for _ in range(rng.randint(1, 6)):
+            now = [_cge_step(rng, s, p, t) for s, p, t in zip(starts, frames[-1], targets)]
+            acts.append({rid for rid in range(n) if now[rid] != frames[-1][rid] or rng.random() < 0.1})
+            frames.append(now)
+        trace = synthetic_trace([[tuple(p) for p in pts] for pts in frames], acts)
+        for tol in (0.0, 1e-9, 1e-3):
+            want = oracle_check_cge(trace, tol)
+            assert check_cge(trace, tol) == want, (frames, acts, tol)
+            seen.add((want.status, re.sub(r"\d+", "#", want.reason or "")))
+    assert seen == {
+        (OK, ""),
+        (INCONCLUSIVE, "robots [#] have not reached their targets"),
+        (INCONCLUSIVE, "robots [#, #] have not reached their targets"),
+        (INCONCLUSIVE, "robots [#, #, #] have not reached their targets"),
+        (INCONCLUSIVE, "robots [#, #, #, #] have not reached their targets"),
+        (REJECT, "robot # moved after reaching its target"),
+        (REJECT, "robot # left the straight segment to its target"),
+        (REJECT, "robot # moved away from its target"),
+        (REJECT, "robot # was activated but idled short of its target"),
+    }
+
+
 class TestCheckRdv:
     def test_gathered_and_stable_is_ok(self):
         trace = synthetic_trace([

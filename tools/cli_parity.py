@@ -3,7 +3,8 @@ lcmswarm should share byte for byte.
 
 An RNG seeded with 0 draws `run` and `sweep` command lines over every algorithm
 name x every inner name (none, each algorithm name, an unknown one) x
-`--draws` draws of the other flags, valid and invalid values alike.  After
+`--draws` draws of the other flags, valid and invalid values alike, and of
+`--config` files the battery writes in WORKDIR first.  After
 each `run` that writes its trace, every problem checker and monitor runs on
 that trace.  Each invocation goes through `lcmswarm.cli.main` in this
 process, with WORKDIR as the working directory, and prints one JSON line:
@@ -51,6 +52,18 @@ FLAGS = {
     "--positions": (0.2, ["0,0 1,1", "0,0 5,0 9,9", "0,0 5,0 9,9 0,7", "x"]),
     "--radius": (0.3, ["2", "0.5", "1", "0", "nan"]),
     "--d-rel": (0.4, ["0.3", "0.5", "0.9", "0.3", "0", "5", "nan"]),
+    "--config": (0.3, ["good.cfg", "good.cfg", "override.cfg", "int.cfg", "bool.cfg", "key.cfg",
+                       "absent.cfg"]),
+}
+# The --config files: good values, then a bad integer, a bad switch and an
+# unknown key.  Every argv gives --algo and --out, which override
+# override.cfg's algo and out; a drawn flag overrides any other key.
+CONFIGS = {
+    "good.cfg": "# a comment\nscheduler = rsynch\nrounds = 7\nseed=3\nchirality = no\nradius = 2\n",
+    "override.cfg": "algo = stay\nn = 4\nd-rel = 0.4\nout = other.trace\n",
+    "int.cfg": "n = 3\nrounds = 2.5\n",
+    "bool.cfg": "chirality=maybe\n",
+    "key.cfg": "rounds = 5\ncolour = red\n",
 }
 OUT = "t.trace"
 
@@ -91,8 +104,12 @@ def invoke(main, argv: list[str]) -> dict:
 
 
 def battery(main, draws: int):
-    """Every record of the battery, in order: each `run` or `sweep`, then,
-    after a `run` that wrote its trace, each check of that trace."""
+    """Every record of the battery, in order, after writing its config files:
+    each `run` or `sweep`, then, after a `run` that wrote its trace, each
+    check of that trace."""
+    for name, text in CONFIGS.items():
+        with open(name, "w") as fh:
+            fh.write(text)
     rng = random.Random(0)
     for argv in draw_argvs(rng, draws):
         record = invoke(main, argv)
