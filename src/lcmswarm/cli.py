@@ -456,8 +456,7 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#
 
 
 def _bounds(trace: Trace) -> tuple[float, float, float, float]:
-    xs = [p.x for c in trace.configs() for _, p, _ in c.entries]
-    ys = [p.y for c in trace.configs() for _, p, _ in c.entries]
+    xs, ys = zip(*[p for c in trace.configs() for _, p, _ in c.entries])
     return min(xs), min(ys), max(xs), max(ys)
 
 
@@ -484,8 +483,7 @@ def svg_plot(trace: Trace) -> str:
 
 def ascii_plot(trace: Trace, width: int = 72, height: int = 28) -> str:
     x0, y0, x1, y1 = _bounds(trace)
-    spanx = max(x1 - x0, 1e-9)
-    spany = max(y1 - y0, 1e-9)
+    spanx, spany = max(x1 - x0, 1e-9), max(y1 - y0, 1e-9)
     grid = [["." for _ in range(width)] for _ in range(height)]
     symbols = "0123456789abcdefghijklmnopqrstuvwxyz"
     for c in trace.configs():

@@ -7,6 +7,7 @@ Runs are deterministic in their inputs and seed.
 
 from __future__ import annotations
 
+import gc
 import random
 import re
 import struct
@@ -364,6 +365,18 @@ def _execute(config: Configuration, sets: Iterable[frozenset[int]], algo: Algori
         yield TraceRound(eset, config, events)
 
 
+def _paused(fn: Callable, *args):
+    """fn(*args) with automatic collection off, then as the outermost call found it: a
+    round loop leaves no cyclic garbage, so collecting in it only re-walks live objects."""
+    if not gc.isenabled():
+        return fn(*args)
+    gc.disable()
+    try:
+        return fn(*args)
+    finally:
+        gc.enable()
+
+
 def _divergences(
     recorded: Iterable[TraceRound], produced: Iterable[TraceRound], tol: float
 ) -> Iterator[tuple[int, int, str]]:
@@ -443,7 +456,7 @@ def run(
     if rigidity.rigid and n <= _GRAPH_ROBOTS:  # repr tells a -0.0 rotation apart
         graph = algo._graphs.setdefault((model, multiplicity, repr(list(frames.values()))), ConfigGraph())
     rounds_run = _execute(config0, prefix.sets, algo, model, frames, rigidity, seed, multiplicity, graph)
-    return Trace(header, config0, tuple(rounds_run))
+    return Trace(header, config0, _paused(tuple, rounds_run))
 
 
 def replay(
@@ -473,10 +486,9 @@ def replay(
 
     _check_palette(trace.initial, algo)
 
-    frames = _frames(frames, trace.initial.n)
-    produced = _execute(trace.initial, (r.eset for r in trace.rounds), algo, h.model, frames,
-                        rigidity, h.seed, multiplicity)
-    return next(_divergences(trace.rounds, produced, tol), None) is None
+    produced = _execute(trace.initial, (r.eset for r in trace.rounds), algo, h.model,
+                        _frames(frames, trace.initial.n), rigidity, h.seed, multiplicity)
+    return _paused(next, _divergences(trace.rounds, produced, tol), None) is None
 
 
 def write_trace(trace: Trace, path: str) -> None:

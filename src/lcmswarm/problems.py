@@ -16,7 +16,7 @@ from typing import Callable
 from .algorithms import (CYC_B, CYC_PALETTE, CYC_STATUS, STATUS_CENTER, STATUS_FINAL, decode_cyc_pattern,
                          mover_distance)
 from .core import POSITION_TOLERANCE, Configuration, Point, distance, midpoint, points_close, sub
-from .engine import Trace
+from .engine import Trace, TraceRound
 from .scheduler import INCONCLUSIVE, OK, REJECT, Verdict
 
 
@@ -100,11 +100,12 @@ def check_sro(trace: Trace, tol: float = POSITION_TOLERANCE) -> Verdict:
     _check_tol(tol)
     if trace.initial.n != 2:
         raise ValueError("shrinking rotation is a two-robot problem")
-    configs = trace.configs()
-    grand, last = None, (configs[0].position(0), configs[0].position(1))  # the last two patterns
-    for i, c in enumerate(configs[1:], start=1):
-        if c is configs[i - 1]:
+    prev = trace.initial
+    grand, last = None, (prev.position(0), prev.position(1))  # the last two patterns
+    for i, rec in enumerate(trace.rounds, start=1):
+        if (c := rec.config) is prev:
             continue  # the same configuration again adds no pattern
+        prev = c
         a, b = c.position(0), c.position(1)
         pa, pb = last
         ref = max(distance(pa, pb), 1e-300)
@@ -191,8 +192,7 @@ def check_cyc(
         raise ValueError(f"trace has {trace.initial.n} robots, expected {n}")
     d_fn = d_rel or mover_distance(0.5)
     k = 2 ** (n - 1)
-    configs = trace.configs()
-    for idx in range(min(k, len(configs))):  # each counter value the trace can reach
+    for idx in range(min(k, len(trace.rounds) + 1)):  # each counter value the trace can reach
         if not 0.0 < (frac := d_fn(idx)) < 1.0:
             raise ValueError(f"d({idx}) = {frac} must be a radius fraction in (0, 1)")
     initial = trace.initial
@@ -215,8 +215,8 @@ def check_cyc(
     # label repeats the one before it, so once the even places hold it, the odd places cannot.
     prev = None
     places, last_label = 0, None  # labels so far, and the last one
-    for i, config in enumerate(configs):
-        if config is prev:  # a round that changed nothing repeats its checks and label
+    for i, rec in enumerate((TraceRound(frozenset(), initial), *trace.rounds)):  # round 0 first
+        if (config := rec.config) is prev:  # a round that changed nothing repeats its checks and label
             continue
         prev = config
         kept, label = getattr(config, "_cyc", (None, None))

@@ -236,6 +236,11 @@ def default_fairness_window(n: int) -> int:
     return 2 * n
 
 
+def _generated(sets: tuple[frozenset[int], ...], n: int) -> SchedulePrefix:  # their ids are in range
+    (prefix := object.__new__(SchedulePrefix)).__dict__.update(sets=sets, n=n)  # skips __post_init__
+    return prefix
+
+
 def generate(
     kind: SchedulerKind | str,
     n: int,
@@ -260,7 +265,7 @@ def generate(
     # A nonempty proper subset of a single robot cannot exist, so the only
     # rsynch prefixes for n = 1 activate the full swarm forever.
     if kind.name == FSYNCH or (kind.name == RSYNCH and n == 1):
-        return SchedulePrefix((full,) * rounds, n)
+        return _generated((full,) * rounds, n)
 
     if kind.name == ROUND_ROBIN:
         if kind.blocks is None:
@@ -268,7 +273,7 @@ def generate(
         if frozenset().union(*kind.blocks) != full:
             raise ValueError("round-robin blocks must cover the whole swarm")
         p = len(kind.blocks)
-        return SchedulePrefix(tuple(kind.blocks[i % p] for i in range(rounds)), n)
+        return _generated(tuple(kind.blocks[i % p] for i in range(rounds)), n)
 
     # ssynch draws from the whole swarm, the other two families from the
     # robots their previous set does not bar.  That pool is empty only after
@@ -314,7 +319,7 @@ def generate(
         for r in s:
             last[r] = i
         sets.append(s)
-    return SchedulePrefix(tuple(sets), n)
+    return _generated(tuple(sets), n)
 
 
 def write_schedule(prefix: SchedulePrefix, kind_name: str, path: str) -> None:

@@ -644,13 +644,13 @@ def monitor_properties(trace: Trace) -> list[str]:
     counts, draining = [0] * n, False  # inner executions in the open mega-cycle
     before: list[tuple[int, ...]] = []
     before_row: list[int] = []
-    for i, config in enumerate(trace.configs()):
+    for i, rec in enumerate((TraceRound(frozenset(), trace.initial), *trace.rounds)):  # round 0 first
+        config, events = rec.config, rec.events
         after = [lt.values for _, _, lt in config.entries]
         row = [t[STEP] for t in after]
         steps = frozenset(row)
         if steps not in allowed:
             states.append(f"round {i}: step configuration {sorted(steps)} is not allowed")
-        events = trace.rounds[i - 1].events if i else {}
         execs = frozenset(rid for rid, evs in events.items() if "inner-exec" in evs)
         if i:
             if draining and execs:

@@ -62,7 +62,7 @@ from lcmswarm.scheduler import (
     SchedulerKind,
     generate,
 )
-from lcmswarm.simulators import sim_lumi_by_fcom, sim_rs_by_s
+from lcmswarm.simulators import sim_lumi_by_fcom, sim_rs_by_s, verify_inner_fidelity
 
 
 def identity_frames(n):
@@ -1627,3 +1627,79 @@ def test_rounds_read_from_the_graph_have_their_own_events(tmp_path, monkeypatch,
             r.events[rid] = ("forged",)
     assert written(shared, 9) == written(sim_rs_by_s(alg_stay()), 9)
     assert len(calls) == 110  # all from the fresh instance, none from the shared one
+
+
+# run and replay switch automatic collection off while their round loop runs,
+# and give the caller's setting back on a return and on a raise alike.
+
+def _recording(seen, step=lambda snap: StepResult()):
+    """`step`, appending whether the collector is on at each call to `seen`."""
+    def recorded(snap):
+        seen.append(gc.isenabled())
+        return step(snap)
+    return recorded
+
+
+@pytest.fixture
+def collector():
+    """The collector on at the start and at the end of a test, whatever it does."""
+    gc.enable()
+    yield
+    gc.enable()
+
+
+def _pair(palette):
+    return make_configuration([Point(0.0, 0.0), Point(1.0, 0.0)], palette=palette)
+
+
+def test_run_and_replay_leave_an_enabled_collector_enabled(collector):
+    seen = []
+    algo = Algorithm("seen", (2,), _recording(seen), ModelKind.LUMI)
+    trace = run(_pair((2,)), "fsynch", algo, rounds=3, seed=0)
+    assert gc.isenabled()
+    assert replay(trace, algo)
+    assert gc.isenabled()
+    assert seen and not any(seen)  # off for each step of both round loops
+
+
+def test_a_palette_error_mid_run_restores_the_collector(collector):
+    with pytest.raises(PaletteError, match="value 3 outside palette of size 3"):
+        run(_pair((3,)), "fsynch", Algorithm("overflow", (3,), _overflow, ModelKind.LUMI), rounds=6)
+    assert gc.isenabled()
+    up_to_two = Algorithm("overflow", (3,), lambda snap: StepResult(light={0: min(snap.own_light[0] + 1, 2)}),
+                          ModelKind.LUMI)
+    trace = run(_pair((3,)), "fsynch", up_to_two, rounds=6)
+    with pytest.raises(PaletteError, match="value 3 outside palette of size 3"):
+        replay(trace, Algorithm("overflow", (3,), _overflow, ModelKind.LUMI))
+    assert gc.isenabled()
+
+
+def test_a_nested_run_leaves_the_collector_to_the_outermost(collector):
+    seen = []
+    inner = Algorithm("inner", (2,), _recording(seen), ModelKind.LUMI)
+
+    def nesting(snap):
+        run(_pair((2,)), "fsynch", inner, rounds=1)
+        seen.append(gc.isenabled())  # still off once the nested run returns
+        return StepResult()
+
+    run(_pair((2,)), "fsynch", Algorithm("outer", (2,), nesting, ModelKind.LUMI), rounds=1)
+    assert seen == [False] * 6
+    assert gc.isenabled()
+
+
+def test_a_collector_the_caller_turned_off_is_never_turned_on(collector, monkeypatch):
+    enabled = []
+    monkeypatch.setattr(gc, "enable", lambda: enabled.append(True))
+    seen = []
+    inner = dataclasses.replace(alg_tricolor(), step=_recording(seen, alg_tricolor().step))
+    wrap = sim_rs_by_s(inner)
+    config = make_configuration([Point(50.0 * i, 7.0 * (i % 2)) for i in range(3)], palette=wrap.palette)
+    gc.disable()
+    trace = run(config, "ssynch", wrap, rounds=110, seed=3)
+    assert replay(trace, wrap)
+    assert verify_inner_fidelity(trace, inner) == []  # its inner run is a nested call
+    with pytest.raises(PaletteError):
+        run(_pair((3,)), "fsynch", Algorithm("overflow", (3,), _overflow, ModelKind.LUMI), rounds=6)
+    assert enabled == [] and not gc.isenabled()
+    assert seen and not any(seen)
