@@ -412,12 +412,15 @@ def sim_lumi_by_fcom(inner: Algorithm, n: int) -> Algorithm:
 # Induced schedules, fidelity replay, monitors.
 # ---------------------------------------------------------------------------
 
+_NO_ROBOTS: frozenset[int] = frozenset()
+
+
 def _inner_executions(trace: Trace) -> list[frozenset[int]]:
     """Per round, the robots whose events record an inner execution."""
     if trace.header.algo not in INDUCED:
         raise ValueError("trace lacks meta-simulator annotations")
     return [
-        frozenset(rid for rid, evs in r.events.items() if "inner-exec" in evs)
+        frozenset([rid for rid, evs in r.events.items() if "inner-exec" in evs]) if r.events else _NO_ROBOTS
         for r in trace.rounds
     ]
 

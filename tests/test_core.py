@@ -523,6 +523,116 @@ def test_snapshot_tie_break_when_distinct_locations_land_on_one_local_point():
                         assert len({struct.pack("d", p.x) for p in ties}) == 2  # 0.0 and -0.0
 
 
+# --- One (x, y) order shared by a configuration's translation-only Looks ----
+
+TWO_53 = 2.0 ** 53
+
+
+def translation_looks(config, kept=None):
+    """Every robot of `config` in turn Looks through its identity frame (a
+    rotation of 0.0 or -0.0) under each model, each filling a fresh geometry
+    or, with `kept`, reading kept[observer]; each Look must equal the oracle's
+    bit for bit, a raise included.  Returns the Looks compared."""
+    compared = 0
+    for observer in range(config.n):
+        frame = LocalFrame(config.position(observer), (0.0, -0.0)[observer % 2])
+        for model in ModelKind:
+            def look(*args):
+                return snapshot(*args, kept[observer] if kept else [])
+
+            want = look_outcome(seed_snapshot, model, config, observer, frame, Multiplicity.STRONG)
+            got = look_outcome(look, model, config, observer, frame, Multiplicity.STRONG)
+            assert got == want, (config, observer, model)
+            compared += 1
+    return compared
+
+
+def lit(positions):
+    return make_configuration([Point(*p) for p in positions],
+                              [LightTuple((i % 2, i % 3), LOOK_PALETTE) for i in range(len(positions))],
+                              LOOK_PALETTE)
+
+
+def shared_order(config):
+    return core_ns._grouping(config).order
+
+
+def test_translation_looks_share_one_order_bitwise_equal_to_oracle():
+    rng = random.Random(3030)
+    compared = 0
+    for n, together in ((8, 0), (10, 2), (13, 3), (24, 1), (64, 0)):
+        positions = [(rng.uniform(-100, 100), rng.uniform(-100, 100)) for _ in range(n - together)]
+        config = lit(positions + positions[:together])  # n robots, at least 8 locations
+        compared += translation_looks(config)
+        assert isinstance(shared_order(config), tuple), n  # the order was built and served
+    assert compared == len(ModelKind) * (8 + 10 + 13 + 24 + 64)
+
+
+def test_configurations_under_eight_locations_keep_the_sort():
+    assert core_ns.SHARED_ORDER_MIN == 8
+    rng = random.Random(7)
+    for n in range(1, 11):
+        positions = [(float(rng.randrange(-50, 50)), rng.uniform(-5, 5)) for _ in range(min(n, 7))]
+        config = lit(positions + positions[: n - len(positions)])
+        translation_looks(config)
+        assert shared_order(config) is None, n
+
+
+@pytest.mark.parametrize("positions", [
+    # Seen from x = -1.0, 2^53 - 1 and 2^53 both land on 2^53: the shared
+    # order puts (2^53 - 1, 1.0) first, the sort (2^53, 0.0).
+    [(-1.0, 0.0), (TWO_53 - 1.0, 1.0), (TWO_53, 0.0)] + [(float(i), 2.0) for i in range(2, 7)],
+    [(TWO_53 - 1.0, 1.0), (TWO_53, 0.0)] + [(float(i), 2.0) for i in range(2, 7)] + [(-1.0, 0.0)],
+    # Two robots' locations share an x.
+    [(0.0, 1.0), (0.0, -1.0)] + [(float(i), -float(i)) for i in range(1, 8)],
+    # -0.0 against 0.0: one x, and signed zeros in every place.
+    [(-0.0, 0.0), (0.0, 1.0), (1.0, -0.0), (-1.0, -0.0)] + [(float(i), 0.0) for i in range(2, 6)],
+    [(-0.0, -0.0), (1.0, 0.0), (2.0, -0.0), (-3.0, 0.0), (4.0, -0.0), (5.0, 1.0), (6.0, -1.0), (7.0, 0.0)],
+    # Past 2^1022: some differences overflow and both Looks raise.
+    [(1.5e308, 0.0), (-1.5e308, 1.0)] + [(float(i), 0.0) for i in range(6)],
+    [(0.0, 1.5e308), (1.0, -1.5e308)] + [(float(i), 0.0) for i in range(2, 8)],
+    # ... and seen from an origin within 2^1022, a key past it overflows.
+    [(1.7e308, 0.0), (-4.4e307, 1.0)] + [(i * 1e306, 0.0) for i in range(6)],
+    [(0.0, 1.7e308), (1.0, -4.4e307)] + [(float(i), 0.0) for i in range(2, 8)],
+    # Past 2^1022 without an overflow.
+    [(1e308, 0.0), (9e307, 1.0)] + [(float(i), 0.0) for i in range(6)],
+])
+def test_translation_looks_at_the_edges_equal_oracle(positions):
+    translation_looks(lit(positions))
+
+
+def test_shared_order_steps_aside_for_ties_and_far_coordinates():
+    for positions in ([(0.0, 1.0), (0.0, -1.0)] + [(float(i), 0.0) for i in range(1, 8)],
+                      [(5e307, 0.0)] + [(float(i), 0.0) for i in range(8)]):  # 2^1022 < 5e307
+        config = lit(positions)
+        translation_looks(config)
+        assert shared_order(config) is False
+
+
+def test_a_far_frame_origin_raises_as_the_oracle_does():
+    # Every key lies within 2^1022, but seen from x = -1.54e308 only the last
+    # overflows, so the translated x values still increase.
+    config = lit([(i * 4e306, 0.0) for i in range(8)])
+    frame = LocalFrame(Point(-1.54e308, 0.0))
+    for _ in range(3):
+        assert look_outcome(snapshot, ModelKind.LUMI, config, 0, frame, Multiplicity.STRONG) == "ValueError"
+    assert look_outcome(seed_snapshot, ModelKind.LUMI, config, 0, frame, Multiplicity.STRONG) == "ValueError"
+    assert isinstance(shared_order(config), tuple)
+
+
+def test_kept_translation_geometry_serves_a_change_of_lights_only():
+    rng = random.Random(30)
+    positions = [(rng.uniform(-9, 9), rng.uniform(-9, 9)) for _ in range(12)]
+    config = lit(positions)
+    kept = [[] for _ in positions]
+    translation_looks(config, kept)
+    assert isinstance(shared_order(config), tuple) and all(len(g) == 12 for g in kept)
+    relit = make_configuration([Point(*p) for p in positions],
+                               [LightTuple((rng.randrange(2), rng.randrange(3)), LOOK_PALETTE) for _ in positions],
+                               LOOK_PALETTE)
+    translation_looks(relit, kept)
+
+
 def seed_from_local(frame: LocalFrame, p: Point) -> Point:
     """The Move transform before it was fused into one expression."""
     q = Point(p.x, -p.y) if frame.reflecting else p
