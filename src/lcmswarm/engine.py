@@ -497,8 +497,13 @@ def write_trace(trace: Trace, path: str) -> None:
     Floats are written as repr, the shortest text that parses back to the same
     double, as replay and late-stage geometry checks need (12 fixed digits lose
     deeply shrunk segments).  A robot's line is reused while its position and
-    light stay the same objects and no round gives it events."""
+    light stay the same objects and no round gives it events.  A header value
+    that holds whitespace, or an event that holds whitespace or a comma, would
+    not read back, so it raises ValueError before the file is opened."""
     h = trace.header
+    for key, value in (("kind", h.kind), ("algo", h.algo), ("inner", h.inner)):
+        if re.search(r"\s", value):
+            raise ValueError(f"header field {key}={value!r} holds whitespace")
     head = (
         f"model={h.model.value} kind={h.kind} n={h.n} seed={h.seed} "
         f"delta={'rigid' if h.delta is None else repr(h.delta)} "
@@ -524,6 +529,9 @@ def write_trace(trace: Trace, path: str) -> None:
                     text = light_text[lt.values] = ";".join(map(str, lt.values))
                 line = f"id={rid} pos={p.x!r},{p.y!r} light={text}"
                 if rid in events:
+                    if bad := [e for e in events[rid] if re.search(r"[\s,]", e)]:
+                        raise ValueError(
+                            f"round {k}: robot {rid}: event {bad[0]!r} holds whitespace or a comma")
                     line += " ev=" + ",".join(events[rid])
             block.append(line)
         lines += block
@@ -564,7 +572,9 @@ def read_trace(path: str) -> Trace:
 
     lights: dict[str, LightTuple] = {}
     acts: dict[str, frozenset[int]] = {}
-    slots: list = [(None, None, None)] * n  # each slot's last line, its entry and its events
+    # Each slot's last line, its entry and its events.  A round 0 the file is too
+    # short for is truncated before a slot is read, so no more slots than lines.
+    slots: list = [(None, None, None)] * min(n, len(lines))
     rounds: list[TraceRound] = []
     i = 1
     while i < len(lines):

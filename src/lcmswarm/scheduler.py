@@ -118,30 +118,31 @@ class EnergyLedger:
 _NOBODY: frozenset[int] = frozenset()
 
 
-def _barred(name: str, prev: frozenset[int], full: frozenset[int]) -> frozenset[int]:
+def _barred(name: str, prev: frozenset[int], n: int) -> frozenset[int]:
     """The robots family `name` bars from the round after set `prev` (empty
-    before round 1): energy-restricted bars the robots that just acted, which
-    have no charge left, and rsynch bars them once its full prefix is over;
-    ssynch and fsynch bar nobody."""
-    if prev and (name == ENERGY_RESTRICTED or (name == RSYNCH and prev != full)):
+    before round 1) in a swarm of `n`: energy-restricted bars the robots that
+    just acted, which have no charge left, and rsynch bars them once its full
+    prefix is over; ssynch and fsynch bar nobody."""
+    if prev and (name == ENERGY_RESTRICTED or (name == RSYNCH and len(prev) != n)):
         return prev
     return _NOBODY
 
 
-def _broken_rule(name: str, e: frozenset[int], prev: frozenset[int], full: frozenset[int]) -> str | None:
+def _broken_rule(name: str, e: frozenset[int], prev: frozenset[int], n: int) -> str | None:
     """The rule activation set `e` breaks in the round after `prev` under any
-    family but round-robin, or None."""
+    family but round-robin, or None.  The sets' members lie in range(n), so a
+    set is the full swarm exactly when it has n members."""
     if name == FSYNCH:
-        return None if e == full else "not-full-set"
-    barred = _barred(name, prev, full)
+        return None if len(e) == n else "not-full-set"
+    barred = _barred(name, prev, n)
     if name == ENERGY_RESTRICTED:
         if e & barred:
             return "depleted-robot-activated"
-        return "idle-while-charged" if not e and barred != full else None
+        return "idle-while-charged" if not e and len(barred) != n else None
     if not e:
         return "empty-set"
     if e & barred:
-        return "full-set-after-partial" if e == full else "overlap-consecutive"
+        return "full-set-after-partial" if len(e) == n else "overlap-consecutive"
     return None
 
 
@@ -153,7 +154,7 @@ def energy_ledger(prefix: SchedulePrefix) -> EnergyLedger:
     for i, e in enumerate(prefix.sets, start=1):
         if not e <= charged[-1]:
             violations.append((i, "depleted-robot-activated"))
-        charged.append(full - _barred(ENERGY_RESTRICTED, e, full))
+        charged.append(full - _barred(ENERGY_RESTRICTED, e, prefix.n))
     return EnergyLedger(tuple(charged), tuple(violations))
 
 
@@ -168,22 +169,22 @@ def validate(prefix: SchedulePrefix, kind: SchedulerKind | str) -> Verdict:
         kind = SchedulerKind(kind)
     if prefix.n < 1:
         raise ValueError("need at least one robot")
-    full = prefix.all_robots
-    sets = prefix.sets
-    period = kind.blocks
+    n, sets, period = prefix.n, prefix.sets, kind.blocks
     if kind.name == ROUND_ROBIN and period is None:
         period = next((h for p in range(2, len(sets) + 1) if all(h := sets[:p])
-                       and sum(map(len, h)) == prefix.n and frozenset().union(*h) == full), None)
+                       and sum(map(len, h)) == n and len(frozenset().union(*h)) == n), None)
         if period is None:
             return Verdict(REJECT, 1, rule="no-partition-period")
-    elif period is not None and frozenset().union(*period) != full:
-        return Verdict(REJECT, 1, rule="blocks-do-not-cover")
+    elif period is not None:
+        cover = frozenset().union(*period)  # a caller's blocks, whose members are not range-checked
+        if len(cover) != n or not all(r in range(n) for r in cover):
+            return Verdict(REJECT, 1, rule="blocks-do-not-cover")
     prev = _NOBODY
     for i, e in enumerate(sets):
         if period:
             rule = "period-mismatch" if e != period[i % len(period)] else None
         else:
-            rule = _broken_rule(kind.name, e, prev, full)
+            rule = _broken_rule(kind.name, e, prev, n)
         if rule:
             return Verdict(REJECT, i + 1, rule=rule)
         prev = e

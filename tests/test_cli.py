@@ -3,9 +3,13 @@ import contextlib
 import dataclasses
 import functools
 import io
+import os
 import random
 import re
+import resource
 import struct
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -614,6 +618,35 @@ def test_trace_header_n_below_one_is_a_parse_error_on_line_one(tmp_path, capsys,
     capsys.readouterr()
     assert run_cli(*command, "--trace", str(out)) == 2
     assert capsys.readouterr().err.startswith(f"parse error: {out}:1: bad trace header: n must")
+
+
+HUGE_N_TRACE = ("model=OBLOT kind=ssynch n=10000000000000000 seed=0 delta=rigid palette= algo=stay\n"
+                "round=0 act=\nid=0 pos=0.0,0.0 light=\n")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _capped(limit=300 << 20):
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("text, argv, code, message", [
+    pytest.param(HUGE_N_TRACE, ["check", "--problem", "rdv", "--trace"], 2, ":2: truncated round 0",
+                 id="check"),
+    pytest.param("n=1000000000 kind=ssynch\n0\n", ["validate", "--schedule"], 0,
+                 "valid ssynch prefix of 1 rounds", id="ssynch"),
+    pytest.param("n=1000000000 kind=fsynch\n0\n", ["validate", "--schedule"], 1,
+                 "invalid at round 1: not-full-set", id="fsynch"),
+])
+def test_a_header_n_the_file_does_not_bear_out_allocates_nothing_of_size_n(
+        tmp_path, text, argv, code, message):
+    # Under an address-space cap, so that building n of anything fails the
+    # test rather than exhausting the host's memory.
+    path = tmp_path / "huge"
+    path.write_text(text)
+    done = subprocess.run([sys.executable, "-m", "lcmswarm.cli", *argv, str(path)], capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": SRC}, preexec_fn=_capped)
+    assert (done.returncode, "Traceback" in done.stderr) == (code, False), done.stderr
+    assert message in done.stdout + done.stderr
 
 
 SCHEDULES = {

@@ -526,6 +526,27 @@ class TestTraceFiles:
         with pytest.raises(ValueError, match="header"):
             read_trace(str(path))
 
+    @pytest.mark.parametrize("event", ["a b", "a,b", "a\tb"])
+    def test_an_event_that_would_not_read_back_is_refused_before_the_file_opens(self, tmp_path, event):
+        trace = run(make_configuration([Point(0, 0), Point(1, 1)]), "fsynch", alg_sro(), rounds=2, seed=0)
+        last = trace.rounds[1]
+        forged = dataclasses.replace(trace, rounds=(trace.rounds[0], TraceRound(last.eset, last.config,
+                                                                                {1: ("ok", event)})))
+        path = tmp_path / "t.trace"
+        named = f"round 2: robot 1: event {event!r} holds whitespace or a comma"
+        with pytest.raises(ValueError, match=re.escape(named)):
+            write_trace(forged, str(path))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("key", ["kind", "algo", "inner"])
+    def test_a_header_value_that_would_not_read_back_is_refused_before_the_file_opens(self, tmp_path, key):
+        trace = run(make_configuration([Point(0, 0), Point(1, 1)]), "fsynch", alg_sro(), rounds=2, seed=0)
+        forged = dataclasses.replace(trace, header=dataclasses.replace(trace.header, **{key: "two words"}))
+        path = tmp_path / "t.trace"
+        with pytest.raises(ValueError, match=f"header field {key}='two words' holds whitespace"):
+            write_trace(forged, str(path))
+        assert not path.exists()
+
     def _written(self, tmp_path, rounds=3):
         cfg = make_configuration([Point(0, 0), Point(1, 1)])
         path = tmp_path / "t.trace"

@@ -32,7 +32,8 @@ import os
 import random
 import sys
 
-REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+from split import REPO_SRC, import_from
+
 ALGOS = ["flag-scheme", "move-east", "sro", "stay", "tricolor", "cyclic-cycles",
          "sim-rs-by-s", "sim-lumi-by-fcom", "bogus"]
 INNERS = [None, *ALGOS]
@@ -128,12 +129,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--src", default=REPO_SRC, help="source directory to import lcmswarm from")
     ap.add_argument("--draws", type=int, default=100, help="flag draws per algorithm and inner name")
     args = ap.parse_args(argv)
-    src = os.path.abspath(args.src)
-    sys.path.insert(0, src)
+    import_from(os.path.abspath(args.src))
     from lcmswarm import cli
 
-    if not cli.__file__.startswith(os.path.join(src, "")):
-        raise SystemExit(f"imported lcmswarm from {cli.__file__}, not from {src}")
     os.makedirs(args.workdir, exist_ok=True)
     os.chdir(args.workdir)
     for record in battery(cli.main, args.draws):
