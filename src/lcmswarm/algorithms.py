@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -447,12 +448,10 @@ def alg_tricolor() -> Algorithm:
     offset derived from the colors currently on display."""
 
     def step(snap: Snapshot) -> StepResult:
-        counts = [0, 0, 0]
-        for loc in snap.observed:
-            for vals in loc.lights or ():
-                counts[vals[0]] += 1
+        seen = snap.lights_seen or ()  # sorted: color 0's lights, then color 1's, then color 2's
+        first1, first2 = bisect_left(seen, (1,)), bisect_left(seen, (2,))
         own = snap.own_light[0] if snap.own_light else 0
-        dest = Point(0.05 * counts[0], -0.05 * counts[1])
+        dest = Point(0.05 * first1, -0.05 * (first2 - first1))
         return StepResult(light={0: (own + 1) % 3}, destination=dest)
 
     return Algorithm("tricolor", (3,), step, ModelKind.LUMI)

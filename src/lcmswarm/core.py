@@ -4,12 +4,13 @@ Everything here is an immutable value; all operations are pure functions.
 Positions are double-precision; POSITION_TOLERANCE is the default equality
 tolerance used by checkers throughout the package.
 
-Point, LocalFrame, LightTuple, ObservedLocation and Snapshot are named
-tuples: each checks its fields in __new__ (namedtuple's _make and _replace
-skip it), and the package's hot paths build them with one tuple.__new__
-call.  Their repr and hash are those of a frozen dataclass of the same
-fields, but a record also equals the plain tuple of its fields, unpacks into
-them, and orders like that tuple.
+Point, LocalFrame, LightTuple and ObservedLocation are named tuples: each
+checks its fields in __new__ (namedtuple's _make and _replace skip it), and
+the package's hot paths build them with one tuple.__new__ call.  Their repr
+and hash are those of a frozen dataclass of the same fields, but a record
+also equals the plain tuple of its fields, unpacks into them, and orders like
+that tuple.  Snapshot is the same record but for the order, kept in columns:
+a Look builds its `observed` tuple only when a step reads it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from operator import lt as _lt
+from itertools import chain
+from operator import attrgetter, lt as _lt
 
 POSITION_TOLERANCE = 1e-9
 
@@ -289,15 +291,82 @@ class ObservedLocation(namedtuple("ObservedLocation", "point count lights")):
     __slots__ = ()
 
 
-class Snapshot(namedtuple("Snapshot", "observed own_light multiplicity_visible")):
+_UNREAD = object()  # a Snapshot field that its Look builds on first read
+
+
+class Snapshot:
     """A robot's model-filtered, locally-framed view of the configuration.
 
     The observer always sees itself at the local origin.  Its model's
     ModelKind row says which lights it sees: own_light, else None; and each
     location's multiset, else None, holding its own light only if it sees it.
+    A record of these three fields that does not order; see snapshot for a Look's.
     """
 
-    __slots__ = ()
+    __slots__ = ("_observed", "_own", "_visible", "_look", "_seen")
+    __match_args__ = ("observed", "own_light", "multiplicity_visible")
+    own_light = property(attrgetter("_own"))
+    multiplicity_visible = property(attrgetter("_visible"))
+
+    def __init__(self, observed, own_light, multiplicity_visible):
+        self._observed, self._own, self._visible = observed, own_light, multiplicity_visible
+        self._look, self._seen = None, _UNREAD
+
+    @property
+    def observed(self) -> tuple[ObservedLocation, ...]:
+        if self._observed is _UNREAD:  # a Look's: fill its geometry if empty, then build
+            counts, lights, geometry, g, frame = self._look
+            if not geometry and len(g.keys) >= SHARED_ORDER_MIN and frame[1:] == (0.0, 1.0, False):
+                shared = g.order
+                if shared == ():
+                    shared = g.order = g.defers and _shared_order(g.keys)
+                elif shared is None:
+                    g.order = ()
+                ox, oy = frame.origin
+                if shared and abs(ox) <= _FAR >= abs(oy):
+                    order, xs, ys = shared
+                    lx = [x - ox + 0.0 for x in xs]
+                    if all(map(_lt, lx, lx[1:])):
+                        geometry += [(_tnew(Point, (x, y - oy + 0.0)), i) for x, y, i in zip(lx, ys, order)]
+            if not geometry:
+                # Sorting (x, y, first-seen index) gives the stable sort by (x, y),
+                # 0.0 == -0.0 ties included, without comparing objects.
+                geometry += [(_point(x, y), i) for x, y, i in sorted(_local_coords(frame, g.keys))]
+            self._observed = tuple([_tnew(ObservedLocation, (pt, counts[i], lights[i])) for pt, i in geometry])
+        return self._observed
+
+    @property
+    def lights_seen(self) -> tuple[tuple[int, ...], ...] | None:
+        """Every light value-tuple the observer sees, sorted: the multisets of
+        `observed` merged, or None when its model shows no lights."""
+        if self._seen is _UNREAD:
+            look = self._look
+            lights = look[1] if look else [loc.lights for loc in self.observed]
+            self._seen = None if None in lights else tuple(sorted([t for ms in lights for t in ms]))
+            if look and lights is look[3].lights:  # a LUMI Look's: the same for its configuration
+                look[3].seen = self._seen
+        return self._seen
+
+    def __iter__(self):
+        return iter((self.observed, self._own, self._visible))
+
+    def __len__(self) -> int:
+        return 3
+
+    def __eq__(self, other) -> bool:
+        return (*self,) == other
+
+    def __hash__(self) -> int:
+        return hash((*self,))
+
+    def __repr__(self) -> str:
+        return f"Snapshot(observed={self.observed!r}, own_light={self._own!r}, multiplicity_visible={self._visible!r})"
+
+    def __reduce__(self):
+        return Snapshot, (*self,)
+
+    def _replace(self, **fields) -> Snapshot:
+        return Snapshot(**dict(zip(self.__match_args__, self), **fields))
 
     def location_at(self, p: Point, tol: float = POSITION_TOLERANCE) -> ObservedLocation | None:
         for loc in self.observed:
@@ -333,15 +402,18 @@ def _multiset(members: list[tuple[int, LightTuple]]) -> tuple[tuple[int, ...], .
 @dataclass(slots=True)
 class _Grouping:
     """What every observer of one configuration shares: the occupied
-    locations in first-seen order, the robots at each, and per location the
-    light multiset and the robot count."""
+    locations in first-seen order, the robots at each, per location the light
+    multiset and the robot count, and whether a translation-only Look may
+    defer its geometry (see snapshot)."""
 
     config: Configuration
     keys: list[Point]
     groups: dict[Point, list[tuple[int, LightTuple]]]
     lights: list[tuple[tuple[int, ...], ...]]
     strong: list[int]
+    defers: bool
     order: tuple | bool | None = None  # None, () after one fill, then _shared_order(keys)
+    seen: object = _UNREAD  # a LUMI observer's lights_seen, once one is read
 
 
 # A frame with rotation 0.0 (either sign), scale 1.0 and no reflection maps
@@ -356,15 +428,15 @@ _FAR = 2.0 ** 1022  # no difference of two coordinates within it overflows
 
 def _shared_order(keys: list[Point]) -> tuple | bool:
     """The key indices sorted by (x, y) and their x and y columns; False when
-    two keys share an x or a coordinate is beyond _FAR."""
+    two keys share an x."""
     order = sorted(range(len(keys)), key=keys.__getitem__)
     xs, ys = [keys[i].x for i in order], [keys[i].y for i in order]
-    return all(map(_lt, xs, xs[1:])) and max(map(abs, xs + ys)) <= _FAR and (order, xs, ys)
+    return all(map(_lt, xs, xs[1:])) and (order, xs, ys)
 
 
 # Every observer of a round Looks at the same Configuration object, so its
 # grouping is kept in one slot compared by identity: computed once per
-# round, and no grouping outlives the next configuration looked at.
+# round, and kept past the next configuration looked at only by Snapshots.
 _last_grouping: _Grouping | None = None
 
 
@@ -382,6 +454,7 @@ def _grouping(config: Configuration) -> _Grouping:
             groups,
             [_multiset(ms) for ms in members],
             [len(ms) for ms in members],
+            len(groups) >= SHARED_ORDER_MIN and max(map(abs, chain.from_iterable(groups))) <= _FAR,
         )
     return last
 
@@ -399,15 +472,20 @@ def snapshot(
     `geometry` list is filled with the (local point, grouping index) pairs of
     the occupied locations in `frame`, sorted by point, and a filled one is
     read: it holds while no robot moves, since a change of lights keeps the
-    grouping's order.  A non-finite local point raises and fills nothing."""
+    grouping's order.  A non-finite local point raises and fills nothing.
+
+    A Look of at least SHARED_ORDER_MIN locations through a translation-only
+    frame, with its origin and every coordinate within _FAR, cannot overflow,
+    so it fills the geometry when a step first reads `observed`, and a step
+    that reads only `lights_seen` fills none.  Other Looks fill it here."""
     if not 0 <= observer < config.n:
         raise ValueError(f"unknown observer id {observer}")
     g = _grouping(config)
-
+    seen = _UNREAD
     if not model.sees_others:
         lights = [None] * len(g.keys)
     elif model.sees_own:
-        lights = g.lights
+        lights, seen = g.lights, g.seen
     else:
         here = config.position(observer)
         members = g.groups[here]
@@ -419,27 +497,15 @@ def snapshot(
     counts = g.strong
     if multiplicity is not Multiplicity.STRONG:
         counts = [min(c, 2) if multiplicity is Multiplicity.WEAK else 1 for c in counts]
-    geometry = [] if geometry is None else geometry
-    if not geometry and len(g.keys) >= SHARED_ORDER_MIN and frame[1:] == (0.0, 1.0, False):
-        shared = g.order
-        if shared == ():
-            shared = g.order = _shared_order(g.keys)
-        elif shared is None:
-            g.order = ()
-        ox, oy = frame.origin
-        if shared and abs(ox) <= _FAR >= abs(oy):
-            order, xs, ys = shared
-            lx = [x - ox + 0.0 for x in xs]
-            if all(map(_lt, lx, lx[1:])):
-                geometry += [(_tnew(Point, (x, y - oy + 0.0)), i) for x, y, i in zip(lx, ys, order)]
-    if not geometry:
-        # Sorting (x, y, first-seen index) gives the stable sort by (x, y),
-        # 0.0 == -0.0 ties included, without comparing objects.
-        geometry += [(_point(x, y), i) for x, y, i in sorted(_local_coords(frame, g.keys))]
-    observed = tuple([_tnew(ObservedLocation, (pt, counts[i], lights[i])) for pt, i in geometry])
-
-    own = config.light(observer).values if model.sees_own else None
-    return _tnew(Snapshot, (observed, own, multiplicity is not Multiplicity.NONE))
+    snap = _onew(Snapshot)
+    snap._look = counts, lights, [] if geometry is None else geometry, g, frame
+    snap._observed, snap._seen = _UNREAD, seen
+    snap._own = config.light(observer).values if model.sees_own else None
+    snap._visible = multiplicity is not Multiplicity.NONE
+    ox, oy = frame.origin
+    if not (g.defers and (geometry or frame[1:] == (0.0, 1.0, False) and abs(ox) <= _FAR >= abs(oy))):
+        snap.observed  # fills now, so an overflow raises here
+    return snap
 
 
 @dataclass(frozen=True)

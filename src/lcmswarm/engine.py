@@ -499,7 +499,8 @@ def write_trace(trace: Trace, path: str) -> None:
     deeply shrunk segments).  A robot's line is reused while its position and
     light stay the same objects and no round gives it events.  A header value
     that holds whitespace, or an event that holds whitespace or a comma, would
-    not read back, so it raises ValueError before the file is opened."""
+    not read back, nor would a robot's empty event tuple, so each raises
+    ValueError before the file is opened."""
     h = trace.header
     for key, value in (("kind", h.kind), ("algo", h.algo), ("inner", h.inner)):
         if re.search(r"\s", value):
@@ -529,6 +530,8 @@ def write_trace(trace: Trace, path: str) -> None:
                     text = light_text[lt.values] = ";".join(map(str, lt.values))
                 line = f"id={rid} pos={p.x!r},{p.y!r} light={text}"
                 if rid in events:
+                    if not events[rid]:
+                        raise ValueError(f"round {k}: robot {rid}: an empty event tuple reads back as ('',)")
                     if bad := [e for e in events[rid] if re.search(r"[\s,]", e)]:
                         raise ValueError(
                             f"round {k}: robot {rid}: event {bad[0]!r} holds whitespace or a comma")

@@ -47,7 +47,7 @@ from lcmswarm.core import (
     points_close,
     snapshot,
 )
-from lcmswarm.engine import FrameSpec, StepResult, run
+from lcmswarm.engine import FrameSpec, StepResult, run, write_trace
 from lcmswarm.scheduler import SSYNCH, SchedulePrefix, check_fair, generate
 
 
@@ -611,3 +611,28 @@ class TestUtilityAlgorithms:
         cfg = make_configuration([Point(0, 0), Point(9, 0)], palette=(3,))
         trace = run(cfg, "fsynch", alg_tricolor(), rounds=3, seed=0)
         assert [c.light(0).values[0] for c in trace.configs()] == [0, 1, 2, 0]
+
+    @pytest.mark.parametrize("host", ["fsynch", "ssynch"])
+    @pytest.mark.parametrize("framed", [False, True], ids=["identity", "random-frames"])
+    def test_tricolor_counting_lights_seen_writes_the_trace_its_loop_over_observed_wrote(
+            self, tmp_path, host, framed):
+        def looped(snap: Snapshot) -> StepResult:  # tricolor's step as it read `observed`
+            counts = [0, 0, 0]
+            for loc in snap.observed:
+                for vals in loc.lights or ():
+                    counts[vals[0]] += 1
+            own = snap.own_light[0] if snap.own_light else 0
+            return StepResult(light={0: (own + 1) % 3}, destination=Point(0.05 * counts[0], -0.05 * counts[1]))
+
+        n, rng = 64, random.Random(64)
+        positions = [Point(rng.uniform(-100, 100), rng.uniform(-100, 100)) for _ in range(n - 4)]
+        lights = [LightTuple((rng.randrange(3),), (3,)) for _ in range(n)]
+        cfg = make_configuration(positions + positions[:4], lights, (3,))  # four co-located pairs
+        frames = {rid: FrameSpec(rng.uniform(-math.pi, math.pi), 2.0 ** rng.uniform(-2.0, 2.0))
+                  for rid in range(n)} if framed else None
+        written = []
+        for algo in (alg_tricolor(), dataclasses.replace(alg_tricolor(), step=looped)):
+            path = tmp_path / f"{len(written)}.trace"
+            write_trace(run(cfg, host, algo, rounds=60, seed=5, frames=frames), str(path))
+            written.append(path.read_bytes())
+        assert written[0] == written[1]

@@ -633,6 +633,58 @@ def test_kept_translation_geometry_serves_a_change_of_lights_only():
     translation_looks(relit, kept)
 
 
+# --- A Look builds its positions when a step first reads them ----------------
+
+SPREAD = st.sampled_from([0.0, -0.0]) | st.integers(-4, 4).map(float) | st.floats(-50, 50)
+# Translation-only in about half the draws; else rotated, scaled or reflecting.
+LOOK_FRAMES = st.sampled_from([(0.0, 1.0, False), (-0.0, 1.0, False)]) | st.sampled_from(FRAME_SPECS[1:])
+
+
+def co_located(p):
+    """Robots at p, each zero coordinate of either sign."""
+    return st.tuples(*(st.sampled_from([c, -c]) if c == 0 else st.just(c) for c in p))
+
+
+@st.composite
+def spread_configurations(draw):
+    """At least 8 locations, signed zeros among them, some held by several
+    robots; in about half, no two locations share an x, so Looks share an order."""
+    same_x_apart = draw(st.booleans())
+    places = draw(st.lists(st.tuples(SPREAD, SPREAD), min_size=8, max_size=16,
+                           unique_by=(lambda p: p[0]) if same_x_apart else (lambda p: p)))
+    extra = draw(st.lists(st.sampled_from(places).flatmap(co_located), max_size=6))
+    robots = draw(st.permutations(places + extra))
+    lights = [LightTuple(draw(st.tuples(st.integers(0, 1), st.integers(0, 2))), LOOK_PALETTE) for _ in robots]
+    return make_configuration([Point(*p) for p in robots], lights, LOOK_PALETTE)
+
+
+@given(spread_configurations(), st.data())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_a_look_read_in_either_order_equals_the_oracle_and_fills_its_geometry_once(config, data):
+    observer = data.draw(st.integers(0, config.n - 1))
+    rotation, k, reflecting = data.draw(LOOK_FRAMES)
+    frame = LocalFrame(config.position(observer), rotation, k, reflecting)
+    deferred = (rotation, k, reflecting) == (0.0, 1.0, False)  # the coordinates are within 2^1022
+    keys = core_ns._grouping(config).keys
+    eager = [(struct.pack("dd", x, y), i) for x, y, i in sorted(core_ns._local_coords(frame, keys))]
+    for model in ModelKind:
+        for multiplicity in Multiplicity:
+            want = bits(seed_snapshot(model, config, observer, frame, multiplicity))
+            for first in ("observed", "lights_seen"):
+                geometry = []
+                snap = snapshot(model, config, observer, frame, multiplicity, geometry)
+                assert len(geometry) == (0 if deferred else len(keys))
+                if first == "lights_seen":
+                    snap.lights_seen
+                    assert len(geometry) == (0 if deferred else len(keys))  # no positions read
+                assert bits(snap) == want
+                assert [(struct.pack("dd", *p), i) for p, i in geometry] == eager
+                lights = [t for loc in snap.observed for t in loc.lights or ()]
+                derived = tuple(sorted(lights)) if model.sees_others else None
+                assert snap.lights_seen == derived == Snapshot(*snap).lights_seen
+                assert hash(snap) == hash((snap.observed, snap.own_light, snap.multiplicity_visible))
+
+
 def seed_from_local(frame: LocalFrame, p: Point) -> Point:
     """The Move transform before it was fused into one expression."""
     q = Point(p.x, -p.y) if frame.reflecting else p

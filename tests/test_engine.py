@@ -538,6 +538,21 @@ class TestTraceFiles:
             write_trace(forged, str(path))
         assert not path.exists()
 
+    def test_an_empty_event_tuple_is_refused_and_one_empty_event_round_trips(self, tmp_path):
+        trace = run(make_configuration([Point(0, 0), Point(1, 1)]), "fsynch", alg_sro(), rounds=2, seed=0)
+        last = trace.rounds[1]
+
+        def forged(events):
+            return dataclasses.replace(trace, rounds=(trace.rounds[0], TraceRound(last.eset, last.config,
+                                                                                    {1: events})))
+
+        path = tmp_path / "t.trace"
+        with pytest.raises(ValueError, match=re.escape("round 2: robot 1: an empty event tuple")):
+            write_trace(forged(()), str(path))
+        assert not path.exists()
+        write_trace(forged(("",)), str(path))
+        assert read_trace(str(path)) == forged(("",))
+
     @pytest.mark.parametrize("key", ["kind", "algo", "inner"])
     def test_a_header_value_that_would_not_read_back_is_refused_before_the_file_opens(self, tmp_path, key):
         trace = run(make_configuration([Point(0, 0), Point(1, 1)]), "fsynch", alg_sro(), rounds=2, seed=0)

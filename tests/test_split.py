@@ -85,3 +85,14 @@ def test_look_rejects_more_observers_than_locations(capsys):
     with pytest.raises(SystemExit) as exc:
         split.main(["look", "--shape", "2x3"])
     assert exc.value.code == 2 and "LOCATIONSxOBSERVERS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode, flag", [("warm", "--runs"), ("graph", "--runs"), ("gc", "--runs"),
+                                        ("look", "--repeats")])
+def test_a_count_below_one_exits_2_with_usage(capsys, mode, flag):
+    with pytest.raises(SystemExit) as exc:
+        split.main([mode, flag, "0"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and err.startswith("usage:") and f"{flag}: takes a count of at least 1" in err
+    args = split.parser().parse_args([mode, "--warmup", "0"] if mode != "look" else [mode, "--looks", "1"])
+    assert args.mode == mode  # --warmup 0 stays valid

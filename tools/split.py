@@ -142,7 +142,7 @@ def measure_graph(args: argparse.Namespace) -> dict:
         states = sum(len(g.states) for g in algo._graphs.values())
         out[label] = _counts(yielded[id(algo)], executed[id(algo)], states)
     out["all"] = _counts(*(sum(c[key] for c in out.values()) for key in ("yielded", "executed", "states")))
-    out["all"]["executed_per_run"] = round(out["all"]["executed"] / args.runs, 1) if args.runs else 0.0
+    out["all"]["executed_per_run"] = round(out["all"]["executed"] / args.runs, 1)
     out["kept"], out["graph_entries"] = engine.ConfigGraph.kept, engine._GRAPH_ENTRIES
     return out
 
@@ -224,7 +224,7 @@ def measure_gc(args: argparse.Namespace) -> dict:
     finally:
         shutil.rmtree(workdir)
 
-    per_run = 1000.0 / runs if runs else 0.0
+    per_run = 1000.0 / runs
     return {
         "workload": name,
         "ms_per_run": round(wall * per_run, 3),
@@ -248,9 +248,10 @@ def measure_look(args: argparse.Namespace) -> dict:
     one.  In a block, robots 0..OBSERVERS-1 of each configuration in turn Look
     at it, as the robots activated in one round do: `core.snapshot` under LUMI
     and strong multiplicity, each through its identity frame at its own
-    position, each filling a fresh geometry list.  Per shape it gives the mean
-    microseconds per Look of each block over about `--looks` Looks
-    (`us_per_look`) and their median (`median_us`)."""
+    position, each filling a fresh geometry list, and reading its `observed`,
+    so a Look that defers its positions until read still builds them all.
+    Per shape it gives the mean microseconds per Look of each block over about
+    `--looks` Looks (`us_per_look`) and their median (`median_us`)."""
     import random
     import statistics
 
@@ -273,7 +274,7 @@ def measure_look(args: argparse.Namespace) -> dict:
             t0 = time.perf_counter()
             for config, frames in configs:
                 for rid, frame in enumerate(frames):
-                    snapshot(lumi, config, rid, frame, strong, [])
+                    snapshot(lumi, config, rid, frame, strong, []).observed
             elapsed = time.perf_counter() - t0
             blocks.append(round(1e6 * elapsed / (len(configs) * observers), 3))
         out[shape] = blocks[1:]  # the first block warms the interpreter up
@@ -299,23 +300,32 @@ class Mode:
     each: str | None = None  # a repeatable flag each of whose values gets its own children
 
 
-def _int(default: int, help: str | None = None) -> dict:
-    return {"type": int, "default": default, "help": help}
+def count(text: str) -> int:
+    """A count of at least 1, checked."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"takes a count of at least 1, got {text}")
+    return int(text)
+
+
+def _int(default: int, help: str | None = None, type: Callable[[str], int] = int) -> dict:
+    return {"type": type, "default": default, "help": help}
 
 
 SEED = _int(7, "perfbench's workload seed")
 MODES = {
-    "warm": Mode(measure_warm, {"--warmup": _int(3000), "--runs": _int(600), "--repeats": _int(2)}),
-    "graph": Mode(measure_graph, {"--seed": SEED, "--warmup": _int(600), "--runs": _int(200)}),
+    "warm": Mode(measure_warm, {"--warmup": _int(3000), "--runs": _int(600, type=count),
+                                "--repeats": _int(2, type=count)}),
+    "graph": Mode(measure_graph, {"--seed": SEED, "--warmup": _int(600), "--runs": _int(200, type=count)}),
     "gc": Mode(measure_gc,
                {"--workload": {"action": "append", "choices": WORKLOAD_NAMES,
                                "help": "a perfbench workload to measure (repeatable; default all four)"},
-                "--seed": SEED, "--warmup": _int(20), "--runs": _int(100)},
+                "--seed": SEED, "--warmup": _int(20), "--runs": _int(100, type=count)},
                each="--workload"),
     "look": Mode(measure_look,
                  {"--shape": {"action": "append", "type": parse_shape, "metavar": "LOCATIONSxOBSERVERS",
                               "help": "a swarm shape to time (repeatable; default " + ", ".join(SHAPES) + ")"},
-                  "--looks": _int(20000, "Looks per shape and block, about"), "--repeats": _int(3)}),
+                  "--looks": _int(20000, "Looks per shape and block, about", count),
+                  "--repeats": _int(3, type=count)}),
 }
 
 
