@@ -9,8 +9,8 @@ checks its fields in __new__ (namedtuple's _make and _replace skip it), and
 the package's hot paths build them with one tuple.__new__ call.  Their repr
 and hash are those of a frozen dataclass of the same fields, but a record
 also equals the plain tuple of its fields, unpacks into them, and orders like
-that tuple.  Snapshot is the same record but for the order, kept in columns:
-a Look builds its `observed` tuple only when a step reads it.
+that tuple.  Snapshot is the same record but for order and indexing, and a
+large Look builds its `observed` tuple only when a step reads it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from operator import attrgetter, lt as _lt
+from operator import lt as _lt
 
 POSITION_TOLERANCE = 1e-9
 
@@ -291,7 +291,19 @@ class ObservedLocation(namedtuple("ObservedLocation", "point count lights")):
     __slots__ = ()
 
 
-_UNREAD = object()  # a Snapshot field that its Look builds on first read
+class _OnFirstRead:
+    """A field that its method builds on the first read, and stores under
+    its own name in the instance dict, where later reads find it."""
+
+    def __init__(self, build):
+        self.build, self.name = build, build.__name__
+
+    def __get__(self, record, owner=None):
+        if record is None:
+            return self
+        value = self.build(record)
+        _oset(record, self.name, value)
+        return value
 
 
 class Snapshot:
@@ -300,55 +312,46 @@ class Snapshot:
     The observer always sees itself at the local origin.  Its model's
     ModelKind row says which lights it sees: own_light, else None; and each
     location's multiset, else None, holding its own light only if it sees it.
-    A record of these three fields that does not order; see snapshot for a Look's.
+    The record of these three fields, as the named tuples above are, but it
+    neither orders nor indexes: a Look may leave `observed` unbuilt until read.
     """
 
-    __slots__ = ("_observed", "_own", "_visible", "_look", "_seen")
+    __slots__ = ("own_light", "multiplicity_visible", "__dict__")
     __match_args__ = ("observed", "own_light", "multiplicity_visible")
-    own_light = property(attrgetter("_own"))
-    multiplicity_visible = property(attrgetter("_visible"))
+    _look = None  # a deferred Look's columns, until `observed` is built
 
     def __init__(self, observed, own_light, multiplicity_visible):
-        self._observed, self._own, self._visible = observed, own_light, multiplicity_visible
-        self._look, self._seen = None, _UNREAD
+        _oset(self, "observed", observed)
+        _set_own(self, own_light)
+        _set_visible(self, multiplicity_visible)
 
-    @property
+    @_OnFirstRead
     def observed(self) -> tuple[ObservedLocation, ...]:
-        if self._observed is _UNREAD:  # a Look's: fill its geometry if empty, then build
-            counts, lights, geometry, g, frame = self._look
-            if not geometry and len(g.keys) >= SHARED_ORDER_MIN and frame[1:] == (0.0, 1.0, False):
-                shared = g.order
-                if shared == ():
-                    shared = g.order = g.defers and _shared_order(g.keys)
-                elif shared is None:
-                    g.order = ()
-                ox, oy = frame.origin
-                if shared and abs(ox) <= _FAR >= abs(oy):
-                    order, xs, ys = shared
-                    lx = [x - ox + 0.0 for x in xs]
-                    if all(map(_lt, lx, lx[1:])):
-                        geometry += [(_tnew(Point, (x, y - oy + 0.0)), i) for x, y, i in zip(lx, ys, order)]
-            if not geometry:
-                # Sorting (x, y, first-seen index) gives the stable sort by (x, y),
-                # 0.0 == -0.0 ties included, without comparing objects.
-                geometry += [(_point(x, y), i) for x, y, i in sorted(_local_coords(frame, g.keys))]
-            self._observed = tuple([_tnew(ObservedLocation, (pt, counts[i], lights[i])) for pt, i in geometry])
-        return self._observed
+        """A deferred Look's locations; the Look's columns then go."""
+        value = _observed(*self._look)
+        _oset(self, "_look", None)
+        return value
 
-    @property
+    @_OnFirstRead
     def lights_seen(self) -> tuple[tuple[int, ...], ...] | None:
         """Every light value-tuple the observer sees, sorted: the multisets of
-        `observed` merged, or None when its model shows no lights."""
-        if self._seen is _UNREAD:
-            look = self._look
-            lights = look[1] if look else [loc.lights for loc in self.observed]
-            self._seen = None if None in lights else tuple(sorted([t for ms in lights for t in ms]))
-            if look and lights is look[3].lights:  # a LUMI Look's: the same for its configuration
-                look[3].seen = self._seen
-        return self._seen
+        `observed` merged, or None when its model shows no lights.  A
+        deferred LUMI Look's is its configuration's, sorted once."""
+        look = self._look
+        lights = look[1] if look else [loc.lights for loc in self.observed]
+        if look and lights is look[3].lights:
+            if look[3].seen is None:
+                look[3].seen = tuple(sorted([t for ms in lights for t in ms]))
+            return look[3].seen
+        return None if None in lights else tuple(sorted([t for ms in lights for t in ms]))
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"can't set or delete attribute {name!r}")
+
+    __delattr__ = __setattr__
 
     def __iter__(self):
-        return iter((self.observed, self._own, self._visible))
+        return iter((self.observed, self.own_light, self.multiplicity_visible))
 
     def __len__(self) -> int:
         return 3
@@ -360,13 +363,17 @@ class Snapshot:
         return hash((*self,))
 
     def __repr__(self) -> str:
-        return f"Snapshot(observed={self.observed!r}, own_light={self._own!r}, multiplicity_visible={self._visible!r})"
+        return (f"Snapshot(observed={self.observed!r}, own_light={self.own_light!r}, "
+                f"multiplicity_visible={self.multiplicity_visible!r})")
 
     def __reduce__(self):
         return Snapshot, (*self,)
 
     def _replace(self, **fields) -> Snapshot:
-        return Snapshot(**dict(zip(self.__match_args__, self), **fields))
+        result = Snapshot(*map(fields.pop, self.__match_args__, self))
+        if fields:
+            raise ValueError(f"Got unexpected field names: {list(fields)!r}")
+        return result
 
     def location_at(self, p: Point, tol: float = POSITION_TOLERANCE) -> ObservedLocation | None:
         for loc in self.observed:
@@ -377,6 +384,10 @@ class Snapshot:
     def others(self) -> tuple[ObservedLocation, ...]:
         """Observed locations excluding the local origin."""
         return tuple(loc for loc in self.observed if not points_close(loc.point, ORIGIN))
+
+
+# The fields' own setters: the Look's writes, past Snapshot.__setattr__.
+_set_own, _set_visible = (Snapshot.__dict__[name].__set__ for name in Snapshot.__slots__[:2])
 
 
 _PACK_XY = struct.Struct("2d").pack
@@ -403,8 +414,8 @@ def _multiset(members: list[tuple[int, LightTuple]]) -> tuple[tuple[int, ...], .
 class _Grouping:
     """What every observer of one configuration shares: the occupied
     locations in first-seen order, the robots at each, per location the light
-    multiset and the robot count, and whether a translation-only Look may
-    defer its geometry (see snapshot)."""
+    multiset and the robot count, and whether its Looks may defer their
+    positions (see snapshot)."""
 
     config: Configuration
     keys: list[Point]
@@ -413,7 +424,7 @@ class _Grouping:
     strong: list[int]
     defers: bool
     order: tuple | bool | None = None  # None, () after one fill, then _shared_order(keys)
-    seen: object = _UNREAD  # a LUMI observer's lights_seen, once one is read
+    seen: tuple | None = None  # its LUMI observers' lights_seen, once one is read
 
 
 # A frame with rotation 0.0 (either sign), scale 1.0 and no reflection maps
@@ -459,6 +470,27 @@ def _grouping(config: Configuration) -> _Grouping:
     return last
 
 
+def _observed(counts, lights, geometry: list[tuple[Point, int]], g: _Grouping, frame: LocalFrame):
+    """A Look's `observed`, filling an empty `geometry` first (see snapshot)."""
+    if not geometry and len(g.keys) >= SHARED_ORDER_MIN and frame[1:] == (0.0, 1.0, False):
+        shared = g.order
+        if shared == ():
+            shared = g.order = g.defers and _shared_order(g.keys)
+        elif shared is None:
+            g.order = ()
+        ox, oy = frame.origin
+        if shared and abs(ox) <= _FAR >= abs(oy):
+            order, xs, ys = shared
+            lx = [x - ox + 0.0 for x in xs]
+            if all(map(_lt, lx, lx[1:])):
+                geometry += [(_tnew(Point, (x, y - oy + 0.0)), i) for x, y, i in zip(lx, ys, order)]
+    if not geometry:
+        # Sorting (x, y, first-seen index) gives the stable sort by (x, y),
+        # 0.0 == -0.0 ties included, without comparing objects.
+        geometry += [(_point(x, y), i) for x, y, i in sorted(_local_coords(frame, g.keys))]
+    return tuple([_tnew(ObservedLocation, (pt, counts[i], lights[i])) for pt, i in geometry])
+
+
 def snapshot(
     model: ModelKind,
     config: Configuration,
@@ -474,18 +506,19 @@ def snapshot(
     read: it holds while no robot moves, since a change of lights keeps the
     grouping's order.  A non-finite local point raises and fills nothing.
 
-    A Look of at least SHARED_ORDER_MIN locations through a translation-only
-    frame, with its origin and every coordinate within _FAR, cannot overflow,
-    so it fills the geometry when a step first reads `observed`, and a step
-    that reads only `lights_seen` fills none.  Other Looks fill it here."""
+    A Look of at least SHARED_ORDER_MIN locations, each coordinate within
+    _FAR, defers its `observed`, and the fill, to the step's first read of
+    it where that cannot fail: when its geometry is filled, or its frame is
+    translation-only with its origin within _FAR.  So a step that reads only
+    `lights_seen` fills none.  Other Looks fill here, so an overflow raises at
+    the Look; a smaller one builds faster here than when first read."""
     if not 0 <= observer < config.n:
         raise ValueError(f"unknown observer id {observer}")
     g = _grouping(config)
-    seen = _UNREAD
     if not model.sees_others:
         lights = [None] * len(g.keys)
     elif model.sees_own:
-        lights, seen = g.lights, g.seen
+        lights = g.lights
     else:
         here = config.position(observer)
         members = g.groups[here]
@@ -498,13 +531,16 @@ def snapshot(
     if multiplicity is not Multiplicity.STRONG:
         counts = [min(c, 2) if multiplicity is Multiplicity.WEAK else 1 for c in counts]
     snap = _onew(Snapshot)
-    snap._look = counts, lights, [] if geometry is None else geometry, g, frame
-    snap._observed, snap._seen = _UNREAD, seen
-    snap._own = config.light(observer).values if model.sees_own else None
-    snap._visible = multiplicity is not Multiplicity.NONE
-    ox, oy = frame.origin
-    if not (g.defers and (geometry or frame[1:] == (0.0, 1.0, False) and abs(ox) <= _FAR >= abs(oy))):
-        snap.observed  # fills now, so an overflow raises here
+    _set_own(snap, config.light(observer).values if model.sees_own else None)
+    _set_visible(snap, multiplicity is not Multiplicity.NONE)
+    geometry = [] if geometry is None else geometry
+    if g.defers and (geometry or frame[1:] == (0.0, 1.0, False)
+                     and abs(frame.origin.x) <= _FAR >= abs(frame.origin.y)):
+        _oset(snap, "_look", (counts, lights, geometry, g, frame))
+    elif geometry:  # the kept geometry of a small Look, as _observed reads it
+        _oset(snap, "observed", tuple([_tnew(ObservedLocation, (pt, counts[i], lights[i])) for pt, i in geometry]))
+    else:
+        _oset(snap, "observed", _observed(counts, lights, geometry, g, frame))
     return snap
 
 

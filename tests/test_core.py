@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import random
+import re
 import struct
 import tracemalloc
 
@@ -646,11 +647,12 @@ def co_located(p):
 
 
 @st.composite
-def spread_configurations(draw):
-    """At least 8 locations, signed zeros among them, some held by several
-    robots; in about half, no two locations share an x, so Looks share an order."""
+def spread_configurations(draw, sizes=(8, 16)):
+    """8 to 16 locations unless `sizes` says otherwise, signed zeros among
+    them, some held by several robots; in about half, no two locations share
+    an x, so Looks of at least 8 share an order."""
     same_x_apart = draw(st.booleans())
-    places = draw(st.lists(st.tuples(SPREAD, SPREAD), min_size=8, max_size=16,
+    places = draw(st.lists(st.tuples(SPREAD, SPREAD), min_size=sizes[0], max_size=sizes[1],
                            unique_by=(lambda p: p[0]) if same_x_apart else (lambda p: p)))
     extra = draw(st.lists(st.sampled_from(places).flatmap(co_located), max_size=6))
     robots = draw(st.permutations(places + extra))
@@ -661,11 +663,45 @@ def spread_configurations(draw):
 @given(spread_configurations(), st.data())
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_a_look_read_in_either_order_equals_the_oracle_and_fills_its_geometry_once(config, data):
+    look_in_either_order(config, data)
+
+
+@given(spread_configurations(sizes=(1, 7)), st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_a_look_of_fewer_than_8_locations_builds_at_once_and_equals_the_oracle(config, data):
+    look_in_either_order(config, data)
+
+
+def test_a_snapshot_refuses_writes_and_lets_go_of_its_look_once_observed_is_built():
+    config = _config([(x, x % 3) for x in range(8)] + [(1, 1)], [RED, GREEN, BLUE] * 3, PAL)
+    snap = snapshot(ModelKind.LUMI, config, 0, LocalFrame(config.position(0)))
+    for name in ("observed", "own_light", "multiplicity_visible", "lights_seen", "_look", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(snap, name, None)
+        with pytest.raises(AttributeError):
+            delattr(snap, name)
+    seen = snap.lights_seen
+    assert snap._look is not None  # `observed` is still unbuilt
+    assert snapshot(ModelKind.LUMI, config, 1, LocalFrame(config.position(1))).lights_seen is seen
+    observed = snap.observed
+    assert snap._look is None and snap.observed is observed and snap.lights_seen is seen
+    with pytest.raises(ValueError, match=re.escape("Got unexpected field names: ['bogus']")):
+        snap._replace(bogus=1)
+    assert (Snapshot.observed.name, Snapshot.lights_seen.name) == ("observed", "lights_seen")  # read on the class
+    assert snap._replace(own_light=None) == (observed, None, True)
+
+
+def look_in_either_order(config, data):
+    """A Look of `config` through a drawn frame, built and read in each order,
+    against the oracle.  Of at least 8 locations, a translation-only one
+    fills its geometry on the first read of `observed`, and one given a
+    filled geometry reads it then; any other Look fills it at once."""
     observer = data.draw(st.integers(0, config.n - 1))
     rotation, k, reflecting = data.draw(LOOK_FRAMES)
     frame = LocalFrame(config.position(observer), rotation, k, reflecting)
-    deferred = (rotation, k, reflecting) == (0.0, 1.0, False)  # the coordinates are within 2^1022
     keys = core_ns._grouping(config).keys
+    large = len(keys) >= core_ns.SHARED_ORDER_MIN
+    deferred = large and (rotation, k, reflecting) == (0.0, 1.0, False)  # the coordinates are within 2^1022
     eager = [(struct.pack("dd", x, y), i) for x, y, i in sorted(core_ns._local_coords(frame, keys))]
     for model in ModelKind:
         for multiplicity in Multiplicity:
@@ -683,6 +719,8 @@ def test_a_look_read_in_either_order_equals_the_oracle_and_fills_its_geometry_on
                 derived = tuple(sorted(lights)) if model.sees_others else None
                 assert snap.lights_seen == derived == Snapshot(*snap).lights_seen
                 assert hash(snap) == hash((snap.observed, snap.own_light, snap.multiplicity_visible))
+                again = snapshot(model, config, observer, frame, multiplicity, geometry)
+                assert (again._look is not None) == large and bits(again) == want
 
 
 def seed_from_local(frame: LocalFrame, p: Point) -> Point:
