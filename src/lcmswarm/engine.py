@@ -11,6 +11,7 @@ import gc
 import random
 import re
 import struct
+import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -271,16 +272,24 @@ def run_round(
 
 
 # Robot entries (n per state of n robots) kept by the graphs of every algorithm
-# in this process.  Over 4,000 cyc-n5 runs the graph holds all 1,397 states it
-# reaches and reads 99.9 % of the last 1,000 runs' rounds.  After 800 sim-n3
-# runs they keep 15,132 entries, and past its first 600 runs sim-n3 reads 63 %
-# of rounds (52 % at 8,192): sim-rs-by-s and sim-lumi-by-fcom read 92 and 100 %
-# over stay, 52 and 83 % over move-east, 12 and 20 % over tricolor.
-# tracemalloc reads a state at 671 B at n = 3 and 864 B at n = 5.  A state is a
-# list indexed by the activation set's bit mask, so a run of more than
-# _GRAPH_ROBOTS robots keeps no graph.
+# in this process.  Over 8,000 cyc-n5 runs the graph executes 47,783 of 6.4 M
+# rounds and ends with 1,457 states; a cold start's first 800 runs execute
+# about 41,000.  After 800 sim-n3 runs they keep 16,383 entries, and past its
+# first 600 runs sim-n3 reads 65 % of rounds: sim-rs-by-s and sim-lumi-by-fcom
+# read 94 and 100 % over stay, 61 and 83 % over move-east, 15 and 19 % over
+# tricolor.  tracemalloc reads a state at 541 B at n = 3 and 788 B at n = 5.  A
+# state is a list indexed by the activation set's bit mask, so a run of more
+# than _GRAPH_ROBOTS robots keeps no graph.
 _GRAPH_ENTRIES = 16384
 _GRAPH_ROBOTS = 6
+# Each graph's doorkeeper: 64 KiB of one-byte slots, cleared after _DOOR_MARKS
+# first visits, each marking two slots from the key's CRC-32 (hash() is salted
+# per process; this way every process keeps the same states).  So at most 1/8
+# of the slots are set, and an unvisited configuration passes for visited at
+# most 1/64 of the time; admitted early, it changes what is kept, never a
+# round.  4,096 marks outlast the 1,481 that 8,000 cyc-n5 runs make.
+_DOOR_SLOTS = 1 << 16
+_DOOR_MARKS = 1 << 12
 
 
 class ConfigGraph:
@@ -290,10 +299,12 @@ class ConfigGraph:
     one bytes key: each position's bit pattern, so -0.0 stays apart from 0.0,
     then each robot's index in the graph's table of light values, which lies
     outside the budget and, like Algorithm._lights, the palette bounds.  One
-    becomes a state when the run before visited it too and all graphs keep at
-    most _GRAPH_ENTRIES entries with it.  A state is [config] + nexts, where
-    nexts[mask] is the state that activating bit mask `mask` leads to, or
-    (that state, its events' items), written in one store."""
+    becomes a state on its second visit, in this run or an earlier one, when
+    all graphs keep at most _GRAPH_ENTRIES entries with it; `door` marks first
+    visits (TinyLFU's doorkeeper, in a Bloom filter's fixed table).  A state is
+    [config] + nexts, where nexts[mask] is the state that activating bit mask
+    `mask` leads to, or (that state, its events' items, one object per value
+    through `events`), written in one store."""
 
     kept = 0  # robot entries that the states of every graph keep
 
@@ -301,8 +312,8 @@ class ConfigGraph:
         self.states: dict[bytes, list] = {}
         self.lights: dict[tuple[int, ...], int] = {}  # light values -> their index in keys
         self.masks: dict[frozenset[int], int] = {}
-        self.visited: set[int] = set()  # key hashes of this run's configurations
-        self.before: set[int] = set()  # and of the run before's
+        self.events: dict[tuple, tuple] = {}  # an edge's events items, one object per value
+        self.door, self.marks = bytearray(_DOOR_SLOTS), 0  # first visits, and their count
 
     def __del__(self):  # an algorithm's graphs give their entries back with it
         type(self).kept -= sum(state[0].n for state in self.states.values())
@@ -314,12 +325,16 @@ class ConfigGraph:
                           *[lights.setdefault(lt.values, len(lights)) for _, _, lt in entries])
         state = self.states.get(key)
         if state is None:
-            seen = hash(key)
-            if seen in self.before and ConfigGraph.kept + config.n <= _GRAPH_ENTRIES:
-                state = self.states[key] = [config] + [None] * (1 << config.n)
-                ConfigGraph.kept += config.n
-            else:
-                self.visited.add(seen)
+            seen, door = zlib.crc32(key), self.door
+            first, second = seen % _DOOR_SLOTS, (seen >> 16) % _DOOR_SLOTS
+            if not (door[first] and door[second]):
+                door[first] = door[second] = 1
+                self.marks += 1
+                if self.marks == _DOOR_MARKS:
+                    self.door, self.marks = bytearray(_DOOR_SLOTS), 0
+            elif ConfigGraph.kept + n <= _GRAPH_ENTRIES:
+                state = self.states[key] = [config] + [None] * (1 << n)
+                ConfigGraph.kept += n
         return state
 
 
@@ -333,10 +348,7 @@ def _execute(config: Configuration, sets: Iterable[frozenset[int]], algo: Algori
     run whose initial configuration has no state looks nothing up."""
     rng = random.Random(seed)
     store: dict = {}
-    state = None
-    if graph:
-        graph.before, graph.visited = graph.visited, set()
-        state = graph.intern(config)
+    state = graph.intern(config) if graph else None
     keyed = state is not None  # whether this run looks its configurations up
     for eset in sets:
         if state is not None:
@@ -358,8 +370,9 @@ def _execute(config: Configuration, sets: Iterable[frozenset[int]], algo: Algori
             after = state if new is config else graph.intern(new)
             if after is not None:
                 new = after[0]
-                if state is not None:
-                    state[1 + mask] = (after, tuple(events.items())) if events else after
+                if state is not None:  # equal events items are one object per graph
+                    items = tuple(events.items())
+                    state[1 + mask] = (after, graph.events.setdefault(items, items)) if events else after
             state = after
         config = new
         yield TraceRound(eset, config, events)
@@ -454,7 +467,8 @@ def run(
     header = TraceHeader(model, kind_name, n, seed, rigidity.delta, algo.palette, algo.name)
     graph = None
     if rigidity.rigid and n <= _GRAPH_ROBOTS:  # repr tells a -0.0 rotation apart
-        graph = algo._graphs.setdefault((model, multiplicity, repr(list(frames.values()))), ConfigGraph())
+        key = model, multiplicity, repr(list(frames.values()))
+        graph = algo._graphs.get(key) or algo._graphs.setdefault(key, ConfigGraph())
     rounds_run = _execute(config0, prefix.sets, algo, model, frames, rigidity, seed, multiplicity, graph)
     return Trace(header, config0, _paused(tuple, rounds_run))
 

@@ -1639,6 +1639,77 @@ def test_the_budget_counts_exactly_the_entries_live_graphs_keep(graph_budget):
     assert engine_ns.ConfigGraph.kept == before == _live_graph_entries()
 
 
+def test_a_configuration_seen_in_any_earlier_run_is_admitted(tmp_path, monkeypatch, graph_budget):
+    # Lights (robot 0, robot 1) go from (0, 0) to (1, 0) and back in runs 1, 3
+    # and 4, and to (0, 1) and back in run 2.  Run 0 marks the start, run 1
+    # admits it and marks (1, 0), run 3 admits (1, 0) and keeps both rounds.
+    graph_budget(4096)
+    calls = _counted_rounds(monkeypatch)
+    toggle = Algorithm("toggle", (2,), _toggle, ModelKind.LUMI)
+    shared = dataclasses.replace(toggle)
+    config = make_configuration([Point(0.0, 1.0), Point(2.0, 1.0)], palette=(2,))
+    path = tmp_path / "t.trace"
+
+    def written(algo, robot, rounds):
+        write_trace(run(config, SchedulePrefix((frozenset({robot}),) * rounds, 2), algo), str(path))
+        return path.read_bytes()
+
+    executed = []
+    for robot, rounds in ((1, 1), (0, 2), (1, 2), (0, 2), (0, 2)):
+        calls.clear()
+        got = written(shared, robot, rounds)
+        executed.append(len(calls))
+        assert got == written(dataclasses.replace(toggle), robot, rounds)
+    assert executed == [1, 2, 2, 2, 0]
+
+
+def test_drifting_runs_past_the_doorkeepers_reset_keep_it_one_size(tmp_path, monkeypatch, graph_budget):
+    graph_budget(40)
+    monkeypatch.setattr(engine_ns, "_DOOR_MARKS", 64)  # so 40 runs pass it again and again
+    shared = alg_tricolor()
+    config = make_configuration([Point(0.0, 0.0), Point(3.0, 1.0)], palette=(3,))
+    path = tmp_path / "t.trace"
+    doors = []  # each kept alive, so no two share an id
+    for seed in range(40):
+        texts = []
+        for algo in (shared, alg_tricolor()):
+            write_trace(run(config, "rsynch", algo, rounds=30, seed=seed), str(path))
+            texts.append(path.read_bytes())
+        assert texts[0] == texts[1], seed
+        [graph] = shared._graphs.values()
+        doors.append(graph.door)
+        assert len(graph.door) == engine_ns._DOOR_SLOTS and graph.marks < 64
+        assert sum(graph.door) <= 2 * graph.marks
+    assert len({id(door) for door in doors}) > 10  # cleared again and again, never grown
+
+
+def test_one_graph_is_built_per_model_frames_and_multiplicity(monkeypatch):
+    built = []
+    real = engine_ns.ConfigGraph.__init__
+    monkeypatch.setattr(engine_ns.ConfigGraph, "__init__", lambda self: built.append(1) or real(self))
+    algo = alg_tricolor()
+    positions = [Point(50.0 * i, 7.0 * (i % 2)) for i in range(3)]
+    config = make_configuration(positions, palette=algo.palette)
+    for seed in range(10):
+        for frames, multiplicity in GRAPH_VARIANTS:
+            run(config, "ssynch", algo, rounds=20, seed=seed, frames=_grid_frames(frames, 3),
+                multiplicity=multiplicity)
+        run(config, "ssynch", algo, rounds=20, seed=seed, rigidity=Rigidity(0.5))  # keeps no graph
+    assert len(built) == len(algo._graphs) == len(GRAPH_VARIANTS)
+
+
+def test_equal_edge_events_are_one_object(graph_budget):
+    graph_budget(4096)
+    wrapper = sim_rs_by_s(alg_stay())
+    config = make_configuration([Point(50.0 * i, 7.0 * (i % 2)) for i in range(3)], palette=wrapper.palette)
+    for seed in range(8):
+        run(config, "ssynch", wrapper, rounds=110, seed=seed)
+    [graph] = wrapper._graphs.values()
+    items = [edge[1] for state in graph.states.values() for edge in state[1:] if type(edge) is tuple]
+    assert len(items) > len(set(items)) > 1  # some edges repeat another's events
+    assert len({id(i) for i in items}) == len(set(items))
+
+
 def test_rounds_read_from_the_graph_have_their_own_events(tmp_path, monkeypatch, graph_budget):
     # A caller that edits a round's events dict, empty or not, must change no
     # later run's trace: each round from the graph gets a dict of its own.

@@ -48,6 +48,19 @@ def test_graph_counts_every_instance_the_same_on_each_side(capsys):
     assert counts["kept"] == 3 * counts["all"]["states"] <= counts["graph_entries"]
 
 
+def test_graph_counts_the_cyc_n5_fill_from_its_first_run(capsys):
+    sides = run_split(capsys, "graph", "--workload", "cyc-n5", "--warmup", "0", "--runs", "3")
+    assert sides["a"] == sides["b"]
+    [counts] = sides["a"]
+    assert list(counts) == ["cyclic-cycles", "all", "kept", "graph_entries"]
+    c = counts["cyclic-cycles"]
+    assert c["yielded"] == 3 * split.ROUNDS
+    # The first run keeps no state, so it executes every round.
+    assert split.ROUNDS <= c["executed"] < c["yielded"]
+    assert counts["kept"] == split.N * c["states"] > 0
+    assert counts["all"]["executed_per_run"] == round(c["executed"] / 3, 1)
+
+
 # Code that only a round runs: the Look, Compute, Move.
 ROUND_ONLY = ("core.snapshot", "core._local_coords", "core.from_local", "algorithms.", "engine.run_round",
               "engine._execute", "engine.apply_move")

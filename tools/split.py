@@ -91,19 +91,20 @@ def _counts(yielded: int, executed: int, states: int) -> dict:
 
 
 def measure_graph(args: argparse.Namespace) -> dict:
-    """How many of sim-n3's rounds a warm process reads from the configuration graph.
+    """How many of a process's rounds it reads from the configuration graph.
 
-    The child runs perfbench's sim-n3 workload: its six pipelines (both
-    wrappers over stay, move-east and tricolor, each inner instance shared by
-    its two wrappers and by the fidelity check), run i's input at workload
-    seed `--seed`, and the checks of every trace.  After `--warmup` uncounted
-    runs, it counts `--runs` runs.  `engine.run_round` is wrapped from outside
-    and counts the rounds each instance executes; a trace's length, or for an
-    inner instance its induced rounds, counts the rounds it yielded.  Per
-    instance it gives `yielded`, `executed` (rounds that `run_round` made, the
-    rest read from the graph), `hit_ratio` (1 - executed / yielded) and
-    `states` (what its graphs hold at the end); then the same over all
-    instances, `ConfigGraph.kept` and `_GRAPH_ENTRIES`."""
+    The child runs perfbench's `--workload`, cyc-n5 (one instance) or sim-n3
+    (six pipelines: both wrappers over stay, move-east and tricolor, each
+    inner instance shared by its two wrappers and by the fidelity check), run
+    i's input at workload seed `--seed`, and the checks of every trace.  After
+    `--warmup` uncounted runs, it counts `--runs` runs; `--warmup 0` counts
+    the graph's fill.  `engine.run_round` is wrapped from outside and counts
+    the rounds each instance executes; a trace's length, or for an inner
+    instance its induced rounds, counts the rounds it yielded.  Per instance
+    it gives `yielded`, `executed` (rounds that `run_round` made, the rest
+    read from the graph), `hit_ratio` (1 - executed / yielded) and `states`
+    (what its graphs hold at the end); then the same over all instances,
+    `ConfigGraph.kept` and `_GRAPH_ENTRIES`."""
     import collections
 
     from lcmswarm import engine, simulators
@@ -111,12 +112,17 @@ def measure_graph(args: argparse.Namespace) -> dict:
     sys.path.insert(1, ROOT)
     from perfbench import workloads
 
-    sim = workloads.WORKLOADS["sim-n3"]
-    pipelines = sim.build(workloads.no_wrap)
+    workload = workloads.WORKLOADS[args.workload]
+    ctx = workload.build(workloads.no_wrap)
+    # (the instance each trace comes from, the inner instance it simulates or None)
+    pipelines = [(p.wrapper, p.inner) for p in ctx] if args.workload == "sim-n3" else [(ctx[0], None)]
     instances = {}
-    for p in pipelines:
-        instances[f"{p.wrapper.name}/{p.inner.name}"] = p.wrapper
-        instances[f"fidelity/{p.inner.name}"] = p.inner
+    for algo, inner in pipelines:
+        if inner is None:
+            instances[algo.name] = algo
+        else:
+            instances[f"{algo.name}/{inner.name}"] = algo
+            instances[f"fidelity/{inner.name}"] = inner
 
     executed: collections.Counter = collections.Counter()  # by id() of the instance
     yielded: collections.Counter = collections.Counter()
@@ -130,11 +136,12 @@ def measure_graph(args: argparse.Namespace) -> dict:
     for i in range(args.warmup + args.runs):
         if i == args.warmup:
             executed.clear()
-        traces = sim.run(pipelines, sim.input(args.seed, i), None)
+        traces = workload.run(ctx, workload.input(args.seed, i), None)
         if i >= args.warmup:
-            for p, trace in zip(pipelines, traces):
-                yielded[id(p.wrapper)] += len(trace.rounds)
-                yielded[id(p.inner)] += len(simulators.extract_induced_schedule(trace).sets)
+            for (algo, inner), trace in zip(pipelines, traces):
+                yielded[id(algo)] += len(trace.rounds)
+                if inner is not None:
+                    yielded[id(inner)] += len(simulators.extract_induced_schedule(trace).sets)
     engine.run_round = real
 
     out = {}
@@ -315,7 +322,9 @@ SEED = _int(7, "perfbench's workload seed")
 MODES = {
     "warm": Mode(measure_warm, {"--warmup": _int(3000), "--runs": _int(600, type=count),
                                 "--repeats": _int(2, type=count)}),
-    "graph": Mode(measure_graph, {"--seed": SEED, "--warmup": _int(600), "--runs": _int(200, type=count)}),
+    "graph": Mode(measure_graph, {"--workload": {"choices": ("cyc-n5", "sim-n3"), "default": "sim-n3",
+                                                 "help": "the perfbench workload to run (default sim-n3)"},
+                                  "--seed": SEED, "--warmup": _int(600), "--runs": _int(200, type=count)}),
     "gc": Mode(measure_gc,
                {"--workload": {"action": "append", "choices": WORKLOAD_NAMES,
                                "help": "a perfbench workload to measure (repeatable; default all four)"},
