@@ -242,6 +242,26 @@ def _generated(sets: tuple[frozenset[int], ...], n: int) -> SchedulePrefix:  # t
     return prefix
 
 
+def _tree(left: list[int], picks: int | None = None, mask: int = 0) -> list | int:
+    """The draw tree of randint(1, len(left)) then sample's swaps over `left`, or of the last `picks`
+    swaps after those that drew `mask`.  A node is the bit width of a _randbelow(j) and a child per
+    value, each value from j on the node itself (the redraw); a leaf is the drawn mask."""
+    if picks == 0:
+        return mask
+    kids = ([_tree(left, k) for k in range(1, len(left) + 1)] if picks is None else
+            [_tree((left[:x] + left[-1:] + left[x + 1:])[:-1], picks - 1, mask | 1 << r)
+             for x, r in enumerate(left)])
+    node = [len(kids).bit_length(), *kids]
+    node += [node] * ((1 << node[0]) - len(kids))
+    return node
+
+
+# Draw trees by pool, built on first use, for swarms of at most _TREE_ROBOTS
+# robots (like engine._GRAPH_ROBOTS): 31 pools hold 108 KB.
+_TREE_ROBOTS = 5
+_TREES: dict[frozenset[int], list] = {}
+
+
 def generate(
     kind: SchedulerKind | str,
     n: int,
@@ -276,51 +296,56 @@ def generate(
         p = len(kind.blocks)
         return _generated(tuple(kind.blocks[i % p] for i in range(rounds)), n)
 
-    # ssynch draws from the whole swarm, the other two families from the
-    # robots their previous set does not bar.  That pool is empty only after
-    # an energy-restricted full activation, which forces an idle round.  A
-    # draw is randint(1, m) then sample(pool, k), inline up to sample's set
-    # method (above 21 robots), each _randbelow(m) written as CPython's own loop
-    # (getrandbits of m's bit width until below m): the same words in the same
-    # order.  A set is a bit mask; each mask's frozenset and next pool are built once.
+    # ssynch draws from the whole swarm, the other two families from the robots
+    # their previous set does not bar (none after an energy-restricted full set,
+    # which forces an idle round).  A draw is randint(1, m) then sample(pool, k):
+    # a walk of the pool's draw tree, or inline in larger swarms up to sample's
+    # set method (above 21 robots), each _randbelow(j) CPython's own loop: the
+    # same words in the same order.  Each set's bit mask maps once to its frozenset and next draw.
     rsynch = kind.name == RSYNCH
     p_full = min(rng.choice([0, 0, 1, 2, rng.randint(0, rounds)]), rounds) if rsynch else 0
-    sets = [full] * p_full
-    last = [p_full] * n
     bits = rng.getrandbits
     full_mask = (1 << n) - 1
-    everyone = pool = list(range(n))
-    seen = {}
+    masks = [full_mask] * (p_full + 1)  # masks[i] is round i's; round 0 and the full prefix count as full
+    next_due = p_full + window  # no robot falls due before this round
+    mask, draws, set_of = full_mask if rsynch else 0, {}, {}  # a set before the first draw that bars nobody
     for i in range(p_full + 1, rounds + 1):
-        mask = 0
-        if m := len(pool):
+        if (draw := draws.get(mask)) is None:
+            s = set_of[mask] = frozenset(r for r in range(n) if mask >> r & 1)
+            pool = full - _barred(kind.name, s, n)
+            draw = draws[mask] = (0 if not pool else tuple(sorted(pool)) if n > _TREE_ROBOTS
+                                  else _TREES.get(pool) or _TREES.setdefault(pool, _tree(sorted(pool))))
+        mask = draw
+        while mask.__class__ is list:
+            mask = mask[1 + bits(mask[0])]
+        if mask.__class__ is tuple:
+            pool, mask, m = mask, 0, len(mask)
             k = bits(b := m.bit_length())
             while k >= m:
                 k = bits(b)
             if m > 21:
                 mask = sum(1 << r for r in rng.sample(pool, k + 1))
             else:
-                left = pool.copy()
+                left = list(pool)
                 for j in range(m, m - 1 - k, -1):  # sample's swaps, each drawing below j
                     x = bits(b := j.bit_length())
                     while x >= j:
                         x = bits(b)
                     mask |= 1 << left[x]
                     left[x] = left[j - 1]
-        due = i - window
-        for r in pool:
-            if last[r] <= due:
-                mask |= 1 << r
         if rsynch and mask == full_mask:  # only in its first draw, when no robot is due yet
             mask ^= 1  # robot 0 sits this round out
-        if (known := seen.get(mask)) is None:
-            s = frozenset(r for r in everyone if mask >> r & 1)
-            known = seen[mask] = (s, sorted(full - _barred(kind.name, s, full)))
-        s, pool = known
-        for r in s:
-            last[r] = i
-        sets.append(s)
-    return _generated(tuple(sets), n)
+        if i >= next_due:  # force in the robots that neither this draw nor the last window - 1 rounds hold
+            seen, j = mask, i
+            while seen != full_mask and j > i + 1 - window:
+                j -= 1
+                seen |= masks[j]
+            mask |= full_mask ^ seen
+            next_due = j + window  # exact unless some robot was forced in; then the next round looks again
+        masks.append(mask)
+    if mask not in set_of:  # the last round's, which no draw followed
+        set_of[mask] = frozenset(r for r in range(n) if mask >> r & 1)
+    return _generated((full,) * p_full + tuple(map(set_of.__getitem__, masks[p_full + 1:])), n)
 
 
 def write_schedule(prefix: SchedulePrefix, kind_name: str, path: str) -> None:

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lcmswarm import scheduler
 from lcmswarm.scheduler import (
     ENERGY_RESTRICTED,
     FSYNCH,
@@ -395,6 +396,44 @@ def test_equal_sets_of_a_prefix_are_one_object(kind):
             first = {}
             assert all(first.setdefault(e, e) is e for e in sets), (kind, n, seed)
             assert len(first) < len(sets)
+
+
+RANDOM_KINDS = [SSYNCH, RSYNCH, ENERGY_RESTRICTED]
+
+
+# Long prefixes, where the round at which a robot can next fall due is found
+# again many times, on both sides of the swarm size that keeps draw trees.
+@given(st.sampled_from(RANDOM_KINDS), st.integers(1, 8), st.integers(1, 900), st.integers())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_generate_equals_oracle_on_long_prefixes(kind, n, rounds, seed):
+    assert generate(kind, n, rounds, seed) == oracle_generate(kind, n, rounds, seed)
+
+
+def test_rsynch_bars_the_previous_set_only_after_its_full_prefix():
+    full, part = frozenset(range(4)), frozenset({1, 3})
+    assert scheduler._barred(RSYNCH, full, 4) == frozenset()
+    assert scheduler._barred(RSYNCH, part, 4) == part
+    assert scheduler._barred(RSYNCH, frozenset(), 4) == frozenset()
+
+
+def test_draw_trees_are_kept_once_per_pool_of_a_small_swarm(monkeypatch):
+    built = []
+    tree = scheduler._tree
+    monkeypatch.setattr(scheduler, "_TREES", {})
+    monkeypatch.setattr(scheduler, "_tree", lambda *a: built.append(a) or tree(*a))
+    shapes = [(kind, n) for kind in RANDOM_KINDS for n in [*range(1, 9), 22]]
+    for kind, n in shapes:
+        generate(kind, n, 300, n)
+    small = frozenset(range(scheduler._TREE_ROBOTS))
+    assert built and 0 < len(scheduler._TREES) <= 2 ** len(small) - 1
+    assert all(pool and pool <= small for pool in scheduler._TREES)
+    built.clear()
+    for kind, n in shapes:
+        generate(kind, n, 300, n)
+    assert not built
+    # A node redraws, by pointing back at itself, every value at or above its bound.
+    root = scheduler._TREES[frozenset({0, 1, 2})]
+    assert root[0] == 2 and root[4] is root and all(kid is not root for kid in root[1:4])
 
 
 # `validate` and `energy_ledger` as they were before every family's rule was

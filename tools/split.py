@@ -47,9 +47,9 @@ def measure_warm(args: argparse.Namespace) -> dict:
     draws schedule seeds from `random.Random(12345)`, and runs `--warmup`
     untimed runs, then `--repeats` blocks of `--runs` timed runs of 800 ssynch
     rounds.  Under `blocks`, it gives per block the mean per run of
-    `generate_ms` (`scheduler.generate`, its prefix check included), `walk_ms`
-    (`engine.run` over that prefix), `check_cyc_ms` (`problems.check_cyc` on
-    the trace) and `total_ms`, their sum."""
+    `generate_ms` (`scheduler.generate`, whose prefix skips `SchedulePrefix`'s
+    range check), `walk_ms` (`engine.run` over that prefix), `check_cyc_ms`
+    (`problems.check_cyc` on the trace) and `total_ms`, their sum."""
     import random
 
     from lcmswarm import algorithms, engine, problems, scheduler
